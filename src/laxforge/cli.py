@@ -168,12 +168,12 @@ def cmd_generate(cfg: JobConfig) -> int:
         f"r_{rep.name}_{cfg.m}_{cfg.n}.json": f"{fp}-r",
     }
     payloads: dict[str, bytes] = {}
-    missing = [
-        name for name, key in artifacts.items() if _cache_fetch(cfg, key) is None
-    ]
+    missing = []
     for name, key in artifacts.items():
         cached = _cache_fetch(cfg, key)
-        if cached is not None:
+        if cached is None:
+            missing.append(name)
+        else:
             payloads[name] = cached
     if missing:
         sigma = extend_sigma(init_simple_sigma(rep))
@@ -349,6 +349,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _config(args: argparse.Namespace) -> JobConfig:
+    if args.format == "text" and args.command != "verify":
+        raise SchemaError(
+            f"{args.command} writes JSON only; --format text applies to verify"
+        )
     return JobConfig(
         m=args.m,
         n=args.n,

@@ -243,7 +243,8 @@ class Representation:
 
     def qh_diag(self, w: Weight, t: Scalar) -> GradedMatrix:
         """Diagonal q^(t h_w): entry q^(t (w, wt_b)) at position b."""
-        t = Fraction(t)
+        if type(t) is not int:
+            t = Fraction(t)
         diag = [
             LaurentPoly.from_qpower(t * bilinear(w, wb)) for wb in self.weights
         ]

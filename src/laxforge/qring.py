@@ -4,6 +4,12 @@ Laurent polynomials in s = q^(1/2) over arbitrary-precision rationals,
 and univariate rational functions in the spectral variable z whose
 coefficients are Laurent polynomials.  Everything here is exact; there
 is no floating-point mode.
+
+Coefficient invariant: every stored coefficient is an ``int``, or a
+``Fraction`` whose denominator is not 1, and never a float.  Integral
+values stay on Python's fast int arithmetic; a ``Fraction`` that comes
+out of a sum or product with denominator 1 is turned back into an int.
+Equality, hashing and the text form do not depend on the representation.
 """
 
 from __future__ import annotations
@@ -23,11 +29,14 @@ class PoleError(ZeroDivisionError):
         self.denominator = denominator
 
 
-def _as_fraction(c) -> Fraction:
-    if isinstance(c, Fraction):
+def _canonical(c) -> Scalar:
+    """c as an int when it is integral, else as a Fraction; floats are refused."""
+    if type(c) is int:
         return c
+    if isinstance(c, Fraction):
+        return c.numerator if c.denominator == 1 else c
     if isinstance(c, int):
-        return Fraction(c)
+        return int(c)
     raise TypeError(f"expected an exact rational, got {type(c).__name__}")
 
 
@@ -41,10 +50,10 @@ class LaurentPoly:
     __slots__ = ("terms",)
 
     def __init__(self, terms: Mapping[int, Scalar] | None = None):
-        clean: dict[int, Fraction] = {}
+        clean: dict[int, Scalar] = {}
         if terms:
             for k, c in terms.items():
-                c = _as_fraction(c)
+                c = _canonical(c)
                 if c:
                     clean[int(k)] = c
         self.terms = clean
@@ -70,9 +79,9 @@ class LaurentPoly:
     @classmethod
     def from_qpower(cls, t: Scalar) -> "LaurentPoly":
         """q^t as the monomial s^(2t); t must be a half-integer."""
-        t = _as_fraction(t)
+        t = _canonical(t)
         two_t = 2 * t
-        if two_t.denominator != 1:
+        if type(two_t) is not int and two_t.denominator != 1:
             raise ValueError(f"q^t needs a half-integer t, got {t}")
         return cls({int(two_t): 1})
 
@@ -100,6 +109,8 @@ class LaurentPoly:
         for k, c in other.terms.items():
             v = out.get(k, 0) + c
             if v:
+                if type(v) is not int and v.denominator == 1:
+                    v = v.numerator
                 out[k] = v
             elif k in out:
                 del out[k]
@@ -121,24 +132,26 @@ class LaurentPoly:
         return (-self) + other
 
     def __mul__(self, other) -> "LaurentPoly":
-        if isinstance(other, (int, Fraction)):
-            c = _as_fraction(other)
+        if isinstance(other, LaurentPoly):
+            out = {}
+            for ka, ca in self.terms.items():
+                for kb, cb in other.terms.items():
+                    k = ka + kb
+                    v = out.get(k, 0) + ca * cb
+                    if v:
+                        out[k] = v
+                    elif k in out:
+                        del out[k]
+        elif isinstance(other, (int, Fraction)):
+            c = _canonical(other)
             if not c:
                 return LaurentPoly.zero()
-            res = LaurentPoly.__new__(LaurentPoly)
-            res.terms = {k: v * c for k, v in self.terms.items()}
-            return res
-        if not isinstance(other, LaurentPoly):
+            out = {k: v * c for k, v in self.terms.items()}
+        else:
             return NotImplemented
-        out: dict[int, Fraction] = {}
-        for ka, ca in self.terms.items():
-            for kb, cb in other.terms.items():
-                k = ka + kb
-                v = out.get(k, 0) + ca * cb
-                if v:
-                    out[k] = v
-                elif k in out:
-                    del out[k]
+        for k, v in out.items():
+            if type(v) is not int and v.denominator == 1:
+                out[k] = v.numerator
         res = LaurentPoly.__new__(LaurentPoly)
         res.terms = out
         return res
@@ -168,11 +181,11 @@ class LaurentPoly:
         if not self.is_monomial():
             raise ValueError(f"not invertible in Q[s, s^-1]: {self}")
         ((k, c),) = self.terms.items()
-        return LaurentPoly({-k: 1 / c})
+        return LaurentPoly({-k: Fraction(1, c)})
 
     def evaluate(self, s0: Scalar) -> Fraction:
         """Exact value at s = s0; s0 must be nonzero (negative exponents)."""
-        s0 = _as_fraction(s0)
+        s0 = Fraction(_canonical(s0))
         if not s0:
             raise ValueError("cannot evaluate a Laurent polynomial at s = 0")
         return sum((c * s0 ** k for k, c in self.terms.items()), Fraction(0))
@@ -406,7 +419,7 @@ class RatFunc:
 
     def evaluate(self, s0: Scalar, z0: Scalar) -> Fraction:
         """Exact rational value at (s, z) = (s0, z0); pole raises PoleError."""
-        z0 = _as_fraction(z0)
+        z0 = Fraction(_canonical(z0))
 
         def horner(coeffs: ZPoly) -> Fraction:
             acc = Fraction(0)

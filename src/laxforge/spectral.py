@@ -14,6 +14,7 @@ by exact rational sampling.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -53,7 +54,7 @@ def sigma_hat_diag(alg: AlgebraData) -> list[GradedMatrix]:
     """
     out = []
     for a in range(alg.dim):
-        half_norm = bilinear(alg.weights[a], alg.weights[a]) / 2
+        half_norm = Fraction(bilinear(alg.weights[a], alg.weights[a]), 2)
         entries = {(a, a): q_power(half_norm)}
         key = (alg.bar[a], alg.bar[a])
         acc = entries.get(key, ZERO) - q_power(-half_norm)
@@ -268,6 +269,22 @@ def _sample_point(rng: random.Random) -> tuple[Fraction, Fraction, Fraction]:
     return s0, small(), small()
 
 
+def _clear_denominators(mat: GradedMatrix) -> GradedMatrix:
+    """A constant matrix times the lcm of its entries' denominators, so that
+    every entry is an integer."""
+    vals = {key: v.terms[0] for key, v in mat.entries.items()}
+    lcm = math.lcm(*(c.denominator for c in vals.values()))
+    if lcm == 1:
+        return mat
+    return GradedMatrix(
+        mat.gradings,
+        {
+            key: LaurentPoly.const(c.numerator * (lcm // c.denominator))
+            for key, c in vals.items()
+        },
+    )
+
+
 def check_spectral_ybe(
     alg: AlgebraData,
     kind: str,
@@ -276,7 +293,13 @@ def check_spectral_ybe(
     matrix: SpectralRMatrix | None = None,
 ) -> CheckReport:
     """r12(z) r13(zw) r23(w) = r23(w) r13(zw) r12(z), evaluated exactly at
-    pseudo-random rational (s0, z0, w0) triples off the pole divisor."""
+    pseudo-random rational (s0, z0, w0) triples off the pole divisor.
+
+    Both sides are linear in each of r(z), r(zw) and r(w), so each sampled
+    matrix is first scaled by the lcm of its denominators and the products
+    run over integers; scaling by nonzero constants keeps the comparison an
+    exact identity test.  A failing sample is recomputed unscaled, so the
+    witness reports the entries of the unscaled products."""
     if samples < 1:
         raise ValueError("need at least one sample")
     spec = matrix if matrix is not None else build_spectral_R(alg, kind)
@@ -285,6 +308,12 @@ def check_spectral_ybe(
     gv = alg.gradings
     ident = GradedMatrix.identity(gv)
     p12 = graded_kron(graded_permutation(gv), ident)
+
+    def ybe_sides(mz, mzw, mw):
+        r12 = graded_kron(mz, ident)
+        r23 = graded_kron(ident, mw)
+        r13 = p12 @ graded_kron(ident, mzw) @ p12
+        return r12 @ r13 @ r23, r23 @ r13 @ r12
 
     done = 0
     attempts = 0
@@ -301,13 +330,11 @@ def check_spectral_ybe(
             mw = spec.evaluate(s0, w0)
         except PoleError:
             continue
-        r12 = graded_kron(mz, ident)
-        r23 = graded_kron(ident, mw)
-        r13 = p12 @ graded_kron(ident, mzw) @ p12
-        suite.expect_equal(
-            f"spectral YBE at s={s0}, z={z0}, w={w0}",
-            r12 @ r13 @ r23,
-            r23 @ r13 @ r12,
+        lhs, rhs = ybe_sides(
+            _clear_denominators(mz), _clear_denominators(mzw), _clear_denominators(mw)
         )
+        if lhs != rhs:
+            lhs, rhs = ybe_sides(mz, mzw, mw)
+        suite.expect_equal(f"spectral YBE at s={s0}, z={z0}, w={w0}", lhs, rhs)
         done += 1
     return suite.report()

@@ -16,6 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .qring import Scalar, _canonical
+
 
 class AlgebraError(ValueError):
     """Invalid or unsupported (m, n)."""
@@ -23,31 +25,32 @@ class AlgebraError(ValueError):
 
 @dataclass(frozen=True)
 class Weight:
-    """Exact weight: coefficients of eps_1..eps_l and delta_1..delta_k."""
+    """Exact weight: coefficients of eps_1..eps_l and delta_1..delta_k,
+    each an int when integral and a Fraction otherwise."""
 
-    eps: tuple[Fraction, ...]
-    delta: tuple[Fraction, ...]
+    eps: tuple[Scalar, ...]
+    delta: tuple[Scalar, ...]
 
     @classmethod
     def zero(cls, l: int, k: int) -> "Weight":
-        return cls((Fraction(0),) * l, (Fraction(0),) * k)
+        return cls((0,) * l, (0,) * k)
 
     @classmethod
     def eps_unit(cls, i: int, l: int, k: int, sign: int = 1) -> "Weight":
-        eps = [Fraction(0)] * l
-        eps[i - 1] = Fraction(sign)
-        return cls(tuple(eps), (Fraction(0),) * k)
+        eps = [0] * l
+        eps[i - 1] = sign
+        return cls(tuple(eps), (0,) * k)
 
     @classmethod
     def delta_unit(cls, mu: int, l: int, k: int, sign: int = 1) -> "Weight":
-        delta = [Fraction(0)] * k
-        delta[mu - 1] = Fraction(sign)
-        return cls((Fraction(0),) * l, tuple(delta))
+        delta = [0] * k
+        delta[mu - 1] = sign
+        return cls((0,) * l, tuple(delta))
 
     def __add__(self, other: "Weight") -> "Weight":
         return Weight(
-            tuple(a + b for a, b in zip(self.eps, other.eps)),
-            tuple(a + b for a, b in zip(self.delta, other.delta)),
+            tuple(_canonical(a + b) for a, b in zip(self.eps, other.eps)),
+            tuple(_canonical(a + b) for a, b in zip(self.delta, other.delta)),
         )
 
     def __sub__(self, other: "Weight") -> "Weight":
@@ -65,16 +68,17 @@ class Weight:
     @classmethod
     def from_json(cls, doc: dict) -> "Weight":
         return cls(
-            tuple(Fraction(c) for c in doc["eps"]),
-            tuple(Fraction(c) for c in doc["delta"]),
+            tuple(_canonical(Fraction(c)) for c in doc["eps"]),
+            tuple(_canonical(Fraction(c)) for c in doc["delta"]),
         )
 
 
-def bilinear(w1: Weight, w2: Weight) -> Fraction:
+def bilinear(w1: Weight, w2: Weight) -> Scalar:
     """(eps_i, eps_j) = delta_ij, (delta_mu, delta_nu) = -delta_munu, mixed 0."""
-    return sum(
-        (a * b for a, b in zip(w1.eps, w2.eps)), Fraction(0)
-    ) - sum((a * b for a, b in zip(w1.delta, w2.delta)), Fraction(0))
+    return _canonical(
+        sum(a * b for a, b in zip(w1.eps, w2.eps))
+        - sum(a * b for a, b in zip(w1.delta, w2.delta))
+    )
 
 
 @dataclass(frozen=True)
@@ -92,7 +96,7 @@ class AlgebraData:
     xi: tuple[int, ...]
     weights: tuple[Weight, ...]
     simple_roots: tuple[tuple[str, Weight], ...]
-    cartan: tuple[tuple[Fraction, ...], ...]
+    cartan: tuple[tuple[Scalar, ...], ...]
     rho: Weight
 
     # -- position bookkeeping -------------------------------------------
@@ -162,8 +166,10 @@ class AlgebraData:
 
 
 def _rho(m: int, n: int, l: int, k: int) -> Weight:
-    eps = tuple(Fraction(m - 2 * i, 2) for i in range(1, l + 1))
-    delta = tuple(Fraction(n - m + 2 - 2 * mu, 2) for mu in range(1, k + 1))
+    eps = tuple(_canonical(Fraction(m - 2 * i, 2)) for i in range(1, l + 1))
+    delta = tuple(
+        _canonical(Fraction(n - m + 2 - 2 * mu, 2)) for mu in range(1, k + 1)
+    )
     return Weight(eps, delta)
 
 
@@ -243,7 +249,7 @@ def build_algebra(m: int, n: int) -> AlgebraData:
         row = []
         for _, ac in roots:
             pairing = bilinear(ab, ac)
-            row.append(2 * pairing / norm if norm else pairing)
+            row.append(_canonical(Fraction(2 * pairing, norm)) if norm else pairing)
         cartan.append(tuple(row))
 
     alg = AlgebraData(
@@ -280,7 +286,7 @@ def _check_invariants(alg: AlgebraData) -> None:
     assert len(nz) == len(set(nz)), "nonzero weights must be pairwise distinct"
     # (rho, alpha) = (alpha, alpha)/2 on every simple root
     for lab, alpha in alg.simple_roots:
-        assert bilinear(alg.rho, alpha) == bilinear(alpha, alpha) / 2, (
+        assert bilinear(alg.rho, alpha) == Fraction(bilinear(alpha, alpha), 2), (
             f"rho pairing fails on alpha_{lab}"
         )
     # every simple root is positive: realized as eps_b - eps_a with b above a

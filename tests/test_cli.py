@@ -152,3 +152,43 @@ def test_spectral_serialization_round_trips(tmp_path):
     for val in doc["entries"].values():
         rf = RatFunc.from_json(val)
         assert RatFunc.from_json(rf.to_json()) == rf
+
+
+@pytest.mark.parametrize("command", [
+    ["generate"],
+    ["spectral", "--kind", "untwisted"],
+    ["eval", "--s", "2"],
+])
+def test_json_only_commands_reject_text_format(tmp_path, capsys, command):
+    out = tmp_path / "out"
+    code = run([
+        command[0], "--m", "3", "--n", "0", *command[1:],
+        "--format", "text", "--out", str(out),
+    ])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and "--format text" in captured.err
+    assert captured.out == ""
+    assert not out.exists()
+
+
+def test_warm_generate_reads_each_cached_file_once(tmp_path, monkeypatch):
+    from laxforge import cli
+
+    cache = tmp_path / "cache"
+    args = ["generate", "--m", "3", "--n", "0", "--cache-dir", str(cache)]
+    assert run([*args, "--out", str(tmp_path / "cold")]) == 0
+    reads = []
+    fetch = cli._cache_fetch
+
+    def counting_fetch(cfg, key):
+        reads.append(key)
+        return fetch(cfg, key)
+
+    monkeypatch.setattr(cli, "_cache_fetch", counting_fetch)
+    assert run([*args, "--out", str(tmp_path / "warm")]) == 0
+    assert len(reads) == 2 and len(set(reads)) == 2
+    for name in ("sigma_3_0_vector.json", "r_vector_3_0.json"):
+        assert (tmp_path / "cold" / name).read_bytes() == (
+            tmp_path / "warm" / name
+        ).read_bytes()

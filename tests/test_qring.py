@@ -83,6 +83,103 @@ def test_q_power_rejects_non_half_integer():
         q_power(Fraction(1, 3))
 
 
+# -- coefficient invariant ----------------------------------------------------
+#
+# Every stored coefficient is an int, or a Fraction whose denominator is not
+# 1, and never a float.  Integral values may enter as int or as Fraction; the
+# results must not depend on which.
+
+
+def assert_canonical(p: LaurentPoly) -> None:
+    for k, c in p.terms.items():
+        assert type(k) is int
+        assert c, f"zero coefficient stored at s^{k}"
+        assert type(c) is int or (type(c) is Fraction and c.denominator != 1), (
+            f"non-canonical coefficient {c!r} at s^{k}"
+        )
+
+
+def raw(terms: dict) -> LaurentPoly:
+    """A polynomial whose terms are stored exactly as given, every value a
+    Fraction, bypassing the constructor's normalisation."""
+    p = LaurentPoly.__new__(LaurentPoly)
+    p.terms = {k: Fraction(c) for k, c in terms.items() if c}
+    return p
+
+
+int_terms = st.dictionaries(
+    st.integers(min_value=-6, max_value=6),
+    st.integers(min_value=-20, max_value=20),
+    max_size=5,
+)
+scalars = st.one_of(st.integers(min_value=-9, max_value=9), coeffs)
+
+
+@given(int_terms, int_terms)
+def test_int_and_fraction_backed_polys_agree(ta, tb):
+    pairs = [
+        (LaurentPoly(t), LaurentPoly({k: Fraction(c) for k, c in t.items()}), raw(t))
+        for t in (ta, tb)
+    ]
+    (a_int, a_frac, a_raw), (b_int, b_frac, b_raw) = pairs
+    for a in (a_frac, a_raw):
+        assert a == a_int and hash(a) == hash(a_int) and str(a) == str(a_int)
+        assert a.evaluate(Fraction(3, 2)) == a_int.evaluate(Fraction(3, 2))
+        for b in (b_frac, b_raw):
+            assert a + b == a_int + b_int
+            assert a * b == a_int * b_int
+            assert str(a * b) == str(a_int * b_int)
+            assert hash(a + b) == hash(a_int + b_int)
+    assert a_frac.terms == a_int.terms
+    assert all(type(c) is int for c in a_frac.terms.values())
+
+
+@given(polys, polys, scalars)
+def test_every_operation_keeps_coefficients_canonical(a, b, c):
+    results = [a, b, a + b, a - b, -a, a * b, a * c, c * a, a + c, c - a]
+    results += [a * a * b, (a + b) * (a - b), LaurentPoly.parse(str(a))]
+    if a.is_monomial():
+        results += [a.inverse(), a ** -2, a.inverse() * a]
+    for p in results:
+        assert_canonical(p)
+
+
+def test_fraction_sums_and_products_fall_back_to_int():
+    half = LaurentPoly({1: Fraction(1, 2), 0: Fraction(3, 4)})
+    assert_canonical(half + half)
+    assert (half + half).terms == {1: 1, 0: Fraction(3, 2)}
+    assert type((half * 4).terms[1]) is int
+    assert type((half * LaurentPoly.const(Fraction(4, 3))).terms[0]) is int
+    assert LaurentPoly({2: Fraction(6, 3)}).terms == {2: 2}
+
+
+def test_floats_are_refused():
+    with pytest.raises(TypeError):
+        LaurentPoly({0: 0.5})
+    with pytest.raises(TypeError):
+        LaurentPoly.one().evaluate(2.0)
+
+
+def test_evaluate_negative_power_is_exact():
+    value = LaurentPoly.s_power(-3).evaluate(2)
+    assert value == Fraction(1, 8) and type(value) is Fraction
+
+
+def test_inverse_of_integer_monomial_is_exact():
+    inv = LaurentPoly({3: 2}).inverse()
+    assert str(inv) == "1/2*s^-3"
+    assert_canonical(inv)
+    assert_canonical(LaurentPoly({3: -1}).inverse())
+    assert LaurentPoly({3: -1}).inverse().terms == {-3: -1}
+
+
+def test_ratfunc_evaluate_at_int_point_is_exact():
+    a = _rf([0, 1], [1, 0, 1])  # z / (1 + z^2)
+    value = RatFunc((LaurentPoly.s_power(-2),), (LaurentPoly.one(),)).evaluate(2, 3)
+    assert value == Fraction(1, 4) and type(value) is Fraction
+    assert a.evaluate(1, 2) == Fraction(2, 5)
+
+
 # -- RatFunc -----------------------------------------------------------------
 
 

@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 
 import pytest
@@ -119,6 +120,15 @@ def test_spectral_ybe_fails_on_mutated_entry():
     bad = SpectralRMatrix(alg, spec.kind, spec.gradings, entries)
     report = check_spectral_ybe(alg, "untwisted", samples=3, seed=0, matrix=bad)
     assert report.status == "fail" and report.witness
+    # Values of the unscaled products: scaling the sampled matrices to
+    # integers must never leak into the witness.
+    assert json.dumps(report.witness, sort_keys=True) == json.dumps({
+        "relation": "spectral YBE at s=28, z=-2/5, w=1/4",
+        "row": 2,
+        "col": 10,
+        "lhs": "614655/6146561",
+        "rhs": "-774057168581514795/7740611984655325141",
+    }, sort_keys=True)
 
 
 def test_evaluate_raises_at_pole():
