@@ -10,6 +10,7 @@ from .gradedmat import (
     SchemaError,
     build_vector_rep,
     check_representation,
+    embed_triple,
     graded_dagger,
     graded_kron,
     graded_permutation,
@@ -40,6 +41,8 @@ from .verifier import (
     check_ybe,
 )
 from .spectral import (
+    SamplingError,
+    SpectralAtS,
     SpectralRMatrix,
     braces_matrix,
     build_E_tensor,

@@ -2,7 +2,8 @@
 spectral matrices and exact evaluation, with a content-addressed cache.
 
 Exit codes: 0 success, 1 a checked identity failed (witness printed),
-2 usage or configuration error.
+2 usage or configuration error, or a spectral sampler that could not find
+enough pole-free points.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from .laxengine import (
     opposite_R,
 )
 from . import verifier
-from .spectral import build_spectral_R, check_spectral_ybe
+from .spectral import SamplingError, build_spectral_R, check_spectral_ybe
 
 SUITES = (
     "ybe",
@@ -380,7 +381,9 @@ def main(argv=None) -> int:
     }
     try:
         return commands[args.command](_config(args))
-    except (AlgebraError, SchemaError, FileNotFoundError, ValueError) as exc:
+    except (
+        AlgebraError, SchemaError, FileNotFoundError, ValueError, SamplingError
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (RelationError, PoleError, AssertionError) as exc:

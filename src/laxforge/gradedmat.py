@@ -1,7 +1,12 @@
 """Sparse matrices over Laurent polynomials on a Z2-graded basis.
 
-All Koszul signs live in exactly three places: graded_kron, graded_dagger
-and graded_permutation.  Ordinary matrix composition is ungraded.
+Entries are LaurentPoly values, or plain exact scalars (int or Fraction)
+when a matrix has been evaluated at a point; sums, products, equality and
+graded_kron work on either.
+
+All Koszul signs live in graded_kron, graded_permutation, embed_triple
+(a matrix on two slots of a triple tensor space) and the two daggers.
+Ordinary matrix composition is ungraded.
 """
 
 from __future__ import annotations
@@ -76,11 +81,15 @@ class GradedMatrix:
         self._same_space(other)
         out = dict(self.entries)
         for key, v in other.entries.items():
-            w = out.get(key, ZERO) + v
-            if w:
-                out[key] = w
-            elif key in out:
-                del out[key]
+            acc = out.get(key)
+            if acc is None:
+                out[key] = v
+            else:
+                acc = acc + v
+                if acc:
+                    out[key] = acc
+                else:
+                    del out[key]
         res = GradedMatrix.__new__(GradedMatrix)
         res.gradings, res.dim, res.entries = self.gradings, self.dim, out
         return res
@@ -113,10 +122,11 @@ class GradedMatrix:
         for (r, c), v in self.entries.items():
             for c2, w in by_row.get(c, ()):
                 key = (r, c2)
-                acc = out.get(key, ZERO) + v * w
-                if acc:
-                    out[key] = acc
-                elif key in out:
+                acc = out.get(key)
+                val = v * w if acc is None else acc + v * w
+                if val:
+                    out[key] = val
+                elif acc is not None:
                     del out[key]
         res = GradedMatrix.__new__(GradedMatrix)
         res.gradings, res.dim, res.entries = self.gradings, self.dim, out
@@ -185,6 +195,53 @@ def graded_permutation(gradings: tuple[int, ...]) -> GradedMatrix:
             entries[(b * d + a, a * d + b)] = LaurentPoly.const(sign)
     doubled = tuple((p + q) % 2 for p in gradings for q in gradings)
     return GradedMatrix(doubled, entries)
+
+
+def embed_triple(
+    m: GradedMatrix,
+    slots: str,
+    g1: tuple[int, ...],
+    g2: tuple[int, ...],
+    g3: tuple[int, ...],
+) -> GradedMatrix:
+    """m, an operator on the tensor product of two slots, acting on slots
+    "12", "13" or "23" of U1 (x) U2 (x) U3 (gradings g1, g2, g3) and as the
+    identity on the third.
+
+    A pure re-indexing with Koszul signs, equal to graded_kron(m, I3),
+    P12 graded_kron(I1, m) P12 and graded_kron(I1, m) respectively; for an
+    entry of m with slot indices (x, y) -> (x', y') and free index k:
+
+        12:  M[(x,y,k),(x',y',k)] = m[(x,y),(x',y')]
+        13:  M[(x,k,y),(x',k,y')] = (-1)^([k]([y]+[y'])) m[(x,y),(x',y')]
+        23:  M[(k,x,y),(k,x',y')] = (-1)^([k]([x]+[y]+[x']+[y'])) m[(x,y),(x',y')]
+    """
+    ga, gb = {"12": (g1, g2), "13": (g1, g3), "23": (g2, g3)}[slots]
+    if m.gradings != tuple((p + q) % 2 for p in ga for q in gb):
+        raise ValueError(f"matrix does not act on slots {slots} of the triple space")
+    d2, d3 = len(g2), len(g3)
+    entries: dict[tuple[int, int], LaurentPoly] = {}
+    for (r, c), v in m.entries.items():
+        if slots == "12":
+            for k in range(d3):
+                entries[(r * d3 + k, c * d3 + k)] = v
+        elif slots == "13":
+            x, y = divmod(r, d3)
+            xc, yc = divmod(c, d3)
+            odd = (g3[y] + g3[yc]) % 2
+            for k, gk in enumerate(g2):
+                entries[((x * d2 + k) * d3 + y, (xc * d2 + k) * d3 + yc)] = (
+                    -v if odd and gk else v
+                )
+        else:
+            odd = (m.gradings[r] + m.gradings[c]) % 2
+            block = d2 * d3
+            for k, gk in enumerate(g1):
+                entries[(k * block + r, k * block + c)] = -v if odd and gk else v
+    gradings = tuple((p + q + t) % 2 for p in g1 for q in g2 for t in g3)
+    res = GradedMatrix.__new__(GradedMatrix)
+    res.gradings, res.dim, res.entries = gradings, len(gradings), entries
+    return res
 
 
 def graded_dagger(x: GradedMatrix) -> GradedMatrix:

@@ -281,21 +281,22 @@ def assemble_R(sigma: SigmaSet, w_rep: Representation | None = None) -> RTensor:
 
 
 def _check_weightless(r: RTensor, sigma: SigmaSet) -> None:
-    """R commutes with q^(h_w) (x) q^(h_w) for every Cartan weight w."""
+    """R commutes with q^(h_w) (x) q^(h_w) for every Cartan weight w.
+
+    That operator is diagonal with entry q^((w, wt_a) + (w, wt_b)) at
+    composite index (a, b), and q-powers never vanish, so it commutes with
+    R exactly when the exponents at the row and at the column of every
+    nonzero entry of R agree."""
     alg = sigma.algebra
     basis = [Weight.eps_unit(i, alg.l, alg.k) for i in range(1, alg.l + 1)]
     basis += [Weight.delta_unit(mu, alg.l, alg.k) for mu in range(1, alg.k + 1)]
-    iv = GradedMatrix.identity(alg.gradings)
-    iw = GradedMatrix.identity(sigma.rep.gradings)
     for w in basis:
-        qh_v = GradedMatrix.diagonal(
-            alg.gradings,
-            [q_power(bilinear(w, wb)) for wb in alg.weights],
-        )
-        qh_w = sigma.rep.qh_diag(w, 1)
-        cart = graded_kron(qh_v, iw) @ graded_kron(iv, qh_w)
-        if cart @ r.matrix != r.matrix @ cart:
-            raise AssertionError(f"R is not weightless against weight {w}")
+        exp_v = [bilinear(w, wa) for wa in alg.weights]
+        exp_w = [bilinear(w, wb) for wb in sigma.rep.weights]
+        exps = [a + b for a in exp_v for b in exp_w]
+        for (i, j) in r.matrix.entries:
+            if exps[i] != exps[j]:
+                raise AssertionError(f"R is not weightless against weight {w}")
 
 
 def opposite_R(sigma: SigmaSet) -> RTensor:

@@ -292,6 +292,14 @@ def _zscale(a: ZPoly, c: LaurentPoly) -> ZPoly:
     return _ztrim(x * c for x in a)
 
 
+def horner(coeffs, x: Scalar) -> Scalar:
+    """The polynomial with the given ascending coefficients, at x."""
+    acc = 0
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
+
+
 def _zstr(a: ZPoly) -> str:
     if not a:
         return "0"
@@ -328,7 +336,7 @@ class RatFunc:
             den = den[shift:]
         # make the leading denominator coefficient 1 when it is a unit
         lead = den[-1]
-        if lead.is_monomial():
+        if lead.is_monomial() and lead != ONE:
             inv = lead.inverse()
             num = _zscale(num, inv)
             den = _zscale(den, inv)
@@ -420,17 +428,10 @@ class RatFunc:
     def evaluate(self, s0: Scalar, z0: Scalar) -> Fraction:
         """Exact rational value at (s, z) = (s0, z0); pole raises PoleError."""
         z0 = Fraction(_canonical(z0))
-
-        def horner(coeffs: ZPoly) -> Fraction:
-            acc = Fraction(0)
-            for c in reversed(coeffs):
-                acc = acc * z0 + c.evaluate(s0)
-            return acc
-
-        dval = horner(self.den)
+        dval = horner([c.evaluate(s0) for c in self.den], z0)
         if not dval:
             raise PoleError(_zstr(self.den))
-        return horner(self.num) / dval
+        return horner([c.evaluate(s0) for c in self.num], z0) / dval
 
     # -- degrees / display --------------------------------------------------
 

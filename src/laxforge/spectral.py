@@ -24,16 +24,21 @@ from .qring import (
     ONE,
     PoleError,
     RatFunc,
+    Scalar,
     ZERO,
+    ZPoly,
+    _canonical,
     _zadd,
     _zmul,
     _zneg,
     _zscale,
+    _zstr,
+    horner,
     q_minus_qinv,
     q_power,
 )
 from .superroot import AlgebraData, bilinear
-from .gradedmat import GradedMatrix, graded_kron, graded_permutation
+from .gradedmat import GradedMatrix, embed_triple, graded_kron, graded_permutation
 from .laxengine import (
     assemble_R,
     extend_sigma,
@@ -44,6 +49,11 @@ from .verifier import CheckReport, _Suite
 
 
 KINDS = ("untwisted", "twisted")
+
+
+class SamplingError(RuntimeError):
+    """The sampler drew too many points on the pole divisor to collect the
+    requested number of samples; says nothing about the identity itself."""
 
 
 def sigma_hat_diag(alg: AlgebraData) -> list[GradedMatrix]:
@@ -132,12 +142,10 @@ class SpectralRMatrix:
 
     def evaluate(self, s0, z0) -> GradedMatrix:
         """Numeric matrix at an exact rational point, as constant entries."""
-        out = {}
-        for key, rf in self.entries.items():
-            val = rf.evaluate(s0, z0)
-            if val:
-                out[key] = LaurentPoly.const(val)
-        return GradedMatrix(self.gradings, out)
+        vals = SpectralAtS(self, s0).values(z0)
+        return GradedMatrix(
+            self.gradings, {key: LaurentPoly.const(v) for key, v in vals.items()}
+        )
 
     def to_json(self) -> dict:
         return {
@@ -149,6 +157,46 @@ class SpectralRMatrix:
                 for (r, c) in sorted(self.entries)
             },
         }
+
+
+class SpectralAtS:
+    """A SpectralRMatrix with s = s0 substituted, to be sampled at many z.
+
+    Entries of r(z) repeat a few distinct fractions num/den, so each
+    distinct one is kept once, with its z-coefficients evaluated at s0, and
+    each distinct denominator is evaluated once per z (r(z) has a single
+    shared one)."""
+
+    __slots__ = ("dens", "pieces", "where")
+
+    def __init__(self, spec: SpectralRMatrix, s0: Scalar):
+        den_index: dict[ZPoly, int] = {}
+        piece_index: dict[tuple[ZPoly, ZPoly], int] = {}
+        self.dens: list[tuple[ZPoly, list[Fraction]]] = []
+        self.pieces: list[tuple[list[Fraction], int]] = []  # (num at s0, den index)
+        self.where: list[tuple[tuple[int, int], int]] = []  # (entry, piece index)
+        for key, rf in spec.entries.items():
+            i = piece_index.get((rf.num, rf.den))
+            if i is None:
+                j = den_index.get(rf.den)
+                if j is None:
+                    j = den_index[rf.den] = len(self.dens)
+                    self.dens.append((rf.den, [c.evaluate(s0) for c in rf.den]))
+                i = piece_index[(rf.num, rf.den)] = len(self.pieces)
+                self.pieces.append(([c.evaluate(s0) for c in rf.num], j))
+            self.where.append((key, i))
+
+    def values(self, z0: Scalar) -> dict[tuple[int, int], Fraction]:
+        """The nonzero entries of r(z0); PoleError if a denominator vanishes."""
+        z0 = Fraction(_canonical(z0))
+        dvals = []
+        for den, coeffs in self.dens:
+            d = horner(coeffs, z0)
+            if not d:
+                raise PoleError(_zstr(den))
+            dvals.append(d)
+        pvals = [horner(coeffs, z0) / dvals[j] for coeffs, j in self.pieces]
+        return {key: pvals[i] for key, i in self.where if pvals[i]}
 
 
 def build_spectral_R(alg: AlgebraData, kind: str) -> SpectralRMatrix:
@@ -183,6 +231,13 @@ def build_spectral_R(alg: AlgebraData, kind: str) -> SpectralRMatrix:
     coeff_p = _zscale(_zmul(z_poly, d_pole), qq)  # (q-q^-1) z D
     coeff_e = _zneg(_zscale(_zmul(z_poly, z_minus_1), qq))  # -(q-q^-1) z (z-1)
     coeff_r = _zneg(_zmul(z_minus_1, d_pole))  # -(z-1) D
+    # RatFunc divides numerator and denominator by the leading denominator
+    # coefficient (here the unit -q^-1); doing it once on the shared pieces
+    # spares every entry its own rescaling
+    inv = den[-1].inverse()
+    den, coeff_p, coeff_e, coeff_r = (
+        _zscale(c, inv) for c in (den, coeff_p, coeff_e, coeff_r)
+    )
 
     entries: dict[tuple[int, int], RatFunc] = {}
     keys = set(p.entries) | set(e_tensor.entries) | set(r_const.entries)
@@ -191,7 +246,8 @@ def build_spectral_R(alg: AlgebraData, kind: str) -> SpectralRMatrix:
         for coeff, mat in ((coeff_p, p), (coeff_e, e_tensor), (coeff_r, r_const)):
             val = mat.entries.get(key)
             if val is not None:
-                num = _zadd(num, _zscale(coeff, val))
+                term = _zscale(coeff, val)
+                num = _zadd(num, term) if num else term
         if num:
             entries[key] = RatFunc(num, den)
 
@@ -206,16 +262,10 @@ def build_spectral_R(alg: AlgebraData, kind: str) -> SpectralRMatrix:
     return out
 
 
-def _substitute_z(rf: RatFunc, z0: Fraction) -> tuple[LaurentPoly, LaurentPoly]:
-    """Plug in a rational z, keeping s symbolic; returns (num, den)."""
-
-    def horner(coeffs) -> LaurentPoly:
-        acc = LaurentPoly.zero()
-        for c in reversed(coeffs):
-            acc = acc * z0 + c
-        return acc
-
-    return horner(rf.num), horner(rf.den)
+def _at_0_and_1(poly: ZPoly) -> tuple[LaurentPoly, LaurentPoly]:
+    """A z-polynomial's values at z = 0 and z = 1: its constant coefficient
+    and the sum of its coefficients."""
+    return (poly[0] if poly else ZERO), sum(poly, ZERO)
 
 
 def _assert_boundary_values(
@@ -230,25 +280,17 @@ def _assert_boundary_values(
     comparison degenerates to 0 = 0; the identity only constrains points off
     the pole divisor."""
     qinv = q_power(-1)
-
-    def horner(coeffs, z0) -> LaurentPoly:
-        acc = LaurentPoly.zero()
-        for c in reversed(coeffs):
-            acc = acc * z0 + c
-        return acc
-
     keys = set(spec.entries) | set(p.entries) | set(r_const.entries)
     for key in keys:
         rf = spec.entries.get(key)
         if rf is None:
             # the numerator cancelled identically; the entry is 0 over the
             # shared denominator
-            num1 = num0 = LaurentPoly.zero()
-            den1 = horner(common_den, Fraction(1))
-            den0 = horner(common_den, Fraction(0))
+            num0 = num1 = ZERO
+            den0, den1 = _at_0_and_1(common_den)
         else:
-            num1, den1 = _substitute_z(rf, Fraction(1))
-            num0, den0 = _substitute_z(rf, Fraction(0))
+            num0, num1 = _at_0_and_1(rf.num)
+            den0, den1 = _at_0_and_1(rf.den)
         if num1 != p.entries.get(key, ZERO) * den1:
             raise AssertionError(f"r(1) != P at entry {key}")
         if num0 != r_const.entries.get(key, ZERO) * qinv * den0:
@@ -269,20 +311,10 @@ def _sample_point(rng: random.Random) -> tuple[Fraction, Fraction, Fraction]:
     return s0, small(), small()
 
 
-def _clear_denominators(mat: GradedMatrix) -> GradedMatrix:
-    """A constant matrix times the lcm of its entries' denominators, so that
-    every entry is an integer."""
-    vals = {key: v.terms[0] for key, v in mat.entries.items()}
-    lcm = math.lcm(*(c.denominator for c in vals.values()))
-    if lcm == 1:
-        return mat
-    return GradedMatrix(
-        mat.gradings,
-        {
-            key: LaurentPoly.const(c.numerator * (lcm // c.denominator))
-            for key, c in vals.items()
-        },
-    )
+def _integral(vals: dict[tuple[int, int], Fraction]) -> dict[tuple[int, int], int]:
+    """Sampled entries times the lcm of their denominators: all integers."""
+    lcm = math.lcm(*(v.denominator for v in vals.values()))
+    return {key: v.numerator * (lcm // v.denominator) for key, v in vals.items()}
 
 
 def check_spectral_ybe(
@@ -295,24 +327,26 @@ def check_spectral_ybe(
     """r12(z) r13(zw) r23(w) = r23(w) r13(zw) r12(z), evaluated exactly at
     pseudo-random rational (s0, z0, w0) triples off the pole divisor.
 
-    Both sides are linear in each of r(z), r(zw) and r(w), so each sampled
-    matrix is first scaled by the lcm of its denominators and the products
-    run over integers; scaling by nonzero constants keeps the comparison an
-    exact identity test.  A failing sample is recomputed unscaled, so the
-    witness reports the entries of the unscaled products."""
+    Each sample substitutes s = s0 into r once and evaluates the result at
+    z0, z0 w0 and w0.  Both sides are linear in each of r(z), r(zw) and
+    r(w), so each sampled matrix is scaled by the lcm of its denominators
+    and the products run over plain integers; scaling by nonzero constants
+    keeps the comparison an exact identity test.  A failing sample is
+    recomputed unscaled, so the witness reports the entries of the unscaled
+    products.  Raises SamplingError if 50 * samples draws do not yield
+    enough pole-free points."""
     if samples < 1:
         raise ValueError("need at least one sample")
     spec = matrix if matrix is not None else build_spectral_R(alg, kind)
     suite = _Suite(f"spectral_ybe_{kind}")
     rng = random.Random(seed)
     gv = alg.gradings
-    ident = GradedMatrix.identity(gv)
-    p12 = graded_kron(graded_permutation(gv), ident)
 
-    def ybe_sides(mz, mzw, mw):
-        r12 = graded_kron(mz, ident)
-        r23 = graded_kron(ident, mw)
-        r13 = p12 @ graded_kron(ident, mzw) @ p12
+    def ybe_sides(vz, vzw, vw):
+        r12, r13, r23 = (
+            embed_triple(GradedMatrix(spec.gradings, vals), slots, gv, gv, gv)
+            for vals, slots in ((vz, "12"), (vzw, "13"), (vw, "23"))
+        )
         return r12 @ r13 @ r23, r23 @ r13 @ r12
 
     done = 0
@@ -320,21 +354,18 @@ def check_spectral_ybe(
     while done < samples:
         attempts += 1
         if attempts > 50 * samples:
-            raise PoleError(
+            raise SamplingError(
                 "could not find enough pole-free samples; retry with a new seed"
             )
         s0, z0, w0 = _sample_point(rng)
+        fixed = SpectralAtS(spec, s0)
         try:
-            mz = spec.evaluate(s0, z0)
-            mzw = spec.evaluate(s0, z0 * w0)
-            mw = spec.evaluate(s0, w0)
+            vz, vzw, vw = fixed.values(z0), fixed.values(z0 * w0), fixed.values(w0)
         except PoleError:
             continue
-        lhs, rhs = ybe_sides(
-            _clear_denominators(mz), _clear_denominators(mzw), _clear_denominators(mw)
-        )
+        lhs, rhs = ybe_sides(_integral(vz), _integral(vzw), _integral(vw))
         if lhs != rhs:
-            lhs, rhs = ybe_sides(mz, mzw, mw)
+            lhs, rhs = ybe_sides(vz, vzw, vw)
         suite.expect_equal(f"spectral YBE at s={s0}, z={z0}, w={w0}", lhs, rhs)
         done += 1
     return suite.report()

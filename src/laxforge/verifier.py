@@ -14,6 +14,7 @@ from .superroot import Weight, bilinear
 from .gradedmat import (
     GradedMatrix,
     Representation,
+    embed_triple,
     graded_kron,
     graded_permutation,
     tensor_dagger,
@@ -88,24 +89,6 @@ class _Suite:
 
 
 # ---------------------------------------------------------------------------
-# Triple-space embeddings
-# ---------------------------------------------------------------------------
-
-
-def _embed_12(r: RTensor, g3: tuple[int, ...]) -> GradedMatrix:
-    return graded_kron(r.matrix, GradedMatrix.identity(g3))
-
-
-def _embed_23(r: RTensor, g1: tuple[int, ...]) -> GradedMatrix:
-    return graded_kron(GradedMatrix.identity(g1), r.matrix)
-
-
-def _swap_12(gv: tuple[int, ...], g3: tuple[int, ...]) -> GradedMatrix:
-    """P (x) I acting on the first two (equal) slots of a triple space."""
-    return graded_kron(graded_permutation(gv), GradedMatrix.identity(g3))
-
-
-# ---------------------------------------------------------------------------
 # Yang-Baxter checks
 # ---------------------------------------------------------------------------
 
@@ -116,10 +99,7 @@ def check_ybe(r: RTensor) -> CheckReport:
     gv = r.gradings_v
     if r.gradings_w != gv:
         raise ValueError("check_ybe requires an R-matrix on V (x) V")
-    r12 = _embed_12(r, gv)
-    r23 = _embed_23(r, gv)
-    p12 = _swap_12(gv, gv)
-    r13 = p12 @ r23 @ p12
+    r12, r13, r23 = (embed_triple(r.matrix, s, gv, gv, gv) for s in ("12", "13", "23"))
     suite.expect_equal("R12 R13 R23 = R23 R13 R12", r12 @ r13 @ r23, r23 @ r13 @ r12)
     return suite.report()
 
@@ -130,10 +110,9 @@ def check_lax_ybe(rv: RTensor, rw: RTensor) -> CheckReport:
     gv, gw = rv.gradings_v, rw.gradings_w
     if rv.gradings_w != gv or rw.gradings_v != gv:
         raise ValueError("slot dimensions do not match: need rv on V(x)V, rw on V(x)W")
-    r12 = _embed_12(rv, gw)
-    r23 = _embed_23(rw, gv)
-    p12 = _swap_12(gv, gw)
-    r13 = p12 @ r23 @ p12
+    r12 = embed_triple(rv.matrix, "12", gv, gv, gw)
+    r13 = embed_triple(rw.matrix, "13", gv, gv, gw)
+    r23 = embed_triple(rw.matrix, "23", gv, gv, gw)
     suite.expect_equal("r12 R13 R23 = R23 R13 r12", r12 @ r13 @ r23, r23 @ r13 @ r12)
     return suite.report()
 
@@ -225,9 +204,8 @@ def check_delta_property(sigma: SigmaSet, r: RTensor | None = None) -> CheckRepo
 
     if r is None:
         r = assemble_R(sigma)
-    r12 = _embed_12(r, gv)
-    p23 = graded_kron(GradedMatrix.identity(gv), graded_permutation(gv))
-    r13 = p23 @ r12 @ p23
+    r12 = embed_triple(r.matrix, "12", gv, gv, gv)
+    r13 = embed_triple(r.matrix, "13", gv, gv, gv)
     suite.expect_equal("(id (x) Delta) R = R13 R12", lhs, r13 @ r12)
     return suite.report()
 

@@ -1,4 +1,6 @@
+import hashlib
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -192,3 +194,33 @@ def test_warm_generate_reads_each_cached_file_once(tmp_path, monkeypatch):
         assert (tmp_path / "cold" / name).read_bytes() == (
             tmp_path / "warm" / name
         ).read_bytes()
+
+
+@pytest.mark.parametrize("args, digest", [
+    (["--kind", "twisted"],
+     "96130954704e82c42c89f35b01a4ad8c70db1abff6aea8ba32047479dd71874c"),
+    (["--kind", "untwisted", "--z", "1/3", "--s", "2"],
+     "2e4d518564df95d6f1ede9049d2a83885efcd472d6ff8e66a9e49b69bb036a35"),
+])
+def test_spectral_bytes_are_pinned(capsys, args, digest):
+    # digests recorded before sampling moved to the shared s-substitution
+    assert run(["spectral", "--m", "3", "--n", "2", *args]) == 0
+    out = capsys.readouterr().out.encode()
+    assert hashlib.sha256(out).hexdigest() == digest
+
+
+def test_pole_exhaustion_is_not_an_identity_failure(monkeypatch, capsys):
+    from laxforge import spectral
+
+    # untwisted pole z = q = 4 at s = 2 on every draw
+    monkeypatch.setattr(
+        spectral, "_sample_point", lambda rng: (Fraction(2), Fraction(4), Fraction(1))
+    )
+    code = run([
+        "verify", "--m", "3", "--n", "0", "--suite", "spectral-untwisted",
+        "--samples", "1",
+    ])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and "pole-free samples" in captured.err
+    assert captured.out == ""

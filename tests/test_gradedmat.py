@@ -4,12 +4,14 @@ import pytest
 
 from laxforge.qring import LaurentPoly
 from laxforge.superroot import build_algebra
+from laxforge.laxengine import assemble_R, extend_sigma, init_simple_sigma
 from laxforge.gradedmat import (
     GradedMatrix,
     RelationError,
     SchemaError,
     build_vector_rep,
     check_representation,
+    embed_triple,
     graded_dagger,
     graded_kron,
     graded_permutation,
@@ -158,3 +160,64 @@ def test_load_representation_rejects_wrong_algebra():
     doc = build_vector_rep(build_algebra(3, 2)).to_json()
     with pytest.raises(SchemaError):
         load_representation(doc, build_algebra(4, 0))
+
+
+def _lax(rep):
+    return assemble_R(extend_sigma(init_simple_sigma(rep))).matrix
+
+
+@pytest.mark.parametrize("mn", [(3, 2), (4, 2), (3, 4)])
+@pytest.mark.parametrize("w_name", ["trivial", "vector"])
+def test_embed_triple_matches_permutation_conjugation(mn, w_name):
+    # V (x) V (x) W: R on V (x) V in slots 12, the Lax matrix on V (x) W in
+    # slots 13 and 23
+    alg = build_algebra(*mn)
+    v_rep = build_vector_rep(alg)
+    w_rep = v_rep if w_name == "vector" else trivial_rep(alg)
+    gv, gw = v_rep.gradings, w_rep.gradings
+    rv, rw = _lax(v_rep), _lax(w_rep)
+    iv, iw = GradedMatrix.identity(gv), GradedMatrix.identity(gw)
+    p12 = graded_kron(graded_permutation(gv), iw)
+    assert embed_triple(rv, "12", gv, gv, gw) == graded_kron(rv, iw)
+    assert embed_triple(rw, "23", gv, gv, gw) == graded_kron(iv, rw)
+    assert embed_triple(rw, "13", gv, gv, gw) == p12 @ graded_kron(iv, rw) @ p12
+    if w_name == "vector":
+        # the slot-13 form used by the coproduct check, P23 (R (x) I) P23
+        p23 = graded_kron(iv, graded_permutation(gv))
+        assert embed_triple(rv, "13", gv, gv, gv) == p23 @ graded_kron(rv, iv) @ p23
+
+
+def test_embed_triple_signs_on_odd_operators():
+    # odd and mixed-parity matrices, where the slot-13 sign depends on the
+    # parity of the factor acting on slot 3
+    g3 = (1, 0, 1)
+    singles = [E(a, b) for a in range(2) for b in range(2)]
+    ident2, ident3 = GradedMatrix.identity(G2), GradedMatrix.identity(g3)
+    p12 = graded_kron(graded_permutation(G2), ident3)
+    for x in singles:
+        for y in [E(a, b, g3) for a in range(3) for b in range(3)]:
+            m = graded_kron(x, y) + graded_kron(E(1, 0), E(2, 2, g3))
+            assert embed_triple(m, "13", G2, G2, g3) == (
+                p12 @ graded_kron(ident2, m) @ p12
+            )
+            assert embed_triple(m, "23", G2, G2, g3) == graded_kron(ident2, m)
+
+
+def test_embed_triple_rejects_wrong_space():
+    m = graded_kron(E(0, 1), E(1, 0))
+    with pytest.raises(ValueError):
+        embed_triple(m, "13", G2, G2, (0, 0, 1))
+
+
+def test_matrix_algebra_on_scalar_entries():
+    # evaluated matrices hold plain ints and Fractions
+    from fractions import Fraction
+
+    x = GradedMatrix(G2, {(0, 1): 3, (1, 1): Fraction(1, 2)})
+    y = GradedMatrix(G2, {(1, 0): 2, (1, 1): -Fraction(1, 2)})
+    assert (x + y).entries == {(0, 1): 3, (1, 0): 2}
+    assert (x @ y).entries == {(0, 0): 6, (0, 1): Fraction(-3, 2), (1, 0): 1,
+                               (1, 1): Fraction(-1, 4)}
+    assert graded_kron(x, y).entries[(1, 2)] == -6
+    assert x == GradedMatrix(G2, {(0, 1): LaurentPoly.const(3),
+                                  (1, 1): LaurentPoly.const(Fraction(1, 2))})

@@ -3,9 +3,10 @@ from fractions import Fraction
 import pytest
 
 from laxforge.qring import LaurentPoly, q_power
-from laxforge.superroot import build_algebra, bilinear
+from laxforge.superroot import Weight, build_algebra, bilinear
 from laxforge.gradedmat import GradedMatrix, build_vector_rep, trivial_rep
 from laxforge.laxengine import (
+    SigmaSet,
     admissible_intermediates,
     assemble_R,
     closed_form_sigma,
@@ -85,6 +86,25 @@ def test_assembled_r_is_weightless_and_even():
     r = assemble_R(ss)
     assert r.dims == (5, 5)
     assert r.matrix.homogeneous_parity() == 0
+
+
+def test_assemble_r_rejects_entry_that_breaks_weights():
+    # one extra entry E^1_1 inside sigma_(b,a), b != a, lands in R at
+    # ((a,1),(b,1)); q^(h_w) (x) q^(h_w) no longer commutes with R for the
+    # first unit weight that separates e_a from e_b
+    ss = vector_sigma(3, 2)
+    alg = ss.algebra
+    b, a = alg.extended_pairs()[0]
+    sigma = dict(ss.sigma)
+    sigma[(b, a)] = sigma[(b, a)] + GradedMatrix.elementary(0, 0, alg.gradings)
+    bad = SigmaSet(rep=ss.rep, sigma=sigma, provenance=dict(ss.provenance))
+    units = [Weight.eps_unit(i, alg.l, alg.k) for i in range(1, alg.l + 1)]
+    units += [Weight.delta_unit(mu, alg.l, alg.k) for mu in range(1, alg.k + 1)]
+    shift = alg.weights[b] - alg.weights[a]
+    first = next(w for w in units if bilinear(w, shift) != 0)
+    with pytest.raises(AssertionError, match="not weightless") as info:
+        assemble_R(bad)
+    assert str(info.value) == f"R is not weightless against weight {first}"
 
 
 def test_trivial_rep_gives_identity_lax():

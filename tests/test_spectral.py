@@ -7,7 +7,10 @@ from laxforge.qring import LaurentPoly, PoleError, RatFunc, q_power
 from laxforge.superroot import build_algebra
 from laxforge.gradedmat import build_vector_rep, graded_permutation
 from laxforge.laxengine import assemble_R, extend_sigma, init_simple_sigma
+from laxforge import spectral
 from laxforge.spectral import (
+    SamplingError,
+    SpectralAtS,
     SpectralRMatrix,
     braces_matrix,
     build_E_tensor,
@@ -148,3 +151,73 @@ def test_spectral_json_round_trip():
     restored = RatFunc.from_json(some_val)
     r, c = (int(x) - 1 for x in some_key.split(","))
     assert restored == spec.entries[(r, c)]
+
+
+def test_twisted_spectral_ybe_fails_on_mutated_entry():
+    alg = build_algebra(3, 2)
+    spec = build_spectral_R(alg, "twisted")
+    entries = dict(spec.entries)
+    key = next(k for k in sorted(entries) if k[0] != k[1])
+    entries[key] = entries[key] * RatFunc.const(-1)
+    bad = SpectralRMatrix(alg, spec.kind, spec.gradings, entries)
+    report = check_spectral_ybe(alg, "twisted", samples=3, seed=0, matrix=bad)
+    assert report.status == "fail" and report.relations_checked == 3
+    # recorded before sampling moved to integer products over a
+    # re-indexed triple embedding
+    assert json.dumps(report.witness, sort_keys=True) == json.dumps({
+        "relation": "spectral YBE at s=28, z=-2/5, w=1/4",
+        "row": 2,
+        "col": 26,
+        "lhs": "77405773526330670/7740611984655325141",
+        "rhs": "-77408418136016430/7740611984655325141",
+    }, sort_keys=True)
+
+
+@pytest.mark.parametrize("kind", ["untwisted", "twisted"])
+def test_evaluate_agrees_with_entrywise_ratfunc_values(kind):
+    # one s-substitution shared across z values gives each entry's value,
+    # also when a mutated entry no longer shares the common denominator
+    alg = build_algebra(3, 2)
+    spec = build_spectral_R(alg, kind)
+    entries = dict(spec.entries)
+    key = next(k for k in sorted(entries) if k[0] != k[1])
+    entries[key] = entries[key] / RatFunc((q_power(1), LaurentPoly.one()), (LaurentPoly.one(),))
+    for matrix in (spec, SpectralRMatrix(alg, kind, spec.gradings, entries)):
+        fixed = SpectralAtS(matrix, Fraction(5, 3))
+        for z0 in (Fraction(-2, 5), Fraction(3), Fraction(1, 7)):
+            want = {k: rf.evaluate(Fraction(5, 3), z0) for k, rf in matrix.entries.items()}
+            assert fixed.values(z0) == {k: v for k, v in want.items() if v}
+            assert matrix.evaluate(Fraction(5, 3), z0).entries == {
+                k: LaurentPoly.const(v) for k, v in want.items() if v
+            }
+
+
+@pytest.mark.parametrize("shift", [(1,), (1, -1)])
+def test_build_rejects_corrupted_constant_coefficient(monkeypatch, shift):
+    # (1,) moves num(0) and num(1); (1, -1) moves num(0) only, so the
+    # r(0) = q^-1 r comparison alone must catch it
+    real = spectral.SpectralRMatrix
+
+    def corrupted(**fields):
+        spec = real(**fields)
+        key = min(spec.entries)
+        rf = spec.entries[key]
+        num = list(rf.num) + [LaurentPoly.zero()] * (len(shift) - len(rf.num))
+        for i, c in enumerate(shift):
+            num[i] = num[i] + c
+        spec.entries[key] = RatFunc(num, rf.den)
+        return spec
+
+    monkeypatch.setattr(spectral, "SpectralRMatrix", corrupted)
+    expected = r"r\(1\) != P" if len(shift) == 1 else r"r\(0\) != q\^-1 r"
+    with pytest.raises(AssertionError, match=expected):
+        build_spectral_R(build_algebra(3, 2), "untwisted")
+
+
+def test_sampling_reports_pole_exhaustion(monkeypatch):
+    # untwisted pole z = q^(m-n-2) = q = 4 at s = 2, drawn every time
+    monkeypatch.setattr(
+        spectral, "_sample_point", lambda rng: (Fraction(2), Fraction(4), Fraction(1))
+    )
+    with pytest.raises(SamplingError, match="pole-free samples"):
+        check_spectral_ybe(build_algebra(3, 0), "untwisted", samples=2, seed=0)
