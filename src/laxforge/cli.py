@@ -16,6 +16,7 @@ import sys
 import tempfile
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from pathlib import Path
 
 from .qring import PoleError
@@ -35,24 +36,13 @@ from .laxengine import (
     opposite_R,
 )
 from . import verifier
-from .spectral import SamplingError, build_spectral_R, check_spectral_ybe
-
-SUITES = (
-    "ybe",
-    "lax-ybe",
-    "intertwine",
-    "delta",
-    "qcom",
-    "serre",
-    "extra-serre",
-    "appendix",
-    "opposite",
-    "path-independence",
-    "spectral-untwisted",
-    "spectral-twisted",
+from .spectral import (
+    KINDS,
+    SamplingError,
+    SpectralRMatrix,
+    build_spectral_R,
+    check_spectral_ybe,
 )
-
-VECTOR_ONLY_SUITES = {"ybe", "intertwine", "delta", "opposite"}
 
 
 @dataclass
@@ -117,13 +107,90 @@ def _cache_store(cfg: JobConfig, key: str, data: bytes) -> None:
         _atomic_write(root / f"{key}.json", data)
 
 
-def _load_rep(cfg: JobConfig, alg):
-    if cfg.rep_source == "vector":
+def _load_rep(rep_source: str, alg):
+    if rep_source == "vector":
         return build_vector_rep(alg)
-    if cfg.rep_source == "trivial":
+    if rep_source == "trivial":
         return trivial_rep(alg)
-    with open(cfg.rep_source) as fh:
+    with open(rep_source) as fh:
         return load_representation(json.load(fh), alg)
+
+
+class Context:
+    """The constructions of one job on V (x) W, W given by `rep_source`.
+
+    Each is built on first use and then kept, so a job builds each at most
+    once: the algebra, W, its sigma-hat set and R on V (x) W; `vector`, the
+    same constructions on the vector representation (this context itself
+    when W is the vector representation), the opposite R and r(z) per kind.
+    """
+
+    def __init__(self, m: int, n: int, rep_source: str = "vector"):
+        self.m, self.n, self.rep_source = m, n, rep_source
+        self._spectral: dict[str, SpectralRMatrix] = {}
+
+    @cached_property
+    def alg(self):
+        return build_algebra(self.m, self.n)
+
+    @cached_property
+    def rep(self):
+        return _load_rep(self.rep_source, self.alg)
+
+    @cached_property
+    def sigma(self):
+        return extend_sigma(init_simple_sigma(self.rep))
+
+    @cached_property
+    def r(self) -> RTensor:
+        return assemble_R(self.sigma)
+
+    @cached_property
+    def vector(self) -> "Context":
+        if self.rep.name == "vector":
+            return self
+        out = Context(self.m, self.n)
+        out.alg = self.alg
+        return out
+
+    @cached_property
+    def opposite_r(self) -> RTensor:
+        return opposite_R(self.sigma)
+
+    def spectral(self, kind: str) -> SpectralRMatrix:
+        if kind not in self._spectral:
+            self._spectral[kind] = build_spectral_R(self.sigma, self.r, kind)
+        return self._spectral[kind]
+
+
+# The suites in `--suite all` order: name -> (needs the vector
+# representation, the check on a job's context).  The checks look every
+# function up when they run, never at import.
+SUITE_TABLE = {
+    "ybe": (True, lambda c, cfg: verifier.check_ybe(c.vector.r)),
+    "lax-ybe": (False, lambda c, cfg: verifier.check_lax_ybe(c.vector.r, c.r)),
+    "intertwine": (
+        True, lambda c, cfg: verifier.check_intertwining(c.vector.r, c.vector.rep)
+    ),
+    "delta": (
+        True, lambda c, cfg: verifier.check_delta_property(c.vector.sigma, c.vector.r)
+    ),
+    "qcom": (False, lambda c, cfg: verifier.check_qcom(c.sigma)),
+    "serre": (False, lambda c, cfg: verifier.check_qserre(c.rep)),
+    "extra-serre": (False, lambda c, cfg: verifier.check_extra_serre(c.sigma)),
+    "appendix": (False, lambda c, cfg: verifier.check_appendix(c.sigma)),
+    "opposite": (
+        True, lambda c, cfg: verifier.check_opposite(c.vector.r, c.vector.opposite_r)
+    ),
+    "path-independence": (
+        False, lambda c, cfg: verifier.check_path_independence(c.sigma)
+    ),
+    **{
+        f"spectral-{kind}": (False, lambda c, cfg, kind=kind: check_spectral_ybe(
+            c.vector.spectral(kind), cfg.samples, cfg.seed))
+        for kind in KINDS
+    },
+}
 
 
 def _emit(cfg: JobConfig, data: bytes) -> None:
@@ -159,8 +226,8 @@ def _parse_fraction(text: str) -> Fraction:
 
 
 def cmd_generate(cfg: JobConfig) -> int:
-    alg = build_algebra(cfg.m, cfg.n)
-    rep = _load_rep(cfg, alg)
+    ctx = Context(cfg.m, cfg.n, cfg.rep_source)
+    alg, rep = ctx.alg, ctx.rep
     fp = _fingerprint(alg, rep)
     out_dir = Path(cfg.out) if cfg.out else Path(".")
 
@@ -177,12 +244,12 @@ def cmd_generate(cfg: JobConfig) -> int:
         else:
             payloads[name] = cached
     if missing:
-        sigma = extend_sigma(init_simple_sigma(rep))
-        r = assemble_R(sigma)
         fresh = {
-            f"sigma_{cfg.m}_{cfg.n}_{rep.name}.json": _canonical_bytes(sigma.to_json()),
+            f"sigma_{cfg.m}_{cfg.n}_{rep.name}.json": _canonical_bytes(
+                ctx.sigma.to_json()
+            ),
             f"r_{rep.name}_{cfg.m}_{cfg.n}.json": _canonical_bytes(
-                _rtensor_json(r, alg, rep.name)
+                _rtensor_json(ctx.r, alg, rep.name)
             ),
         }
         for name in missing:
@@ -195,47 +262,17 @@ def cmd_generate(cfg: JobConfig) -> int:
 
 
 def _run_suites(cfg: JobConfig) -> list[verifier.CheckReport]:
-    alg = build_algebra(cfg.m, cfg.n)
-    rep = _load_rep(cfg, alg)
-    names = list(SUITES) if cfg.suites == ["all"] else cfg.suites
+    ctx = Context(cfg.m, cfg.n, cfg.rep_source)
+    rep = ctx.rep  # a bad algebra or W is reported before a bad suite name
+    names = list(SUITE_TABLE) if cfg.suites == ["all"] else cfg.suites
     for name in names:
-        if name not in SUITES:
-            raise SchemaError(f"unknown suite {name!r}; choose from {SUITES}")
-        if name in VECTOR_ONLY_SUITES and rep.name != "vector":
-            raise SchemaError(f"suite {name!r} requires the vector representation")
-
-    sigma = extend_sigma(init_simple_sigma(rep))
-    vrep = rep if rep.name == "vector" else build_vector_rep(alg)
-    vsigma = sigma if rep.name == "vector" else extend_sigma(init_simple_sigma(vrep))
-
-    reports = []
-    for name in names:
-        if name == "ybe":
-            reports.append(verifier.check_ybe(assemble_R(vsigma)))
-        elif name == "lax-ybe":
-            reports.append(
-                verifier.check_lax_ybe(assemble_R(vsigma), assemble_R(sigma))
+        if name not in SUITE_TABLE:
+            raise SchemaError(
+                f"unknown suite {name!r}; choose from {tuple(SUITE_TABLE)}"
             )
-        elif name == "intertwine":
-            reports.append(verifier.check_intertwining(assemble_R(vsigma), vrep))
-        elif name == "delta":
-            reports.append(verifier.check_delta_property(vsigma))
-        elif name == "qcom":
-            reports.append(verifier.check_qcom(sigma))
-        elif name == "serre":
-            reports.append(verifier.check_qserre(rep))
-        elif name == "extra-serre":
-            reports.append(verifier.check_extra_serre(sigma))
-        elif name == "appendix":
-            reports.append(verifier.check_appendix(sigma))
-        elif name == "opposite":
-            reports.append(verifier.check_opposite(assemble_R(vsigma), opposite_R(vsigma)))
-        elif name == "path-independence":
-            reports.append(verifier.check_path_independence(sigma))
-        else:
-            kind = name.split("-", 1)[1]
-            reports.append(check_spectral_ybe(alg, kind, cfg.samples, cfg.seed))
-    return reports
+        if SUITE_TABLE[name][0] and rep.name != "vector":
+            raise SchemaError(f"suite {name!r} requires the vector representation")
+    return [SUITE_TABLE[name][1](ctx, cfg) for name in names]
 
 
 def cmd_verify(cfg: JobConfig) -> int:
@@ -261,8 +298,8 @@ def cmd_verify(cfg: JobConfig) -> int:
 
 
 def cmd_spectral(cfg: JobConfig) -> int:
-    alg = build_algebra(cfg.m, cfg.n)
-    spec = build_spectral_R(alg, cfg.kind)
+    # r(z) lives on V (x) V whatever --rep names
+    spec = Context(cfg.m, cfg.n).spectral(cfg.kind)
     if cfg.z is not None:
         s0 = cfg.s if cfg.s is not None else Fraction(2)
         mat = spec.evaluate(s0, cfg.z)
@@ -283,17 +320,16 @@ def cmd_spectral(cfg: JobConfig) -> int:
 
 
 def cmd_eval(cfg: JobConfig) -> int:
-    alg = build_algebra(cfg.m, cfg.n)
+    ctx = Context(cfg.m, cfg.n, cfg.rep_source)
+    ctx.alg  # an invalid algebra is reported before an invalid s
     if cfg.s is None:
         raise SchemaError("eval requires --s")
     if abs(cfg.s) in (0, 1):
         raise SchemaError("--s must avoid 0 and +-1 so that q stays generic")
-    rep = _load_rep(cfg, alg)
-    sigma = extend_sigma(init_simple_sigma(rep))
-    r = assemble_R(sigma)
+    r = ctx.r
     doc = {
         "algebra": {"m": cfg.m, "n": cfg.n},
-        "rep_name": rep.name,
+        "rep_name": ctx.rep.name,
         "s": str(cfg.s),
         "dims": list(r.dims),
         "entries": [
@@ -339,7 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("spectral", help="build a spectral R-matrix")
     common(s)
-    s.add_argument("--kind", choices=("untwisted", "twisted"), required=True)
+    s.add_argument("--kind", choices=KINDS, required=True)
     s.add_argument("--s", dest="s_value")
     s.add_argument("--z", dest="z_value")
 

@@ -39,12 +39,7 @@ from .qring import (
 )
 from .superroot import AlgebraData, bilinear
 from .gradedmat import GradedMatrix, embed_triple, graded_kron, graded_permutation
-from .laxengine import (
-    assemble_R,
-    extend_sigma,
-    init_simple_sigma,
-    sigma_tilde,
-)
+from .laxengine import RTensor, SigmaSet, sigma_tilde
 from .verifier import CheckReport, _Suite
 
 
@@ -78,32 +73,34 @@ def sigma_hat_diag(alg: AlgebraData) -> list[GradedMatrix]:
 
 def build_E_tensor(alg: AlgebraData) -> GradedMatrix:
     """E = sum_{a,b} (-1)^([a][b]) xi_a xi_b q^((rho, e_a - e_b))
-    E^a_b (x) E^abar_bbar on V (x) V."""
-    g, w, xi, bar = alg.gradings, alg.weights, alg.xi, alg.bar
-    total: GradedMatrix | None = None
+    E^a_b (x) E^abar_bbar on V (x) V.
+
+    Each (a, b) fills its own composite entry ((a, abar), (b, bbar)), so
+    the terms are collected into one dict rather than summed, and
+    (rho, e_a - e_b) is a difference of d pairings taken once."""
+    g, xi, bar = alg.gradings, alg.xi, alg.bar
+    rho_w = [bilinear(alg.rho, wa) for wa in alg.weights]
+    entries: dict[tuple[int, int], LaurentPoly] = {}
     for a in range(alg.dim):
         for b in range(alg.dim):
             sign = -1 if (g[a] * g[b]) % 2 else 1
-            coeff = q_power(bilinear(alg.rho, w[a] - w[b])) * (sign * xi[a] * xi[b])
+            coeff = q_power(rho_w[a] - rho_w[b]) * (sign * xi[a] * xi[b])
             term = graded_kron(
                 GradedMatrix.elementary(a, b, g),
                 GradedMatrix.elementary(bar[a], bar[b], g),
             ).scale(coeff)
-            total = term if total is None else total + term
-    return total
+            entries.update(term.entries)
+    return GradedMatrix(term.gradings, entries)
 
 
-def braces_matrix(alg: AlgebraData, sigma=None) -> GradedMatrix:
+def braces_matrix(alg: AlgebraData, sigma: SigmaSet) -> GradedMatrix:
     """The braced factor of the spectral formula,
 
         I + (q^(1/2) - q^(-1/2)) sum_a (-1)^[a] E^a_a (x) sigma^a_a
           + (q - q^-1) sum_{e_a < e_b} (-1)^[b] E^a_b (x) sigma~_ba,
 
-    which must coincide with the constant vector R-matrix."""
-    if sigma is None:
-        from .gradedmat import build_vector_rep
-
-        sigma = extend_sigma(init_simple_sigma(build_vector_rep(alg)))
+    which must coincide with the constant vector R-matrix; `sigma` is the
+    sigma-hat set of the vector representation."""
     g = alg.gradings
     diag = sigma_hat_diag(alg)
     sqrt_diff = LaurentPoly({1: 1, -1: -1})  # q^(1/2) - q^(-1/2)
@@ -199,16 +196,15 @@ class SpectralAtS:
         return {key: pvals[i] for key, i in self.where if pvals[i]}
 
 
-def build_spectral_R(alg: AlgebraData, kind: str) -> SpectralRMatrix:
-    """Assemble r(z) over the common denominator (q - q^-1 z) D, keeping
+def build_spectral_R(sigma: SigmaSet, r: RTensor, kind: str) -> SpectralRMatrix:
+    """Assemble r(z) from the vector representation's sigma-hat set and its
+    constant R-matrix r, over the common denominator (q - q^-1 z) D, keeping
     every entry's z-degrees at most 2.  The braces identity, r(1) = P and
     r(0) = q^-1 r are all asserted before returning."""
     if kind not in KINDS:
         raise ValueError(f"unknown spectral kind {kind!r}")
-    from .gradedmat import build_vector_rep
-
-    sigma = extend_sigma(init_simple_sigma(build_vector_rep(alg)))
-    r_const = assemble_R(sigma).matrix
+    alg = sigma.algebra
+    r_const = r.matrix
     if braces_matrix(alg, sigma) != r_const:
         raise AssertionError("braced factor does not reproduce the constant R-matrix")
 
@@ -318,11 +314,7 @@ def _integral(vals: dict[tuple[int, int], Fraction]) -> dict[tuple[int, int], in
 
 
 def check_spectral_ybe(
-    alg: AlgebraData,
-    kind: str,
-    samples: int = 20,
-    seed: int = 0,
-    matrix: SpectralRMatrix | None = None,
+    spec: SpectralRMatrix, samples: int = 20, seed: int = 0
 ) -> CheckReport:
     """r12(z) r13(zw) r23(w) = r23(w) r13(zw) r12(z), evaluated exactly at
     pseudo-random rational (s0, z0, w0) triples off the pole divisor.
@@ -337,10 +329,9 @@ def check_spectral_ybe(
     enough pole-free points."""
     if samples < 1:
         raise ValueError("need at least one sample")
-    spec = matrix if matrix is not None else build_spectral_R(alg, kind)
-    suite = _Suite(f"spectral_ybe_{kind}")
+    suite = _Suite(f"spectral_ybe_{spec.kind}")
     rng = random.Random(seed)
-    gv = alg.gradings
+    gv = spec.algebra.gradings
 
     def ybe_sides(vz, vzw, vw):
         r12, r13, r23 = (

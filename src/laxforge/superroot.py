@@ -122,14 +122,6 @@ class AlgebraData:
         # alpha_s = delta_k - eps_1 is the only odd simple root
         return 1 if label == "s" else 0
 
-    def weight_positions(self) -> dict[tuple, int]:
-        """Map of nonzero weights to their (unique) position."""
-        out = {}
-        for p, w in enumerate(self.weights):
-            if not w.is_zero():
-                out[(w.eps, w.delta)] = p
-        return out
-
     def extended_pairs(self) -> list[tuple[int, int]]:
         """All ordered position pairs (b, a) with eps_b > eps_a.
 
@@ -138,16 +130,6 @@ class AlgebraData:
         positive root system (positive roots plus the 2*eps_i).
         """
         return [(b, a) for b in range(self.dim) for a in range(b + 1, self.dim)]
-
-    def compare(self, a: int, b: int) -> str:
-        """'gt' if eps_a > eps_b in the total weight order, else 'lt'."""
-        if a == b:
-            raise ValueError("compare() requires distinct indices")
-        return "gt" if a < b else "lt"
-
-    def weight_order(self) -> list[int]:
-        """Positions sorted by descending weight (the canonical layout itself)."""
-        return list(range(self.dim))
 
     def to_json(self) -> dict:
         return {

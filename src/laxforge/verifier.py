@@ -23,7 +23,6 @@ from .laxengine import (
     RTensor,
     SigmaSet,
     admissible_intermediates,
-    assemble_R,
     induction_step,
 )
 
@@ -170,12 +169,11 @@ def _delta_sigma(sigma: SigmaSet, b: int, a: int) -> GradedMatrix:
     return total
 
 
-def check_delta_property(sigma: SigmaSet, r: RTensor | None = None) -> CheckReport:
+def check_delta_property(sigma: SigmaSet, r: RTensor) -> CheckReport:
     """(id (x) Delta) R = R13 R12 with Delta(sigma_ba) from the displayed
     coproduct formula; a single exact identity on V (x) V (x) V.
 
-    `r` is the R-matrix under test; it defaults to the one assembled from
-    `sigma` itself.
+    `r` is the R-matrix under test, normally the one assembled from `sigma`.
     """
     suite = _Suite("delta_property")
     rep = sigma.rep
@@ -202,8 +200,6 @@ def check_delta_property(sigma: SigmaSet, r: RTensor | None = None) -> CheckRepo
     for piece in parts[1:]:
         lhs = lhs + piece
 
-    if r is None:
-        r = assemble_R(sigma)
     r12 = embed_triple(r.matrix, "12", gv, gv, gv)
     r13 = embed_triple(r.matrix, "13", gv, gv, gv)
     suite.expect_equal("(id (x) Delta) R = R13 R12", lhs, r13 @ r12)

@@ -5,13 +5,13 @@ polynomials, rational functions, rationals); there are no tolerances.
 """
 
 from fractions import Fraction
+from functools import cache
 
 from laxforge.qring import LaurentPoly, RatFunc
-from laxforge.superroot import bilinear, build_algebra
+from laxforge.superroot import bilinear
 from laxforge.gradedmat import (
     GradedMatrix,
     Representation,
-    build_vector_rep,
     trivial_rep,
 )
 from laxforge.laxengine import (
@@ -35,12 +35,8 @@ from laxforge.verifier import (
     check_qserre,
     check_ybe,
 )
-from laxforge.spectral import (
-    SpectralRMatrix,
-    braces_matrix,
-    build_spectral_R,
-    check_spectral_ybe,
-)
+from laxforge.spectral import SpectralRMatrix, braces_matrix, check_spectral_ybe
+from laxforge.cli import Context
 
 ACCEPTANCE_SET = [
     (3, 0), (4, 0), (5, 0), (6, 0),
@@ -48,18 +44,8 @@ ACCEPTANCE_SET = [
     (3, 4), (5, 4),
 ]
 
-_cache: dict = {}
-
-
-def ctx(m, n):
-    """Shared per-algebra constructions, built once."""
-    key = (m, n)
-    if key not in _cache:
-        alg = build_algebra(m, n)
-        rep = build_vector_rep(alg)
-        sigma = extend_sigma(init_simple_sigma(rep))
-        _cache[key] = {"alg": alg, "rep": rep, "sigma": sigma, "r": assemble_R(sigma)}
-    return _cache[key]
+# one shared CLI context per algebra: each construction is built once
+ctx = cache(Context)
 
 
 def conclude(number, title, ok, detail=""):
@@ -76,17 +62,17 @@ def test_criterion_01_closed_form_oracle():
     ok = True
     for (m, n) in ACCEPTANCE_SET:
         c = ctx(m, n)
-        oracle = closed_form_sigma(c["alg"])
-        ok = ok and set(c["sigma"].sigma) == set(oracle.sigma)
+        oracle = closed_form_sigma(c.alg)
+        ok = ok and set(c.sigma.sigma) == set(oracle.sigma)
         ok = ok and all(
-            c["sigma"].sigma[p] == oracle.sigma[p] for p in oracle.sigma
+            c.sigma.sigma[p] == oracle.sigma[p] for p in oracle.sigma
         )
     conclude(1, "closed-form oracle equivalence", ok)
 
 
 def test_criterion_02_anchor_values():
-    s30 = ctx(3, 0)["sigma"]
-    s32 = ctx(3, 2)["sigma"]
+    s30 = ctx(3, 0).sigma
+    s32 = ctx(3, 2).sigma
     p = LaurentPoly.parse
     ok = s30.sigma[(0, 1)].entries == {(0, 1): p("1"), (1, 2): p("-1*s^-1")}
     ok = ok and s30.sigma[(0, 2)].entries == {(0, 2): p("-1 + 1*s^2")}
@@ -96,13 +82,13 @@ def test_criterion_02_anchor_values():
 
 
 def test_criterion_03_yang_baxter():
-    ok = all(check_ybe(ctx(m, n)["r"]).status == "pass" for (m, n) in ACCEPTANCE_SET)
+    ok = all(check_ybe(ctx(m, n).r).status == "pass" for (m, n) in ACCEPTANCE_SET)
     conclude(3, "Yang-Baxter equation on V^3", ok)
 
 
 def test_criterion_04_intertwining():
     ok = all(
-        check_intertwining(ctx(m, n)["r"], ctx(m, n)["rep"]).status == "pass"
+        check_intertwining(ctx(m, n).r, ctx(m, n).rep).status == "pass"
         for (m, n) in ACCEPTANCE_SET
     )
     conclude(4, "intertwining for simple generators", ok)
@@ -110,7 +96,7 @@ def test_criterion_04_intertwining():
 
 def test_criterion_05_coproduct_identity():
     ok = all(
-        check_delta_property(ctx(m, n)["sigma"]).status == "pass"
+        check_delta_property(ctx(m, n).sigma, ctx(m, n).r).status == "pass"
         for (m, n) in ACCEPTANCE_SET
     )
     conclude(5, "coproduct identity (id x Delta)R = R13 R12", ok)
@@ -118,14 +104,14 @@ def test_criterion_05_coproduct_identity():
 
 def test_criterion_06_opposite():
     ok = all(
-        check_opposite(ctx(m, n)["r"], opposite_R(ctx(m, n)["sigma"])).status == "pass"
+        check_opposite(ctx(m, n).r, opposite_R(ctx(m, n).sigma)).status == "pass"
         for (m, n) in ACCEPTANCE_SET
     )
     conclude(6, "opposite R-matrix identities", ok)
 
 
 def test_criterion_07_path_independence():
-    reports = [check_path_independence(ctx(m, n)["sigma"]) for (m, n) in ACCEPTANCE_SET]
+    reports = [check_path_independence(ctx(m, n).sigma) for (m, n) in ACCEPTANCE_SET]
     ok = all(r.status == "pass" for r in reports)
     conclude(7, "path independence of the recursion", ok,
              f"{sum(r.relations_checked for r in reports)} alternative routes")
@@ -134,7 +120,7 @@ def test_criterion_07_path_independence():
 def test_criterion_08_relation_suites():
     ok = True
     for (m, n) in ACCEPTANCE_SET:
-        sigma = ctx(m, n)["sigma"]
+        sigma = ctx(m, n).sigma
         ok = ok and check_appendix(sigma).status == "pass"
         ok = ok and check_qcom(sigma).status == "pass"
     conclude(8, "appendix tables and q-commutation relations", ok)
@@ -144,12 +130,12 @@ def test_criterion_09_serre_relations():
     ok = True
     active = 0
     for (m, n) in ACCEPTANCE_SET:
-        report = check_qserre(ctx(m, n)["rep"])
+        report = check_qserre(ctx(m, n).rep)
         ok = ok and report.status == "pass"
         active += report.relations_checked
-        ok = ok and check_extra_serre(ctx(m, n)["sigma"]).status == "pass"
+        ok = ok and check_extra_serre(ctx(m, n).sigma).status == "pass"
     ok = ok and active > 0
-    extra = check_extra_serre(ctx(5, 4)["sigma"])
+    extra = check_extra_serre(ctx(5, 4).sigma)
     ok = ok and extra.status == "pass" and extra.relations_checked == 2
     conclude(9, "standard and extra q-Serre relations", ok)
 
@@ -159,13 +145,13 @@ def test_criterion_10_specializations():
     one = Fraction(1)
     for (m, n) in ACCEPTANCE_SET:
         c = ctx(m, n)
-        dim2 = c["r"].matrix.dim
+        dim2 = c.r.matrix.dim
         numeric = {
-            k: v.evaluate(one) for k, v in c["r"].matrix.entries.items() if v.evaluate(one)
+            k: v.evaluate(one) for k, v in c.r.matrix.entries.items() if v.evaluate(one)
         }
         ok = ok and numeric == {(i, i): one for i in range(dim2)}
-        for _, alpha in c["alg"].simple_roots:
-            ok = ok and bilinear(c["alg"].rho, alpha) == bilinear(alpha, alpha) / 2
+        for _, alpha in c.alg.simple_roots:
+            ok = ok and bilinear(c.alg.rho, alpha) == bilinear(alpha, alpha) / 2
     conclude(10, "s = 1 identity limit and rho pairings", ok)
 
 
@@ -173,13 +159,12 @@ def test_criterion_11_spectral():
     ok = True
     for (m, n) in ACCEPTANCE_SET:
         c = ctx(m, n)
-        ok = ok and braces_matrix(c["alg"], c["sigma"]) == c["r"].matrix
+        ok = ok and braces_matrix(c.alg, c.sigma) == c.r.matrix
     for (m, n) in [(3, 2), (4, 2)]:
-        alg = ctx(m, n)["alg"]
         for kind in ("untwisted", "twisted"):
             # construction asserts braces, r(1) = P and r(0) = q^-1 r
-            build_spectral_R(alg, kind)
-            report = check_spectral_ybe(alg, kind, samples=20, seed=2024)
+            spec = ctx(m, n).spectral(kind)
+            report = check_spectral_ybe(spec, samples=20, seed=2024)
             ok = ok and report.status == "pass" and report.relations_checked >= 20
     conclude(11, "spectral R-matrices and sampled spectral YBE", ok)
 
@@ -206,7 +191,7 @@ def _square_sigma_entry(ss: SigmaSet) -> SigmaSet:
 
 def test_criterion_12_negative_controls():
     c = ctx(3, 2)
-    r, sigma, rep = c["r"], c["sigma"], c["rep"]
+    r, sigma, rep = c.r, c.sigma, c.rep
     bad_r = _flip_r_entry(r)
     bad_sigma = _square_sigma_entry(sigma)
 
@@ -223,7 +208,7 @@ def test_criterion_12_negative_controls():
     }
 
     # criterion 9's suite: standard Serre fails on a sign-flipped generator
-    rep40 = ctx(4, 0)["rep"]
+    rep40 = ctx(4, 0).rep
     e = dict(rep40.e)
     m0 = e["i1"]
     rc, v = next(iter(sorted(m0.entries.items())))
@@ -235,15 +220,13 @@ def test_criterion_12_negative_controls():
     failures["serre"] = check_qserre(bad_rep)
 
     # criterion 11's suite: a sign-flipped spectral entry breaks the sampled YBE
-    alg30 = ctx(3, 0)["alg"]
-    spec = build_spectral_R(alg30, "untwisted")
+    alg30 = ctx(3, 0).alg
+    spec = ctx(3, 0).spectral("untwisted")
     entries = dict(spec.entries)
     key = next(k for k in sorted(entries) if k[0] != k[1])
     entries[key] = entries[key] * RatFunc.const(-1)
     bad_spec = SpectralRMatrix(alg30, spec.kind, spec.gradings, entries)
-    failures["spectral"] = check_spectral_ybe(
-        alg30, "untwisted", samples=3, seed=0, matrix=bad_spec
-    )
+    failures["spectral"] = check_spectral_ybe(bad_spec, samples=3, seed=0)
 
     ok = all(rep_.status == "fail" and rep_.witness for rep_ in failures.values())
     conclude(12, "negative controls fail with witnesses", ok,
@@ -252,8 +235,8 @@ def test_criterion_12_negative_controls():
 
 def test_criterion_13_mixed_lax_ybe():
     c = ctx(3, 2)
-    rv = c["r"]
-    trivial_sigma = extend_sigma(init_simple_sigma(trivial_rep(c["alg"])))
+    rv = c.r
+    trivial_sigma = extend_sigma(init_simple_sigma(trivial_rep(c.alg)))
     ok = check_lax_ybe(rv, assemble_R(trivial_sigma)).status == "pass"
     ok = ok and check_lax_ybe(rv, rv).status == "pass"
     conclude(13, "mixed Lax YBE for trivial and vector W", ok)

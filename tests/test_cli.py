@@ -224,3 +224,62 @@ def test_pole_exhaustion_is_not_an_identity_failure(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ") and "pole-free samples" in captured.err
     assert captured.out == ""
+
+
+# Digests of verify's stdout, recorded before the suites moved onto one
+# shared per-job context; the reports must not change by a byte.
+@pytest.mark.parametrize("args, digest", [
+    (["--m", "3", "--n", "2", "--suite", "all", "--format", "json"],
+     "c480f72eadc06243a2e2483d171d04928df012e091bd02b4998b792da8dacc29"),
+    (["--m", "3", "--n", "2", "--suite", "all", "--format", "text"],
+     "df684f588e1bb43804022de85ce339758f046ea4b0552d8ad2bb394eec0a910d"),
+    (["--m", "4", "--n", "2", "--rep", "trivial", "--suite", "lax-ybe",
+      "--suite", "qcom", "--suite", "serre", "--suite", "appendix",
+      "--suite", "path-independence", "--suite", "spectral-twisted",
+      "--format", "json"],
+     "501fa844b1491594380d03463cc0d44dedeeca9e44e8bcc6d497417b7e3f0cf5"),
+])
+def test_verify_bytes_are_pinned(capsys, args, digest):
+    assert run(["verify", *args]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert hashlib.sha256(captured.out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("args, message", [
+    (["--m", "3", "--n", "0", "--suite", "nonsense"],
+     "error: unknown suite 'nonsense'; choose from ('ybe', 'lax-ybe', "
+     "'intertwine', 'delta', 'qcom', 'serre', 'extra-serre', 'appendix', "
+     "'opposite', 'path-independence', 'spectral-untwisted', "
+     "'spectral-twisted')\n"),
+    (["--m", "3", "--n", "0", "--rep", "trivial", "--suite", "ybe"],
+     "error: suite 'ybe' requires the vector representation\n"),
+])
+def test_verify_suite_usage_errors_are_pinned(capsys, args, message):
+    assert run(["verify", *args]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == message
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("args, built", [
+    (["--suite", "all"], ["vector"]),
+    (["--suite", "spectral-untwisted", "--samples", "1"], ["vector"]),
+    (["--suite", "serre"], []),
+    (["--rep", "trivial", "--suite", "lax-ybe"], ["trivial", "vector"]),
+])
+def test_verify_builds_each_construction_once(monkeypatch, capsys, args, built):
+    # one job builds sigma-hat and R at most once per representation, and
+    # only for the suites that use them
+    from laxforge import cli
+
+    calls = {"assemble_R": [], "extend_sigma": []}
+    for name, seen in calls.items():
+        def counted(sigma, _real=getattr(cli, name), _seen=seen):
+            _seen.append(sigma.rep.name)
+            return _real(sigma)
+
+        monkeypatch.setattr(cli, name, counted)
+    assert run(["verify", "--m", "3", "--n", "2", *args]) == 0
+    assert sorted(calls["extend_sigma"]) == built
+    assert sorted(calls["assemble_R"]) == built

@@ -72,7 +72,7 @@ def test_no_float_and_canonical_coefficients(m, n):
     assert_matrix(build_E_tensor(alg), "E")
 
     for kind in ("untwisted", "twisted"):
-        spec = build_spectral_R(alg, kind)
+        spec = build_spectral_R(sigma, assemble_R(sigma), kind)
         for key, rf in spec.entries.items():
             for part, coeffs in (("num", rf.num), ("den", rf.den)):
                 for i, c in enumerate(coeffs):
@@ -80,4 +80,4 @@ def test_no_float_and_canonical_coefficients(m, n):
         sample = spec.evaluate(Fraction(3, 2), Fraction(2, 5))
         assert_matrix(sample, f"{kind} r(2/5)")
         assert any(type(v.terms[0]) is Fraction for v in sample.entries.values())
-        assert check_spectral_ybe(alg, kind, samples=1, seed=3).status == "pass"
+        assert check_spectral_ybe(spec, samples=1, seed=3).status == "pass"

@@ -14,6 +14,7 @@ from laxforge.laxengine import (
     init_simple_sigma,
     opposite_R,
 )
+from laxforge.verifier import check_opposite
 
 
 def vector_sigma(m, n):
@@ -127,11 +128,14 @@ def test_r_diagonal_carries_metric_exponents():
 
 
 def test_opposite_r_consistency():
+    # R^T = R^dagger = P R P, checked by the opposite suite
     for (m, n) in [(3, 0), (3, 2)]:
         ss = vector_sigma(m, n)
         rt = opposite_R(ss)
         assert rt.kind == "opposite"
         assert rt.matrix.homogeneous_parity() == 0
+        report = check_opposite(assemble_R(ss), rt)
+        assert report.status == "pass" and report.relations_checked == 2
 
 
 def test_opposite_requires_vector_rep():

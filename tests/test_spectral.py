@@ -4,10 +4,16 @@ from fractions import Fraction
 import pytest
 
 from laxforge.qring import LaurentPoly, PoleError, RatFunc, q_power
-from laxforge.superroot import build_algebra
-from laxforge.gradedmat import build_vector_rep, graded_permutation
+from laxforge.superroot import bilinear, build_algebra
+from laxforge.gradedmat import (
+    GradedMatrix,
+    build_vector_rep,
+    graded_kron,
+    graded_permutation,
+)
 from laxforge.laxengine import assemble_R, extend_sigma, init_simple_sigma
 from laxforge import spectral
+from laxforge.cli import Context
 from laxforge.spectral import (
     SamplingError,
     SpectralAtS,
@@ -55,6 +61,25 @@ def test_E_tensor_coefficients():
     assert e2.entries[(0 * d2 + 4, 0 * d2 + 4)] == -LaurentPoly.one()
 
 
+@pytest.mark.parametrize("mn", [(3, 2), (4, 2), (3, 4)])
+def test_E_tensor_equals_sum_of_krons(mn):
+    # the defining sum, term by term, against the one-dict build
+    alg = build_algebra(*mn)
+    g, w, xi, bar = alg.gradings, alg.weights, alg.xi, alg.bar
+    total = GradedMatrix.zeros(tuple((p + q) % 2 for p in g for q in g))
+    for a in range(alg.dim):
+        for b in range(alg.dim):
+            sign = (-1) ** (g[a] * g[b])
+            coeff = q_power(bilinear(alg.rho, w[a] - w[b])) * (sign * xi[a] * xi[b])
+            total = total + graded_kron(
+                GradedMatrix.elementary(a, b, g),
+                GradedMatrix.elementary(bar[a], bar[b], g),
+            ).scale(coeff)
+    e = build_E_tensor(alg)
+    assert e.gradings == total.gradings
+    assert e == total
+
+
 @pytest.mark.parametrize("mn", [(3, 0), (4, 0), (3, 2)])
 def test_braces_factor_equals_constant_r(mn):
     alg = build_algebra(*mn)
@@ -65,7 +90,8 @@ def test_braces_factor_equals_constant_r(mn):
 @pytest.mark.parametrize("kind", ["untwisted", "twisted"])
 def test_boundary_values_and_degrees(kind):
     alg = build_algebra(3, 2)
-    spec = build_spectral_R(alg, kind)  # asserts braces, r(1)=P, r(0)=q^-1 r
+    c = Context(3, 2)
+    spec = build_spectral_R(c.sigma, c.r, kind)  # asserts braces, r(1)=P, r(0)=q^-1 r
     for rf in spec.entries.values():
         dn, dd = rf.degrees()
         assert dn <= 2 and dd <= 2
@@ -77,9 +103,10 @@ def test_boundary_values_and_degrees(kind):
 
 def test_r_at_zero_is_qinv_times_constant_r():
     alg = build_algebra(3, 0)
-    spec = build_spectral_R(alg, "untwisted")
     sigma = extend_sigma(init_simple_sigma(build_vector_rep(alg)))
-    r_const = assemble_R(sigma).matrix
+    r = assemble_R(sigma)
+    spec = build_spectral_R(sigma, r, "untwisted")
+    r_const = r.matrix
     s0 = Fraction(2)
     mat = spec.evaluate(s0, Fraction(0))
     qinv = Fraction(1, 4)  # q^-1 at s = 2
@@ -89,39 +116,39 @@ def test_r_at_zero_is_qinv_times_constant_r():
 
 def test_untwisted_finite_at_s_equal_one():
     # at s = 1 (q = 1) the z = 2 evaluation stays finite
-    alg = build_algebra(3, 0)
-    spec = build_spectral_R(alg, "untwisted")
+    spec = Context(3, 0).spectral("untwisted")
     mat = spec.evaluate(Fraction(1), Fraction(2))
     assert mat.entries  # evaluation succeeded without a PoleError
 
 
 def test_unknown_kind_rejected():
+    c = Context(3, 0)
     with pytest.raises(ValueError):
-        build_spectral_R(build_algebra(3, 0), "affine")
+        build_spectral_R(c.sigma, c.r, "affine")
 
 
 @pytest.mark.parametrize("kind", ["untwisted", "twisted"])
 def test_spectral_ybe_sampling(kind):
-    report = check_spectral_ybe(build_algebra(3, 2), kind, samples=5, seed=7)
+    report = check_spectral_ybe(Context(3, 2).spectral(kind), samples=5, seed=7)
     assert report.status == "pass"
     assert report.relations_checked == 5
 
 
 def test_spectral_ybe_seed_determinism():
-    alg = build_algebra(3, 0)
-    a = check_spectral_ybe(alg, "untwisted", samples=3, seed=11)
-    b = check_spectral_ybe(alg, "untwisted", samples=3, seed=11)
+    spec = Context(3, 0).spectral("untwisted")
+    a = check_spectral_ybe(spec, samples=3, seed=11)
+    b = check_spectral_ybe(spec, samples=3, seed=11)
     assert a.to_json() == b.to_json()
 
 
 def test_spectral_ybe_fails_on_mutated_entry():
     alg = build_algebra(3, 0)
-    spec = build_spectral_R(alg, "untwisted")
+    spec = Context(3, 0).spectral("untwisted")
     entries = dict(spec.entries)
     key = next(k for k in sorted(entries) if k[0] != k[1])
     entries[key] = entries[key] * RatFunc.const(-1)
     bad = SpectralRMatrix(alg, spec.kind, spec.gradings, entries)
-    report = check_spectral_ybe(alg, "untwisted", samples=3, seed=0, matrix=bad)
+    report = check_spectral_ybe(bad, samples=3, seed=0)
     assert report.status == "fail" and report.witness
     # Values of the unscaled products: scaling the sampled matrices to
     # integers must never leak into the witness.
@@ -135,16 +162,14 @@ def test_spectral_ybe_fails_on_mutated_entry():
 
 
 def test_evaluate_raises_at_pole():
-    alg = build_algebra(3, 0)
-    spec = build_spectral_R(alg, "untwisted")
+    spec = Context(3, 0).spectral("untwisted")
     # untwisted pole at z = q^(m-n-2) = q; s = 2 puts it at z = 4
     with pytest.raises(PoleError):
         spec.evaluate(Fraction(2), Fraction(4))
 
 
 def test_spectral_json_round_trip():
-    alg = build_algebra(3, 0)
-    spec = build_spectral_R(alg, "twisted")
+    spec = Context(3, 0).spectral("twisted")
     doc = spec.to_json()
     assert doc["kind"] == "twisted"
     some_key, some_val = next(iter(sorted(doc["entries"].items())))
@@ -155,12 +180,12 @@ def test_spectral_json_round_trip():
 
 def test_twisted_spectral_ybe_fails_on_mutated_entry():
     alg = build_algebra(3, 2)
-    spec = build_spectral_R(alg, "twisted")
+    spec = Context(3, 2).spectral("twisted")
     entries = dict(spec.entries)
     key = next(k for k in sorted(entries) if k[0] != k[1])
     entries[key] = entries[key] * RatFunc.const(-1)
     bad = SpectralRMatrix(alg, spec.kind, spec.gradings, entries)
-    report = check_spectral_ybe(alg, "twisted", samples=3, seed=0, matrix=bad)
+    report = check_spectral_ybe(bad, samples=3, seed=0)
     assert report.status == "fail" and report.relations_checked == 3
     # recorded before sampling moved to integer products over a
     # re-indexed triple embedding
@@ -178,7 +203,7 @@ def test_evaluate_agrees_with_entrywise_ratfunc_values(kind):
     # one s-substitution shared across z values gives each entry's value,
     # also when a mutated entry no longer shares the common denominator
     alg = build_algebra(3, 2)
-    spec = build_spectral_R(alg, kind)
+    spec = Context(3, 2).spectral(kind)
     entries = dict(spec.entries)
     key = next(k for k in sorted(entries) if k[0] != k[1])
     entries[key] = entries[key] / RatFunc((q_power(1), LaurentPoly.one()), (LaurentPoly.one(),))
@@ -211,7 +236,7 @@ def test_build_rejects_corrupted_constant_coefficient(monkeypatch, shift):
     monkeypatch.setattr(spectral, "SpectralRMatrix", corrupted)
     expected = r"r\(1\) != P" if len(shift) == 1 else r"r\(0\) != q\^-1 r"
     with pytest.raises(AssertionError, match=expected):
-        build_spectral_R(build_algebra(3, 2), "untwisted")
+        Context(3, 2).spectral("untwisted")
 
 
 def test_sampling_reports_pole_exhaustion(monkeypatch):
@@ -220,4 +245,4 @@ def test_sampling_reports_pole_exhaustion(monkeypatch):
         spectral, "_sample_point", lambda rng: (Fraction(2), Fraction(4), Fraction(1))
     )
     with pytest.raises(SamplingError, match="pole-free samples"):
-        check_spectral_ybe(build_algebra(3, 0), "untwisted", samples=2, seed=0)
+        check_spectral_ybe(Context(3, 0).spectral("untwisted"), samples=2, seed=0)

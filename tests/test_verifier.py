@@ -69,7 +69,7 @@ def test_full_suite_passes(mn):
     r = assemble_R(ss)
     assert check_ybe(r).status == "pass"
     assert check_intertwining(r, rep).status == "pass"
-    assert check_delta_property(ss).status == "pass"
+    assert check_delta_property(ss, r).status == "pass"
     assert check_qcom(ss).status == "pass"
     assert check_appendix(ss).status == "pass"
     assert check_path_independence(ss).status == "pass"
