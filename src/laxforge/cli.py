@@ -1,9 +1,11 @@
 """Command-line front end: artifact generation, verification suites,
 spectral matrices and exact evaluation, with a content-addressed cache.
 
-Exit codes: 0 success, 1 a checked identity failed (witness printed),
-2 usage or configuration error, or a spectral sampler that could not find
-enough pole-free points.
+Exit codes: 0 success; 1 a checked identity failed (a relation of the
+representation, or a suite's witness printed) or r(z) was evaluated at a
+pole; 2 usage or configuration error, or a spectral sampler that could not
+find enough pole-free points; 3 an internal error, a construction whose own
+consistency check failed.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from .gradedmat import (
     trivial_rep,
 )
 from .laxengine import (
+    ConstructionError,
     RTensor,
     assemble_R,
     extend_sigma,
@@ -39,6 +42,7 @@ from . import verifier
 from .spectral import (
     KINDS,
     SamplingError,
+    SpectralAtS,
     SpectralRMatrix,
     build_spectral_R,
     check_spectral_ybe,
@@ -94,17 +98,25 @@ def _fingerprint(alg, rep) -> str:
 
 
 def _cache_fetch(cfg: JobConfig, key: str) -> bytes | None:
+    """The cached artifact under `key`, or None when there is none or its
+    bytes do not match the sha256 stored beside it."""
     root = _cache_dir(cfg)
     if root is None:
         return None
-    path = root / f"{key}.json"
-    return path.read_bytes() if path.exists() else None
+    try:
+        data = (root / f"{key}.json").read_bytes()
+        digest = (root / f"{key}.sha256").read_text()
+    except FileNotFoundError:
+        return None
+    return data if hashlib.sha256(data).hexdigest() == digest else None
 
 
 def _cache_store(cfg: JobConfig, key: str, data: bytes) -> None:
     root = _cache_dir(cfg)
     if root is not None:
+        digest = hashlib.sha256(data).hexdigest()
         _atomic_write(root / f"{key}.json", data)
+        _atomic_write(root / f"{key}.sha256", digest.encode())
 
 
 def _load_rep(rep_source: str, alg):
@@ -264,7 +276,12 @@ def cmd_generate(cfg: JobConfig) -> int:
 def _run_suites(cfg: JobConfig) -> list[verifier.CheckReport]:
     ctx = Context(cfg.m, cfg.n, cfg.rep_source)
     rep = ctx.rep  # a bad algebra or W is reported before a bad suite name
-    names = list(SUITE_TABLE) if cfg.suites == ["all"] else cfg.suites
+    # `all` stands for every suite in table order; each suite runs once
+    names = list(dict.fromkeys(
+        expanded
+        for name in cfg.suites
+        for expanded in (SUITE_TABLE if name == "all" else (name,))
+    ))
     for name in names:
         if name not in SUITE_TABLE:
             raise SchemaError(
@@ -298,19 +315,22 @@ def cmd_verify(cfg: JobConfig) -> int:
 
 
 def cmd_spectral(cfg: JobConfig) -> int:
-    # r(z) lives on V (x) V whatever --rep names
+    if cfg.rep_source != "vector":
+        raise SchemaError(
+            f"spectral builds r(z) on the vector representation only, "
+            f"not on --rep {cfg.rep_source}"
+        )
     spec = Context(cfg.m, cfg.n).spectral(cfg.kind)
     if cfg.z is not None:
         s0 = cfg.s if cfg.s is not None else Fraction(2)
-        mat = spec.evaluate(s0, cfg.z)
+        values = SpectralAtS(spec, s0).values(cfg.z)
         doc = {
             "algebra": {"m": cfg.m, "n": cfg.n},
             "kind": cfg.kind,
             "s": str(s0),
             "z": str(cfg.z),
             "entries": [
-                [r + 1, c + 1, str(v.evaluate(1))]
-                for (r, c), v in sorted(mat.entries.items())
+                [r + 1, c + 1, str(v)] for (r, c), v in sorted(values.items())
             ],
         }
     else:
@@ -422,9 +442,12 @@ def main(argv=None) -> int:
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (RelationError, PoleError, AssertionError) as exc:
+    except (RelationError, PoleError) as exc:
         print(f"check failed: {exc}", file=sys.stderr)
         return 1
+    except (AssertionError, ConstructionError) as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

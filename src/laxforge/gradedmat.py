@@ -165,6 +165,21 @@ class GradedMatrix:
         return (self @ other) - (other @ self).scale(sign)
 
 
+# kron_gradings' memo: immutable tuples, one per pair of factor gradings a
+# process meets (a few per algebra), so it is shared and never evicted.
+_KRON_GRADINGS: dict[tuple[tuple[int, ...], tuple[int, ...]], tuple[int, ...]] = {}
+
+
+def kron_gradings(ga: tuple[int, ...], gb: tuple[int, ...]) -> tuple[int, ...]:
+    """The gradings of A (x) B from those of A and B.  Building them takes
+    dim(A) dim(B) steps whatever the number of nonzeros, so each is built
+    once per pair of factor gradings and then looked up."""
+    out = _KRON_GRADINGS.get((ga, gb))
+    if out is None:
+        out = _KRON_GRADINGS[(ga, gb)] = tuple((p + q) % 2 for p in ga for q in gb)
+    return out
+
+
 def graded_kron(a: GradedMatrix, b: GradedMatrix) -> GradedMatrix:
     """Graded tensor product with the Koszul sign.
 
@@ -174,7 +189,6 @@ def graded_kron(a: GradedMatrix, b: GradedMatrix) -> GradedMatrix:
     """
     ga, gb = a.gradings, b.gradings
     db = b.dim
-    gradings = tuple((p + q) % 2 for p in ga for q in gb)
     entries: dict[tuple[int, int], LaurentPoly] = {}
     for (r1, c1), va in a.entries.items():
         gc1 = ga[c1]
@@ -182,7 +196,28 @@ def graded_kron(a: GradedMatrix, b: GradedMatrix) -> GradedMatrix:
             sign = -1 if ((gb[r2] + gb[c2]) * gc1) % 2 else 1
             v = va * vb if sign > 0 else -(va * vb)
             entries[(r1 * db + r2, c1 * db + c2)] = v
-    return GradedMatrix(gradings, entries)
+    gradings = kron_gradings(ga, gb)
+    res = GradedMatrix.__new__(GradedMatrix)
+    res.gradings, res.dim, res.entries = gradings, len(gradings), entries
+    return res
+
+
+def kron_blocks(
+    gv: tuple[int, ...],
+    gw: tuple[int, ...],
+    blocks: list[tuple[int, int, GradedMatrix]],
+) -> GradedMatrix:
+    """sum over (a, b, m) in `blocks` of graded_kron(E^a_b, m), m on the
+    space graded by gw.  Each (a, b) must occur at most once: the blocks
+    then do not overlap, so their entries are collected into one dict
+    rather than summed."""
+    entries: dict[tuple[int, int], LaurentPoly] = {}
+    for a, b, m in blocks:
+        entries.update(graded_kron(GradedMatrix.elementary(a, b, gv), m).entries)
+    gradings = kron_gradings(gv, gw)
+    res = GradedMatrix.__new__(GradedMatrix)
+    res.gradings, res.dim, res.entries = gradings, len(gradings), entries
+    return res
 
 
 def graded_permutation(gradings: tuple[int, ...]) -> GradedMatrix:
@@ -193,8 +228,7 @@ def graded_permutation(gradings: tuple[int, ...]) -> GradedMatrix:
         for b in range(d):
             sign = -1 if (gradings[a] * gradings[b]) % 2 else 1
             entries[(b * d + a, a * d + b)] = LaurentPoly.const(sign)
-    doubled = tuple((p + q) % 2 for p in gradings for q in gradings)
-    return GradedMatrix(doubled, entries)
+    return GradedMatrix(kron_gradings(gradings, gradings), entries)
 
 
 def embed_triple(
@@ -217,7 +251,7 @@ def embed_triple(
         23:  M[(k,x,y),(k,x',y')] = (-1)^([k]([x]+[y]+[x']+[y'])) m[(x,y),(x',y')]
     """
     ga, gb = {"12": (g1, g2), "13": (g1, g3), "23": (g2, g3)}[slots]
-    if m.gradings != tuple((p + q) % 2 for p in ga for q in gb):
+    if m.gradings != kron_gradings(ga, gb):
         raise ValueError(f"matrix does not act on slots {slots} of the triple space")
     d2, d3 = len(g2), len(g3)
     entries: dict[tuple[int, int], LaurentPoly] = {}
@@ -238,7 +272,7 @@ def embed_triple(
             block = d2 * d3
             for k, gk in enumerate(g1):
                 entries[(k * block + r, k * block + c)] = -v if odd and gk else v
-    gradings = tuple((p + q + t) % 2 for p in g1 for q in g2 for t in g3)
+    gradings = kron_gradings(kron_gradings(g1, g2), g3)
     res = GradedMatrix.__new__(GradedMatrix)
     res.gradings, res.dim, res.entries = gradings, len(gradings), entries
     return res

@@ -20,7 +20,7 @@ from fractions import Fraction
 
 from .qring import LaurentPoly, q_minus_qinv, q_power
 from .superroot import AlgebraData, Weight, bilinear
-from .gradedmat import GradedMatrix, Representation, graded_kron
+from .gradedmat import GradedMatrix, Representation, kron_blocks
 
 HALF = Fraction(1, 2)
 
@@ -220,10 +220,9 @@ def closed_form_sigma(alg: AlgebraData) -> SigmaSet:
     return out
 
 
-def sigma_tilde(sigma: SigmaSet, b: int, a: int) -> GradedMatrix:
-    """sigma~_ba = q^(h_eps_a) sigma_ba (vector representation form)."""
-    qh = sigma.rep.qh_diag(sigma.algebra.weights[a], 1)
-    return qh @ sigma.sigma[(b, a)]
+def qh_eps(rep: Representation) -> list[GradedMatrix]:
+    """q^(h_eps_a) on `rep` for every index a of V, in position order."""
+    return [rep.qh_diag(w, 1) for w in rep.algebra.weights]
 
 
 def assemble_R(sigma: SigmaSet) -> RTensor:
@@ -236,30 +235,18 @@ def assemble_R(sigma: SigmaSet) -> RTensor:
         raise ValueError("incomplete sigma set")
     alg = sigma.algebra
     gv = alg.gradings
-    parts: list[GradedMatrix] = []
-    for a in range(alg.dim):
-        parts.append(
-            graded_kron(
-                GradedMatrix.elementary(a, a, gv),
-                sigma.rep.qh_diag(alg.weights[a], 1),
-            )
-        )
+    qh = qh_eps(sigma.rep)
+    blocks = [(a, a, qh[a]) for a in range(alg.dim)]
     qq = q_minus_qinv()
     for (b, a) in alg.extended_pairs():
-        mat = sigma.rep.qh_diag(alg.weights[a], 1) @ sigma.sigma[(b, a)]
-        if mat.is_zero():
-            continue
-        sign = -1 if gv[b] % 2 else 1
-        parts.append(
-            graded_kron(GradedMatrix.elementary(a, b, gv), mat.scale(qq * sign))
-        )
-    total = parts[0]
-    for p in parts[1:]:
-        total = total + p
+        mat = qh[a] @ sigma.sigma[(b, a)]
+        if not mat.is_zero():
+            sign = -1 if gv[b] % 2 else 1
+            blocks.append((a, b, mat.scale(qq * sign)))
     kind = "vector" if sigma.rep.name == "vector" else "lax"
     out = RTensor(
         dims=(alg.dim, sigma.rep.dim),
-        matrix=total,
+        matrix=kron_blocks(gv, sigma.rep.gradings, blocks),
         kind=kind,
         gradings_v=alg.gradings,
         gradings_w=sigma.rep.gradings,
@@ -301,15 +288,8 @@ def opposite_R(sigma: SigmaSet) -> RTensor:
         raise ValueError("opposite_R is defined on the vector representation")
     alg = sigma.algebra
     g, w, xi, bar, gv = alg.gradings, alg.weights, alg.xi, alg.bar, alg.gradings
-    parts: list[GradedMatrix] = []
-    for a in range(alg.dim):
-        for b in range(alg.dim):
-            parts.append(
-                graded_kron(
-                    GradedMatrix.elementary(a, a, gv),
-                    GradedMatrix.elementary(b, b, gv),
-                ).scale(q_power(bilinear(w[a], w[b])))
-            )
+    # sum_b q^(eps_a,eps_b) E^b_b is q^(h_eps_a) on V
+    blocks = [(a, a, qh) for a, qh in enumerate(qh_eps(sigma.rep))]
     qq = q_minus_qinv()
     for (b, a) in alg.extended_pairs():
         entries: dict[tuple[int, int], LaurentPoly] = {(a, b): LaurentPoly.one()}
@@ -323,15 +303,10 @@ def opposite_R(sigma: SigmaSet) -> RTensor:
             del entries[key]
         tilde_ab = GradedMatrix(gv, entries)
         outer = -1 if g[a] % 2 else 1
-        parts.append(
-            graded_kron(GradedMatrix.elementary(b, a, gv), tilde_ab.scale(qq * outer))
-        )
-    total = parts[0]
-    for p in parts[1:]:
-        total = total + p
+        blocks.append((b, a, tilde_ab.scale(qq * outer)))
     return RTensor(
         dims=(alg.dim, alg.dim),
-        matrix=total,
+        matrix=kron_blocks(gv, gv, blocks),
         kind="opposite",
         gradings_v=gv,
         gradings_w=gv,

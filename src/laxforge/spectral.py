@@ -7,9 +7,10 @@ Two Baxterized families are built from the constant vector R-matrix r:
            - [(z - 1) / (q - z q^-1)] r
 
 with D = (z - q^(m-n-2)) for the untwisted family and D = (z + q^(m-n))
-for the twisted one.  Entries are exact rational functions in z over the
-Laurent ring in s = q^(1/2); the spectral Yang-Baxter equation is verified
-by exact rational sampling.
+for the twisted one.  r(z) is kept as it is built: the three constant
+matrices P, E and r, each with a z-polynomial weight over the Laurent ring
+in s = q^(1/2), over the one shared denominator (q - q^-1 z) D.  The
+spectral Yang-Baxter equation is verified by exact rational sampling.
 """
 
 from __future__ import annotations
@@ -23,23 +24,27 @@ from .qring import (
     LaurentPoly,
     ONE,
     PoleError,
-    RatFunc,
     Scalar,
     ZERO,
     ZPoly,
     _canonical,
-    _zadd,
     _zmul,
     _zneg,
     _zscale,
     _zstr,
+    _ztrim,
     horner,
     q_minus_qinv,
     q_power,
 )
 from .superroot import AlgebraData, bilinear
-from .gradedmat import GradedMatrix, embed_triple, graded_kron, graded_permutation
-from .laxengine import RTensor, SigmaSet, sigma_tilde
+from .gradedmat import (
+    GradedMatrix,
+    embed_triple,
+    graded_permutation,
+    kron_blocks,
+)
+from .laxengine import RTensor, SigmaSet, qh_eps
 from .verifier import CheckReport, _Suite
 
 
@@ -75,22 +80,17 @@ def build_E_tensor(alg: AlgebraData) -> GradedMatrix:
     """E = sum_{a,b} (-1)^([a][b]) xi_a xi_b q^((rho, e_a - e_b))
     E^a_b (x) E^abar_bbar on V (x) V.
 
-    Each (a, b) fills its own composite entry ((a, abar), (b, bbar)), so
-    the terms are collected into one dict rather than summed, and
-    (rho, e_a - e_b) is a difference of d pairings taken once."""
+    Each (a, b) is its own block, and (rho, e_a - e_b) is a difference of
+    d pairings taken once."""
     g, xi, bar = alg.gradings, alg.xi, alg.bar
     rho_w = [bilinear(alg.rho, wa) for wa in alg.weights]
-    entries: dict[tuple[int, int], LaurentPoly] = {}
+    blocks = []
     for a in range(alg.dim):
         for b in range(alg.dim):
             sign = -1 if (g[a] * g[b]) % 2 else 1
             coeff = q_power(rho_w[a] - rho_w[b]) * (sign * xi[a] * xi[b])
-            term = graded_kron(
-                GradedMatrix.elementary(a, b, g),
-                GradedMatrix.elementary(bar[a], bar[b], g),
-            ).scale(coeff)
-            entries.update(term.entries)
-    return GradedMatrix(term.gradings, entries)
+            blocks.append((a, b, GradedMatrix(g, {(bar[a], bar[b]): coeff})))
+    return kron_blocks(g, g, blocks)
 
 
 def braces_matrix(alg: AlgebraData, sigma: SigmaSet) -> GradedMatrix:
@@ -100,38 +100,42 @@ def braces_matrix(alg: AlgebraData, sigma: SigmaSet) -> GradedMatrix:
           + (q - q^-1) sum_{e_a < e_b} (-1)^[b] E^a_b (x) sigma~_ba,
 
     which must coincide with the constant vector R-matrix; `sigma` is the
-    sigma-hat set of the vector representation."""
+    sigma-hat set of the vector representation and sigma~_ba is
+    q^(h_eps_a) sigma_ba.  With I = sum_a E^a_a (x) I every term is one
+    block E^a_b (x) (...)."""
     g = alg.gradings
-    diag = sigma_hat_diag(alg)
+    ident = GradedMatrix.identity(g)
     sqrt_diff = LaurentPoly({1: 1, -1: -1})  # q^(1/2) - q^(-1/2)
-    total = graded_kron(GradedMatrix.identity(g), GradedMatrix.identity(g))
-    for a in range(alg.dim):
-        if diag[a].is_zero():
-            continue
+    blocks = []
+    for a, diag in enumerate(sigma_hat_diag(alg)):
         sign = -1 if g[a] % 2 else 1
-        total = total + graded_kron(
-            GradedMatrix.elementary(a, a, g), diag[a].scale(sqrt_diff * sign)
-        )
+        blocks.append((a, a, ident + diag.scale(sqrt_diff * sign)))
+    qh = qh_eps(sigma.rep)
     qq = q_minus_qinv()
     for (b, a) in alg.extended_pairs():
-        tilde = sigma_tilde(sigma, b, a)
-        if tilde.is_zero():
-            continue
-        sign = -1 if g[b] % 2 else 1
-        total = total + graded_kron(
-            GradedMatrix.elementary(a, b, g), tilde.scale(qq * sign)
-        )
-    return total
+        tilde = qh[a] @ sigma.sigma[(b, a)]
+        if not tilde.is_zero():
+            sign = -1 if g[b] % 2 else 1
+            blocks.append((a, b, tilde.scale(qq * sign)))
+    return kron_blocks(g, g, blocks)
 
 
 @dataclass
 class SpectralRMatrix:
-    """Square matrix of exact rational functions in z on V (x) V."""
+    """r(z) on V (x) V as constant matrices M_i with z-polynomial weights
+    w_i over one shared denominator:
+
+        r(z) = sum_i w_i(z) M_i / den(z),
+
+    `pieces` holding the pairs (w_i, M_i); build_spectral_R gives the three
+    pieces (P, E, r) in that order.  z-polynomials are tuples of LaurentPoly
+    coefficients in ascending powers of z."""
 
     algebra: AlgebraData
     kind: str
     gradings: tuple[int, ...]  # composite gradings of V (x) V
-    entries: dict[tuple[int, int], RatFunc]
+    den: ZPoly
+    pieces: tuple[tuple[ZPoly, GradedMatrix], ...]
 
     @property
     def dim(self) -> int:
@@ -145,61 +149,83 @@ class SpectralRMatrix:
         )
 
     def to_json(self) -> dict:
+        """Each nonzero entry as its numerator over the shared denominator
+        (whose leading coefficient is 1).  Entries holding the same values
+        in every piece share one numerator, formed once."""
+        # entry -> its value in each piece, None where that piece has none
+        values: dict[tuple[int, int], list] = {}
+        for i, (_, mat) in enumerate(self.pieces):
+            for key, v in mat.entries.items():
+                values.setdefault(key, [None] * len(self.pieces))[i] = v
+        den = [str(c) for c in self.den]
+        width = max(len(w) for w, _ in self.pieces)
+        nums: dict[tuple, list[str]] = {}
+        entries = {}
+        for (r, c) in sorted(values):
+            vals = tuple(values[(r, c)])
+            if vals not in nums:
+                num = [ZERO] * width
+                for (weight, _), v in zip(self.pieces, vals):
+                    if v is not None:
+                        for j, coeff in enumerate(weight):
+                            num[j] = num[j] + coeff * v
+                nums[vals] = [str(x) for x in _ztrim(num)]
+            if nums[vals]:
+                entries[f"{r + 1},{c + 1}"] = {"num": nums[vals], "den": den}
         return {
             "algebra": {"m": self.algebra.m, "n": self.algebra.n},
             "kind": self.kind,
             "dim": self.dim,
-            "entries": {
-                f"{r + 1},{c + 1}": self.entries[(r, c)].to_json()
-                for (r, c) in sorted(self.entries)
-            },
+            "entries": entries,
         }
 
 
 class SpectralAtS:
     """A SpectralRMatrix with s = s0 substituted, to be sampled at many z.
 
-    Entries of r(z) repeat a few distinct fractions num/den, so each
-    distinct one is kept once, with its z-coefficients evaluated at s0, and
-    each distinct denominator is evaluated once per z (r(z) has a single
-    shared one)."""
+    The denominator, each weight and each distinct entry value of the
+    constant matrices are evaluated at s0 once; an entry at z is then
+    sum_i w_i(z) M_i[entry] / den(z), and entries whose values agree in
+    every piece share that sum."""
 
-    __slots__ = ("dens", "pieces", "where")
+    __slots__ = ("den", "den_at", "weights_at", "sums", "where")
 
     def __init__(self, spec: SpectralRMatrix, s0: Scalar):
-        den_index: dict[ZPoly, int] = {}
-        piece_index: dict[tuple[ZPoly, ZPoly], int] = {}
-        self.dens: list[tuple[ZPoly, list[Fraction]]] = []
-        self.pieces: list[tuple[list[Fraction], int]] = []  # (num at s0, den index)
-        self.where: list[tuple[tuple[int, int], int]] = []  # (entry, piece index)
-        for key, rf in spec.entries.items():
-            i = piece_index.get((rf.num, rf.den))
-            if i is None:
-                j = den_index.get(rf.den)
+        self.den = spec.den
+        self.den_at = [c.evaluate(s0) for c in spec.den]
+        self.weights_at = [[c.evaluate(s0) for c in w] for w, _ in spec.pieces]
+        index: dict[LaurentPoly, int] = {}  # distinct entry value -> position
+        at_s0: list[Fraction] = []
+        # entry -> [(piece index, position of its value there)]
+        terms: dict[tuple[int, int], list[tuple[int, int]]] = {}
+        for i, (_, mat) in enumerate(spec.pieces):
+            for key, v in mat.entries.items():
+                j = index.get(v)
                 if j is None:
-                    j = den_index[rf.den] = len(self.dens)
-                    self.dens.append((rf.den, [c.evaluate(s0) for c in rf.den]))
-                i = piece_index[(rf.num, rf.den)] = len(self.pieces)
-                self.pieces.append(([c.evaluate(s0) for c in rf.num], j))
-            self.where.append((key, i))
+                    j = index[v] = len(at_s0)
+                    at_s0.append(v.evaluate(s0))
+                terms.setdefault(key, []).append((i, j))
+        sums: dict[tuple, int] = {}
+        self.where = [
+            (key, sums.setdefault(tuple(t), len(sums))) for key, t in terms.items()
+        ]
+        self.sums = [[(i, at_s0[j]) for i, j in t] for t in sums]
 
     def values(self, z0: Scalar) -> dict[tuple[int, int], Fraction]:
-        """The nonzero entries of r(z0); PoleError if a denominator vanishes."""
+        """The nonzero entries of r(z0); PoleError if the denominator vanishes."""
         z0 = Fraction(_canonical(z0))
-        dvals = []
-        for den, coeffs in self.dens:
-            d = horner(coeffs, z0)
-            if not d:
-                raise PoleError(_zstr(den))
-            dvals.append(d)
-        pvals = [horner(coeffs, z0) / dvals[j] for coeffs, j in self.pieces]
-        return {key: pvals[i] for key, i in self.where if pvals[i]}
+        d = horner(self.den_at, z0)
+        if not d:
+            raise PoleError(_zstr(self.den))
+        w = [horner(coeffs, z0) for coeffs in self.weights_at]
+        vals = [sum(w[i] * x for i, x in t) / d for t in self.sums]
+        return {key: vals[j] for key, j in self.where if vals[j]}
 
 
 def build_spectral_R(sigma: SigmaSet, r: RTensor, kind: str) -> SpectralRMatrix:
     """Assemble r(z) from the vector representation's sigma-hat set and its
     constant R-matrix r, over the common denominator (q - q^-1 z) D, keeping
-    every entry's z-degrees at most 2.  The braces identity, r(1) = P and
+    every z-degree at most 2.  The braces identity, r(1) = P and
     r(0) = q^-1 r are all asserted before returning."""
     if kind not in KINDS:
         raise ValueError(f"unknown spectral kind {kind!r}")
@@ -207,10 +233,6 @@ def build_spectral_R(sigma: SigmaSet, r: RTensor, kind: str) -> SpectralRMatrix:
     r_const = r.matrix
     if braces_matrix(alg, sigma) != r_const:
         raise AssertionError("braced factor does not reproduce the constant R-matrix")
-
-    gv = alg.gradings
-    p = graded_permutation(gv)
-    e_tensor = build_E_tensor(alg)
 
     qq = q_minus_qinv()
     # common denominator (q - q^-1 z) * D, as a z-polynomial
@@ -221,40 +243,28 @@ def build_spectral_R(sigma: SigmaSet, r: RTensor, kind: str) -> SpectralRMatrix:
         d_pole = (q_power(alg.m - alg.n), ONE)  # z + q^(m-n)
     den = _zmul(lin, d_pole)
 
-    # numerator weights for each structural piece, over the common denominator
+    # the weight of each piece over the common denominator
     z_poly = (ZERO, ONE)
     z_minus_1 = (-ONE, ONE)
-    coeff_p = _zscale(_zmul(z_poly, d_pole), qq)  # (q-q^-1) z D
-    coeff_e = _zneg(_zscale(_zmul(z_poly, z_minus_1), qq))  # -(q-q^-1) z (z-1)
-    coeff_r = _zneg(_zmul(z_minus_1, d_pole))  # -(z-1) D
-    # RatFunc divides numerator and denominator by the leading denominator
-    # coefficient (here the unit -q^-1); doing it once on the shared pieces
-    # spares every entry its own rescaling
+    w_p = _zscale(_zmul(z_poly, d_pole), qq)  # (q-q^-1) z D
+    w_e = _zneg(_zscale(_zmul(z_poly, z_minus_1), qq))  # -(q-q^-1) z (z-1)
+    w_r = _zneg(_zmul(z_minus_1, d_pole))  # -(z-1) D
+    # divide through by the leading denominator coefficient (the unit
+    # -q^-1), so that the denominator is monic
     inv = den[-1].inverse()
-    den, coeff_p, coeff_e, coeff_r = (
-        _zscale(c, inv) for c in (den, coeff_p, coeff_e, coeff_r)
-    )
+    den, w_p, w_e, w_r = (_zscale(c, inv) for c in (den, w_p, w_e, w_r))
 
-    entries: dict[tuple[int, int], RatFunc] = {}
-    keys = set(p.entries) | set(e_tensor.entries) | set(r_const.entries)
-    for key in keys:
-        num: tuple = ()
-        for coeff, mat in ((coeff_p, p), (coeff_e, e_tensor), (coeff_r, r_const)):
-            val = mat.entries.get(key)
-            if val is not None:
-                term = _zscale(coeff, val)
-                num = _zadd(num, term) if num else term
-        if num:
-            entries[key] = RatFunc(num, den)
-
+    p = graded_permutation(alg.gradings)
     out = SpectralRMatrix(
-        algebra=alg, kind=kind, gradings=p.gradings, entries=entries
+        algebra=alg,
+        kind=kind,
+        gradings=p.gradings,
+        den=den,
+        pieces=((w_p, p), (w_e, build_E_tensor(alg)), (w_r, r_const)),
     )
-    _assert_boundary_values(out, p, r_const, den)
-    for rf in out.entries.values():
-        dn, dd = rf.degrees()
-        if dn > 2 or dd > 2:
-            raise AssertionError("spectral entry exceeds z-degree 2")
+    _assert_boundary_values(out)
+    if any(len(poly) > 3 for poly in (out.den, *(w for w, _ in out.pieces))):
+        raise AssertionError("spectral entry exceeds z-degree 2")
     return out
 
 
@@ -264,33 +274,19 @@ def _at_0_and_1(poly: ZPoly) -> tuple[LaurentPoly, LaurentPoly]:
     return (poly[0] if poly else ZERO), sum(poly, ZERO)
 
 
-def _assert_boundary_values(
-    spec: SpectralRMatrix,
-    p: GradedMatrix,
-    r_const: GradedMatrix,
-    common_den: tuple,
-) -> None:
-    """r(1) = P and r(0) = q^-1 r as cross-multiplied identities in the
-    Laurent ring: num(z0) = target * den(z0).  When m - n = 2 the untwisted
-    pole sits at z = 1 and every denominator vanishes there, so the z = 1
-    comparison degenerates to 0 = 0; the identity only constrains points off
-    the pole divisor."""
-    qinv = q_power(-1)
-    keys = set(spec.entries) | set(p.entries) | set(r_const.entries)
-    for key in keys:
-        rf = spec.entries.get(key)
-        if rf is None:
-            # the numerator cancelled identically; the entry is 0 over the
-            # shared denominator
-            num0 = num1 = ZERO
-            den0, den1 = _at_0_and_1(common_den)
-        else:
-            num0, num1 = _at_0_and_1(rf.num)
-            den0, den1 = _at_0_and_1(rf.den)
-        if num1 != p.entries.get(key, ZERO) * den1:
-            raise AssertionError(f"r(1) != P at entry {key}")
-        if num0 != r_const.entries.get(key, ZERO) * qinv * den0:
-            raise AssertionError(f"r(0) != q^-1 r at entry {key}")
+def _assert_boundary_values(spec: SpectralRMatrix) -> None:
+    """r(1) = P and r(0) = q^-1 r on the weights of the pieces (P, E, r):
+    at z = 1 only P's weight may survive, and it must equal den(1); at
+    z = 0 only r's, equal to q^-1 den(0).  The comparisons are
+    cross-multiplied: when m - n = 2 the untwisted pole sits at z = 1, and
+    there the z = 1 comparison degenerates to 0 = 0; the identity only
+    constrains points off the pole divisor."""
+    den0, den1 = _at_0_and_1(spec.den)
+    at0, at1 = zip(*(_at_0_and_1(w) for w, _ in spec.pieces))
+    if list(at1) != [den1, ZERO, ZERO]:
+        raise AssertionError("r(1) != P")
+    if list(at0) != [ZERO, ZERO, q_power(-1) * den0]:
+        raise AssertionError("r(0) != q^-1 r")
 
 
 def _sample_point(rng: random.Random) -> tuple[Fraction, Fraction, Fraction]:

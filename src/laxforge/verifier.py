@@ -17,6 +17,8 @@ from .gradedmat import (
     embed_triple,
     graded_kron,
     graded_permutation,
+    kron_blocks,
+    kron_gradings,
     tensor_dagger,
 )
 from .laxengine import (
@@ -24,6 +26,7 @@ from .laxengine import (
     SigmaSet,
     admissible_intermediates,
     induction_step,
+    qh_eps,
 )
 
 
@@ -181,24 +184,14 @@ def check_delta_property(sigma: SigmaSet, r: RTensor) -> CheckReport:
     gv = rep.gradings
     qq = q_minus_qinv()
 
-    parts = []
-    for a in range(alg.dim):
-        qh = rep.qh_diag(alg.weights[a], 1)
-        parts.append(
-            graded_kron(GradedMatrix.elementary(a, a, alg.gradings), graded_kron(qh, qh))
-        )
+    hh = [graded_kron(qh, qh) for qh in qh_eps(rep)]
+    blocks = [(a, a, hh[a]) for a in range(alg.dim)]
     for (b, a) in alg.extended_pairs():
-        qh = rep.qh_diag(alg.weights[a], 1)
-        mat = graded_kron(qh, qh) @ _delta_sigma(sigma, b, a)
-        if mat.is_zero():
-            continue
-        sign = -1 if alg.gradings[b] % 2 else 1
-        parts.append(
-            graded_kron(GradedMatrix.elementary(a, b, alg.gradings), mat.scale(qq * sign))
-        )
-    lhs = parts[0]
-    for piece in parts[1:]:
-        lhs = lhs + piece
+        mat = hh[a] @ _delta_sigma(sigma, b, a)
+        if not mat.is_zero():
+            sign = -1 if alg.gradings[b] % 2 else 1
+            blocks.append((a, b, mat.scale(qq * sign)))
+    lhs = kron_blocks(alg.gradings, kron_gradings(gv, gv), blocks)
 
     r12 = embed_triple(r.matrix, "12", gv, gv, gv)
     r13 = embed_triple(r.matrix, "13", gv, gv, gv)

@@ -7,7 +7,7 @@ polynomials, rational functions, rationals); there are no tolerances.
 from fractions import Fraction
 from functools import cache
 
-from laxforge.qring import LaurentPoly, RatFunc
+from laxforge.qring import LaurentPoly
 from laxforge.superroot import bilinear
 from laxforge.gradedmat import (
     GradedMatrix,
@@ -220,12 +220,22 @@ def test_criterion_12_negative_controls():
     failures["serre"] = check_qserre(bad_rep)
 
     # criterion 11's suite: a sign-flipped spectral entry breaks the sampled YBE
-    alg30 = ctx(3, 0).alg
+    # (the entry is negated by extra pieces: each piece's weight on -2 times
+    # its value there)
     spec = ctx(3, 0).spectral("untwisted")
-    entries = dict(spec.entries)
-    key = next(k for k in sorted(entries) if k[0] != k[1])
-    entries[key] = entries[key] * RatFunc.const(-1)
-    bad_spec = SpectralRMatrix(alg30, spec.kind, spec.gradings, entries)
+    key = next(
+        k for k in sorted(tuple(int(x) - 1 for x in doc_key.split(","))
+                          for doc_key in spec.to_json()["entries"])
+        if k[0] != k[1]
+    )
+    extra = tuple(
+        (weight, GradedMatrix(spec.gradings, {key: mat.entries[key] * -2}))
+        for weight, mat in spec.pieces
+        if key in mat.entries
+    )
+    bad_spec = SpectralRMatrix(
+        spec.algebra, spec.kind, spec.gradings, spec.den, spec.pieces + extra
+    )
     failures["spectral"] = check_spectral_ybe(bad_spec, samples=3, seed=0)
 
     ok = all(rep_.status == "fail" and rep_.witness for rep_ in failures.values())

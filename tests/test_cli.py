@@ -283,3 +283,90 @@ def test_verify_builds_each_construction_once(monkeypatch, capsys, args, built):
     assert run(["verify", "--m", "3", "--n", "2", *args]) == 0
     assert sorted(calls["extend_sigma"]) == built
     assert sorted(calls["assemble_R"]) == built
+
+
+@pytest.mark.parametrize("suites, lead", [
+    (["all", "ybe"], []),
+    (["ybe", "all"], []),
+    (["qcom", "all", "qcom"], ["qcom"]),
+])
+def test_verify_expands_all_anywhere_and_runs_each_suite_once(capsys, suites, lead):
+    def checks(*args):
+        assert run(["verify", "--m", "3", "--n", "0", *args, "--samples", "1"]) == 0
+        return [r["check"] for r in json.loads(capsys.readouterr().out)["reports"]]
+
+    reference = checks("--suite", "all")
+    got = checks(*(a for s in suites for a in ("--suite", s)))
+    assert got == lead + [c for c in reference if c not in lead]
+
+
+@pytest.mark.parametrize("rep", ["trivial", "some/rep.json"])
+def test_spectral_rejects_non_vector_rep(monkeypatch, capsys, rep):
+    from laxforge import cli
+
+    def never(*args, **kwargs):
+        raise AssertionError("nothing may be built")
+
+    monkeypatch.setattr(cli, "build_algebra", never)
+    code = run([
+        "spectral", "--m", "3", "--n", "0", "--kind", "twisted", "--rep", rep,
+        "--z", "1/3", "--s", "2",
+    ])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "error: spectral builds r(z) on the vector representation only, "
+        f"not on --rep {rep}\n"
+    )
+    assert captured.out == ""
+
+
+def test_corrupted_cache_entry_is_rebuilt(tmp_path):
+    cache = tmp_path / "cache"
+    args = ["generate", "--m", "3", "--n", "0", "--cache-dir", str(cache)]
+    assert run([*args, "--out", str(tmp_path / "fresh")]) == 0
+    cached = sorted(cache.glob("*-r.json"))
+    assert len(cached) == 1 and cached[0].with_suffix(".sha256").exists()
+    good = cached[0].read_bytes()
+    bad = bytearray(good)
+    bad[len(bad) // 2] ^= 1  # one flipped bit in one byte
+    cached[0].write_bytes(bytes(bad))
+    assert run([*args, "--out", str(tmp_path / "again")]) == 0
+    name = "r_vector_3_0.json"
+    assert (tmp_path / "again" / name).read_bytes() == good
+    assert (tmp_path / "fresh" / name).read_bytes() == good
+    assert cached[0].read_bytes() == good  # the entry was overwritten
+
+
+def test_cache_entry_without_digest_is_a_miss(tmp_path, monkeypatch):
+    from laxforge import cli
+
+    cache = tmp_path / "cache"
+    args = ["generate", "--m", "3", "--n", "0", "--cache-dir", str(cache)]
+    assert run([*args, "--out", str(tmp_path / "fresh")]) == 0
+    for digest in cache.glob("*.sha256"):
+        digest.unlink()
+    fetched = []
+    fetch = cli._cache_fetch
+    monkeypatch.setattr(
+        cli, "_cache_fetch", lambda cfg, key: fetched.append(fetch(cfg, key))
+    )
+    assert run([*args, "--out", str(tmp_path / "again")]) == 0
+    assert fetched == [None, None]
+    assert len(list(cache.glob("*.sha256"))) == 2
+
+
+def test_internal_assertion_has_its_own_exit_code(monkeypatch, capsys):
+    from laxforge import spectral
+    from laxforge.gradedmat import GradedMatrix
+
+    # a braced factor that no longer reproduces R is a construction bug
+    monkeypatch.setattr(
+        spectral, "braces_matrix", lambda alg, sigma: GradedMatrix((0,))
+    )
+    assert run(["spectral", "--m", "3", "--n", "0", "--kind", "twisted"]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "internal error: braced factor does not reproduce the constant R-matrix\n"
+    )
+    assert captured.out == ""

@@ -73,10 +73,12 @@ def test_no_float_and_canonical_coefficients(m, n):
 
     for kind in ("untwisted", "twisted"):
         spec = build_spectral_R(sigma, assemble_R(sigma), kind)
-        for key, rf in spec.entries.items():
-            for part, coeffs in (("num", rf.num), ("den", rf.den)):
-                for i, c in enumerate(coeffs):
-                    assert_poly(c, f"{kind} r(z){key} {part} z^{i}")
+        for i, c in enumerate(spec.den):
+            assert_poly(c, f"{kind} r(z) den z^{i}")
+        for p, (weight, mat) in enumerate(spec.pieces):
+            for i, c in enumerate(weight):
+                assert_poly(c, f"{kind} r(z) piece {p} weight z^{i}")
+            assert_matrix(mat, f"{kind} r(z) piece {p}")
         sample = spec.evaluate(Fraction(3, 2), Fraction(2, 5))
         assert_matrix(sample, f"{kind} r(2/5)")
         assert any(type(v.terms[0]) is Fraction for v in sample.entries.values())

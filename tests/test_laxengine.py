@@ -2,9 +2,9 @@ from fractions import Fraction
 
 import pytest
 
-from laxforge.qring import LaurentPoly, q_power
+from laxforge.qring import LaurentPoly, q_minus_qinv, q_power
 from laxforge.superroot import Weight, build_algebra, bilinear
-from laxforge.gradedmat import GradedMatrix, build_vector_rep, trivial_rep
+from laxforge.gradedmat import GradedMatrix, build_vector_rep, graded_kron, trivial_rep
 from laxforge.laxengine import (
     SigmaSet,
     admissible_intermediates,
@@ -136,6 +136,54 @@ def test_opposite_r_consistency():
         assert rt.matrix.homogeneous_parity() == 0
         report = check_opposite(assemble_R(ss), rt)
         assert report.status == "pass" and report.relations_checked == 2
+
+
+def _kron_sum(gv, gw, terms):
+    """sum of graded_kron(E^a_b, m) over (a, b, m), as repeated matrix sums."""
+    total = GradedMatrix.zeros(tuple((p + q) % 2 for p in gv for q in gw))
+    for a, b, m in terms:
+        total = total + graded_kron(GradedMatrix.elementary(a, b, gv), m)
+    return total
+
+
+@pytest.mark.parametrize("mn", [(3, 0), (4, 2), (3, 4)])
+@pytest.mark.parametrize("w", ["vector", "trivial"])
+def test_assemble_r_equals_sum_of_krons(mn, w):
+    # R = sum_a E^a_a (x) q^(h_eps_a)
+    #     + (q - q^-1) sum (-1)^[b] E^a_b (x) q^(h_eps_a) sigma_ba,
+    # term by term with q^(h_eps_a) rebuilt for every term
+    alg = build_algebra(*mn)
+    rep = build_vector_rep(alg) if w == "vector" else trivial_rep(alg)
+    ss = extend_sigma(init_simple_sigma(rep))
+    g = alg.gradings
+    terms = [(a, a, rep.qh_diag(alg.weights[a], 1)) for a in range(alg.dim)]
+    for (b, a) in alg.extended_pairs():
+        mat = rep.qh_diag(alg.weights[a], 1) @ ss.sigma[(b, a)]
+        terms.append((a, b, mat.scale(q_minus_qinv() * (-1) ** g[b])))
+    r = assemble_R(ss)
+    assert r.matrix == _kron_sum(g, rep.gradings, terms)
+    assert r.matrix.gradings == _kron_sum(g, rep.gradings, []).gradings
+
+
+@pytest.mark.parametrize("mn", [(3, 0), (4, 2), (3, 4)])
+def test_opposite_r_equals_sum_of_krons(mn):
+    # R^T = sum q^(eps_a,eps_b) E^a_a (x) E^b_b
+    #       + (q - q^-1) sum (-1)^[a] E^b_a (x) sigma~_ab
+    alg = build_algebra(*mn)
+    g, w, xi, bar = alg.gradings, alg.weights, alg.xi, alg.bar
+    terms = []
+    for a in range(alg.dim):
+        for b in range(alg.dim):
+            eb = GradedMatrix.elementary(b, b, g).scale(q_power(bilinear(w[a], w[b])))
+            terms.append((a, a, eb))
+    for (b, a) in alg.extended_pairs():
+        sign = (-1) ** (g[a] * (g[a] + g[b]))
+        coeff = q_power(bilinear(alg.rho, w[a] - w[b])) * (-sign * xi[a] * xi[b])
+        tilde = GradedMatrix.elementary(a, b, g) + GradedMatrix(
+            g, {(bar[b], bar[a]): coeff}
+        )
+        terms.append((b, a, tilde.scale(q_minus_qinv() * (-1) ** g[a])))
+    assert opposite_R(vector_sigma(*mn)).matrix == _kron_sum(g, g, terms)
 
 
 def test_opposite_requires_vector_rep():

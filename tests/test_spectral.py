@@ -87,16 +87,41 @@ def test_braces_factor_equals_constant_r(mn):
     assert braces_matrix(alg, sigma) == assemble_R(sigma).matrix
 
 
+def nonzero_keys(spec):
+    """The positions of the nonzero entries of r(z), in sorted order."""
+    return sorted(
+        tuple(int(x) - 1 for x in key.split(","))
+        for key in spec.to_json()["entries"]
+    )
+
+
+def flip_entry(spec, key):
+    """spec with the entry at `key` negated, as extra pieces: for each piece
+    holding that entry, its weight on -2 times the entry."""
+    extra = tuple(
+        (weight, GradedMatrix(spec.gradings, {key: mat.entries[key] * -2}))
+        for weight, mat in spec.pieces
+        if key in mat.entries
+    )
+    return SpectralRMatrix(
+        spec.algebra, spec.kind, spec.gradings, spec.den, spec.pieces + extra
+    )
+
+
 @pytest.mark.parametrize("kind", ["untwisted", "twisted"])
 def test_boundary_values_and_degrees(kind):
     alg = build_algebra(3, 2)
     c = Context(3, 2)
     spec = build_spectral_R(c.sigma, c.r, kind)  # asserts braces, r(1)=P, r(0)=q^-1 r
-    for rf in spec.entries.values():
-        dn, dd = rf.degrees()
+    # three pieces (P, E, r) over one monic denominator, all of z-degree <= 2
+    p = graded_permutation(alg.gradings)
+    assert [mat for _, mat in spec.pieces] == [p, build_E_tensor(alg), c.r.matrix]
+    assert spec.den[-1] == LaurentPoly.one()
+    assert all(len(poly) <= 3 for poly in (spec.den, *(w for w, _ in spec.pieces)))
+    for doc in spec.to_json()["entries"].values():
+        dn, dd = RatFunc.from_json(doc).degrees()
         assert dn <= 2 and dd <= 2
     # numeric spot check of r(1) = P at a generic s
-    p = graded_permutation(alg.gradings)
     mat = spec.evaluate(Fraction(3), Fraction(1))
     assert mat == p
 
@@ -142,12 +167,9 @@ def test_spectral_ybe_seed_determinism():
 
 
 def test_spectral_ybe_fails_on_mutated_entry():
-    alg = build_algebra(3, 0)
     spec = Context(3, 0).spectral("untwisted")
-    entries = dict(spec.entries)
-    key = next(k for k in sorted(entries) if k[0] != k[1])
-    entries[key] = entries[key] * RatFunc.const(-1)
-    bad = SpectralRMatrix(alg, spec.kind, spec.gradings, entries)
+    key = next(k for k in nonzero_keys(spec) if k[0] != k[1])
+    bad = flip_entry(spec, key)
     report = check_spectral_ybe(bad, samples=3, seed=0)
     assert report.status == "fail" and report.witness
     # Values of the unscaled products: scaling the sampled matrices to
@@ -172,19 +194,18 @@ def test_spectral_json_round_trip():
     spec = Context(3, 0).spectral("twisted")
     doc = spec.to_json()
     assert doc["kind"] == "twisted"
-    some_key, some_val = next(iter(sorted(doc["entries"].items())))
-    restored = RatFunc.from_json(some_val)
-    r, c = (int(x) - 1 for x in some_key.split(","))
-    assert restored == spec.entries[(r, c)]
+    values = spec.evaluate(Fraction(5, 3), Fraction(2, 7)).entries
+    for some_key, some_val in sorted(doc["entries"].items()):
+        restored = RatFunc.from_json(some_val)
+        assert restored.to_json() == some_val
+        r, c = (int(x) - 1 for x in some_key.split(","))
+        assert restored.evaluate(Fraction(5, 3), Fraction(2, 7)) == values[(r, c)]
 
 
 def test_twisted_spectral_ybe_fails_on_mutated_entry():
-    alg = build_algebra(3, 2)
     spec = Context(3, 2).spectral("twisted")
-    entries = dict(spec.entries)
-    key = next(k for k in sorted(entries) if k[0] != k[1])
-    entries[key] = entries[key] * RatFunc.const(-1)
-    bad = SpectralRMatrix(alg, spec.kind, spec.gradings, entries)
+    key = next(k for k in nonzero_keys(spec) if k[0] != k[1])
+    bad = flip_entry(spec, key)
     report = check_spectral_ybe(bad, samples=3, seed=0)
     assert report.status == "fail" and report.relations_checked == 3
     # recorded before sampling moved to integer products over a
@@ -200,43 +221,53 @@ def test_twisted_spectral_ybe_fails_on_mutated_entry():
 
 @pytest.mark.parametrize("kind", ["untwisted", "twisted"])
 def test_evaluate_agrees_with_entrywise_ratfunc_values(kind):
-    # one s-substitution shared across z values gives each entry's value,
-    # also when a mutated entry no longer shares the common denominator
-    alg = build_algebra(3, 2)
-    spec = Context(3, 2).spectral(kind)
-    entries = dict(spec.entries)
-    key = next(k for k in sorted(entries) if k[0] != k[1])
-    entries[key] = entries[key] / RatFunc((q_power(1), LaurentPoly.one()), (LaurentPoly.one(),))
-    for matrix in (spec, SpectralRMatrix(alg, kind, spec.gradings, entries)):
-        fixed = SpectralAtS(matrix, Fraction(5, 3))
-        for z0 in (Fraction(-2, 5), Fraction(3), Fraction(1, 7)):
-            want = {k: rf.evaluate(Fraction(5, 3), z0) for k, rf in matrix.entries.items()}
-            assert fixed.values(z0) == {k: v for k, v in want.items() if v}
-            assert matrix.evaluate(Fraction(5, 3), z0).entries == {
-                k: LaurentPoly.const(v) for k, v in want.items() if v
+    # the structured values at one s-substitution against each entry's own
+    # rational function as written to JSON, also with a flipped entry
+    # carried as extra pieces
+    s0 = Fraction(5, 3)
+    for mn in [(3, 0), (4, 2), (3, 4), (6, 0)]:
+        spec = Context(*mn).spectral(kind)
+        key = next(k for k in nonzero_keys(spec) if k[0] != k[1])
+        for matrix in (spec, flip_entry(spec, key)):
+            entries = {
+                tuple(int(x) - 1 for x in k.split(",")): RatFunc.from_json(doc)
+                for k, doc in matrix.to_json()["entries"].items()
             }
+            fixed = SpectralAtS(matrix, s0)
+            for z0 in (Fraction(-2, 5), Fraction(3), Fraction(1, 7)):
+                want = {k: rf.evaluate(s0, z0) for k, rf in entries.items()}
+                want = {k: v for k, v in want.items() if v}
+                assert fixed.values(z0) == want
+                assert matrix.evaluate(s0, z0).entries == {
+                    k: LaurentPoly.const(v) for k, v in want.items()
+                }
+        flipped = flip_entry(spec, key).to_json()["entries"]
+        doc_key = f"{key[0] + 1},{key[1] + 1}"
+        assert RatFunc.from_json(flipped[doc_key]) == -RatFunc.from_json(
+            spec.to_json()["entries"][doc_key]
+        )
 
 
 @pytest.mark.parametrize("shift", [(1,), (1, -1)])
 def test_build_rejects_corrupted_constant_coefficient(monkeypatch, shift):
-    # (1,) moves num(0) and num(1); (1, -1) moves num(0) only, so the
-    # r(0) = q^-1 r comparison alone must catch it
+    # (1,) moves a weight's values at z = 0 and z = 1; (1, -1) moves its
+    # value at z = 0 only, so the r(0) = q^-1 r comparison alone must catch it
     real = spectral.SpectralRMatrix
-
-    def corrupted(**fields):
-        spec = real(**fields)
-        key = min(spec.entries)
-        rf = spec.entries[key]
-        num = list(rf.num) + [LaurentPoly.zero()] * (len(shift) - len(rf.num))
-        for i, c in enumerate(shift):
-            num[i] = num[i] + c
-        spec.entries[key] = RatFunc(num, rf.den)
-        return spec
-
-    monkeypatch.setattr(spectral, "SpectralRMatrix", corrupted)
     expected = r"r\(1\) != P" if len(shift) == 1 else r"r\(0\) != q\^-1 r"
-    with pytest.raises(AssertionError, match=expected):
-        Context(3, 2).spectral("untwisted")
+    for corrupt in range(3):
+
+        def corrupted(**fields):
+            pieces = list(fields["pieces"])
+            weight, mat = pieces[corrupt]
+            weight = list(weight) + [LaurentPoly.zero()] * (len(shift) - len(weight))
+            for i, c in enumerate(shift):
+                weight[i] = weight[i] + c
+            pieces[corrupt] = (tuple(weight), mat)
+            return real(**{**fields, "pieces": tuple(pieces)})
+
+        monkeypatch.setattr(spectral, "SpectralRMatrix", corrupted)
+        with pytest.raises(AssertionError, match=expected):
+            Context(3, 2).spectral("untwisted")
 
 
 def test_sampling_reports_pole_exhaustion(monkeypatch):
