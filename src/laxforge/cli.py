@@ -347,13 +347,18 @@ def cmd_eval(cfg: JobConfig) -> int:
     if abs(cfg.s) in (0, 1):
         raise SchemaError("--s must avoid 0 and +-1 so that q stays generic")
     r = ctx.r
+    # s^k for each exponent k of R, computed once rather than once per term
+    exponents = {k for v in r.matrix.entries.values() for k in v.terms}
+    powers = {k: cfg.s ** k for k in exponents}
     doc = {
         "algebra": {"m": cfg.m, "n": cfg.n},
         "rep_name": ctx.rep.name,
         "s": str(cfg.s),
         "dims": list(r.dims),
         "entries": [
-            [row + 1, col + 1, str(v.evaluate(cfg.s))]
+            [row + 1, col + 1, str(sum(
+                (c * powers[k] for k, c in v.terms.items()), Fraction(0)
+            ))]
             for (row, col), v in sorted(r.matrix.entries.items())
         ],
     }

@@ -7,12 +7,19 @@ graded_kron work on either.
 All Koszul signs live in graded_kron, graded_permutation, embed_triple
 (a matrix on two slots of a triple tensor space) and the two daggers.
 Ordinary matrix composition is ungraded.
+
+`pack` turns a matrix over Z[s, s^-1] into a matrix of ints by Kronecker
+substitution, s = 2^B; `packing_bits` picks a B for which two packed
+products are equal exactly when the Laurent-polynomial products are.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from operator import sub
 from typing import Mapping
 
 from .qring import LaurentPoly, ONE, ZERO, Scalar, q_int
@@ -278,6 +285,65 @@ def embed_triple(
     return res
 
 
+@dataclass(frozen=True)
+class PackStats:
+    """What the packing bound needs to know of one factor of a product."""
+
+    lo: int  # lowest exponent of s in any entry (0 for the zero matrix)
+    norm: int  # largest L1 norm of an entry
+    row: int  # largest number of nonzero entries in a row
+
+
+def pack_stats(m: GradedMatrix) -> PackStats | None:
+    """The PackStats of a matrix over Z[s, s^-1], or None when some
+    coefficient is not an int, so that `pack` does not apply.  embed_triple
+    only re-indexes and signs entries, so an embedded matrix has the stats
+    of the matrix it embeds."""
+    values = m.entries.values()
+    if any(type(c) is not int for v in values for c in v.terms.values()):
+        return None
+    rows = Counter(r for r, _ in m.entries)
+    return PackStats(
+        lo=min((min(v.terms) for v in values), default=0),
+        norm=max((sum(map(abs, v.terms.values())) for v in values), default=0),
+        row=max(rows.values(), default=0),
+    )
+
+
+def packing_bits(*sides: list[PackStats]) -> int:
+    """Bits B for comparing products of packed factors exactly.
+
+    Each side A_1 ... A_t is given by its factors' stats.  An entry of the
+    product sums at most prod_{i<t} row(A_i) index paths, each a product of
+    entries with L1 norms at most norm(A_i), so every coefficient is at most
+    C = prod_i norm(A_i) * prod_{i<t} row(A_i) in absolute value.  B makes
+    2^B exceed the sum of the sides' C: their difference is then a Laurent
+    polynomial with integer coefficients below N = 2^B in absolute value,
+    and such a polynomial vanishes at s = N only when it is zero (its
+    lowest nonzero coefficient is not divisible by N)."""
+    total = 0
+    for side in sides:
+        bound = 1
+        for i, f in enumerate(side):
+            bound *= f.norm * (f.row if i < len(side) - 1 else 1)
+        total += bound
+    return max(1, total.bit_length())
+
+
+def pack(m: GradedMatrix, bits: int, lo: int) -> GradedMatrix:
+    """m over Z[s, s^-1] as a matrix of ints: each entry p becomes
+    p(N) N^-lo = sum_k c_k 2^(bits (k - lo)), with N = 2^bits and lo at most
+    the lowest exponent of s in m.  A product of packed factors is the
+    packed product, with the factors' lo summed."""
+    entries = {
+        key: sum(c << bits * (k - lo) for k, c in v.terms.items())
+        for key, v in m.entries.items()
+    }
+    res = GradedMatrix.__new__(GradedMatrix)
+    res.gradings, res.dim, res.entries = m.gradings, m.dim, entries
+    return res
+
+
 def graded_dagger(x: GradedMatrix) -> GradedMatrix:
     """Graded conjugation: (X^dag)[b,a] = (-1)^([a]([a]+[b])) X[a,b]."""
     g = x.gradings
@@ -331,6 +397,21 @@ class Representation:
     @property
     def dim(self) -> int:
         return len(self.gradings)
+
+    @cached_property
+    def _weight_coords(self) -> list[tuple[Scalar, ...]]:
+        return [w.eps + w.delta for w in self.weights]
+
+    def off_weight_entry(self, mat: GradedMatrix, shift: Weight) -> tuple[int, int] | None:
+        """The first nonzero entry (r, c) of `mat` with wt_r - wt_c != shift,
+        or None when `mat` shifts every weight by `shift`.  The weights are
+        compared as coordinate tuples, so no Weight is built per entry."""
+        coords = self._weight_coords
+        want = shift.eps + shift.delta
+        for (r, c) in mat.entries:
+            if tuple(map(sub, coords[r], coords[c])) != want:
+                return r, c
+        return None
 
     def qh_diag(self, w: Weight, t: Scalar) -> GradedMatrix:
         """Diagonal q^(t h_w): entry q^(t (w, wt_b)) at position b."""
@@ -391,12 +472,13 @@ def check_representation(rep: Representation) -> None:
     for lab in labels:
         alpha = alg.root(lab)
         for mat, shift, kind in ((rep.e[lab], alpha, "e"), (rep.f[lab], -alpha, "f")):
-            for (r, c) in mat.entries:
-                if rep.weights[r] - rep.weights[c] != shift:
-                    raise RelationError(
-                        f"[h, {kind}_{lab}] relation: entry ({r + 1},{c + 1}) does not "
-                        f"shift weight by {'+' if kind == 'e' else '-'}alpha_{lab}"
-                    )
+            bad = rep.off_weight_entry(mat, shift)
+            if bad is not None:
+                r, c = bad
+                raise RelationError(
+                    f"[h, {kind}_{lab}] relation: entry ({r + 1},{c + 1}) does not "
+                    f"shift weight by {'+' if kind == 'e' else '-'}alpha_{lab}"
+                )
     for lab_a in labels:
         pa = alg.root_parity(lab_a)
         for lab_b in labels:

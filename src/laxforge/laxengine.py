@@ -175,15 +175,14 @@ def extend_sigma(partial: SigmaSet) -> SigmaSet:
 
 
 def _check_weight_homogeneity(ss: SigmaSet) -> None:
-    rep = ss.rep
     for (b, a), mat in ss.sigma.items():
-        shift = ss.pair_weight(b, a)
-        for (r, c) in mat.entries:
-            if rep.weights[r] - rep.weights[c] != shift:
-                raise AssertionError(
-                    f"sigma({ss.algebra.labels[b]},{ss.algebra.labels[a]}) is not "
-                    f"weight-homogeneous at entry ({r + 1},{c + 1})"
-                )
+        bad = ss.rep.off_weight_entry(mat, ss.pair_weight(b, a))
+        if bad is not None:
+            r, c = bad
+            raise AssertionError(
+                f"sigma({ss.algebra.labels[b]},{ss.algebra.labels[a]}) is not "
+                f"weight-homogeneous at entry ({r + 1},{c + 1})"
+            )
 
 
 def closed_form_sigma(alg: AlgebraData) -> SigmaSet:

@@ -3,6 +3,15 @@
 Every identity is checked exactly over the Laurent ring; a failing suite
 reports the first offending relation together with the matrix position and
 both entry values, so negative controls produce a concrete witness.
+
+ybe, lax_ybe, intertwining and delta_property compare their products with
+s = 2^B substituted (gradedmat.pack): each Laurent entry becomes one Python
+int, and B is taken from a bound on the coefficients of both sides
+(gradedmat.packing_bits), so the packed sides are equal exactly when the
+Laurent-polynomial sides are.  No float, sample or tolerance is involved.
+When a coefficient is not an int, or when the packed sides differ, the
+relation is compared on Laurent-polynomial entries, so a witness always
+shows Laurent polynomials.
 """
 
 from __future__ import annotations
@@ -19,6 +28,9 @@ from .gradedmat import (
     graded_permutation,
     kron_blocks,
     kron_gradings,
+    pack,
+    pack_stats,
+    packing_bits,
     tensor_dagger,
 )
 from .laxengine import (
@@ -85,6 +97,16 @@ class _Suite:
                 "rhs": str(b),
             }
 
+    def expect_products(self, rel_id: str, symbolic, packed) -> None:
+        """expect_equal on two sides given by thunks.  `packed` gives them as
+        packed ints, or None when some coefficient is not an int; `symbolic`
+        gives them on LaurentPoly entries and is used when `packed` gives
+        None or two different sides."""
+        sides = packed()
+        if sides is None or sides[0] != sides[1]:
+            sides = symbolic()
+        self.expect_equal(rel_id, *sides)
+
     def report(self) -> CheckReport:
         status = "pass" if self.witness is None else "fail"
         return CheckReport(self.name, status, self.count, self.witness)
@@ -101,8 +123,20 @@ def check_ybe(r: RTensor) -> CheckReport:
     gv = r.gradings_v
     if r.gradings_w != gv:
         raise ValueError("check_ybe requires an R-matrix on V (x) V")
-    r12, r13, r23 = (embed_triple(r.matrix, s, gv, gv, gv) for s in ("12", "13", "23"))
-    suite.expect_equal("R12 R13 R23 = R23 R13 R12", r12 @ r13 @ r23, r23 @ r13 @ r12)
+
+    def sides(m: GradedMatrix):
+        r12, r13, r23 = (embed_triple(m, s, gv, gv, gv) for s in ("12", "13", "23"))
+        return r12 @ r13 @ r23, r23 @ r13 @ r12
+
+    def packed():
+        st = pack_stats(r.matrix)
+        if st is None:
+            return None
+        return sides(pack(r.matrix, packing_bits([st] * 3, [st] * 3), st.lo))
+
+    suite.expect_products(
+        "R12 R13 R23 = R23 R13 R12", lambda: sides(r.matrix), packed
+    )
     return suite.report()
 
 
@@ -112,10 +146,23 @@ def check_lax_ybe(rv: RTensor, rw: RTensor) -> CheckReport:
     gv, gw = rv.gradings_v, rw.gradings_w
     if rv.gradings_w != gv or rw.gradings_v != gv:
         raise ValueError("slot dimensions do not match: need rv on V(x)V, rw on V(x)W")
-    r12 = embed_triple(rv.matrix, "12", gv, gv, gw)
-    r13 = embed_triple(rw.matrix, "13", gv, gv, gw)
-    r23 = embed_triple(rw.matrix, "23", gv, gv, gw)
-    suite.expect_equal("r12 R13 R23 = R23 R13 r12", r12 @ r13 @ r23, r23 @ r13 @ r12)
+
+    def sides(mv: GradedMatrix, mw: GradedMatrix):
+        r12 = embed_triple(mv, "12", gv, gv, gw)
+        r13 = embed_triple(mw, "13", gv, gv, gw)
+        r23 = embed_triple(mw, "23", gv, gv, gw)
+        return r12 @ r13 @ r23, r23 @ r13 @ r12
+
+    def packed():
+        sv, sw = pack_stats(rv.matrix), pack_stats(rw.matrix)
+        if sv is None or sw is None:
+            return None
+        bits = packing_bits([sv, sw, sw], [sw, sw, sv])
+        return sides(pack(rv.matrix, bits, sv.lo), pack(rw.matrix, bits, sw.lo))
+
+    suite.expect_products(
+        "r12 R13 R23 = R23 R13 r12", lambda: sides(rv.matrix, rw.matrix), packed
+    )
     return suite.report()
 
 
@@ -140,17 +187,31 @@ def _coproduct(rep: Representation, label: str) -> dict[str, GradedMatrix]:
 def check_intertwining(r: RTensor, rep: Representation) -> CheckReport:
     """R Delta(x) = Delta^T(x) R for all simple e, f and Cartan half-powers.
 
-    Delta^T is conjugation of Delta by the graded permutation.
+    Delta^T is conjugation of Delta by the graded permutation.  R and P are
+    packed once, with one B that covers every Delta(x).
     """
     suite = _Suite("intertwining")
     p = graded_permutation(rep.gradings)
-    for label in rep.algebra.root_labels():
-        for kind, dx in _coproduct(rep, label).items():
-            suite.expect_equal(
-                f"R Delta({kind}_{label}) = Delta^T({kind}_{label}) R",
-                r.matrix @ dx,
-                (p @ dx @ p) @ r.matrix,
-            )
+    relations = [
+        (f"R Delta({kind}_{label}) = Delta^T({kind}_{label}) R", dx, pack_stats(dx))
+        for label in rep.algebra.root_labels()
+        for kind, dx in _coproduct(rep, label).items()
+    ]
+
+    def sides(rm: GradedMatrix, dx: GradedMatrix, pm: GradedMatrix):
+        return rm @ dx, (pm @ dx @ pm) @ rm
+
+    sr, sp = pack_stats(r.matrix), pack_stats(p)
+    integral = sr is not None and all(sx is not None for _, _, sx in relations)
+    if integral:
+        bits = max(packing_bits([sr, sx], [sp, sx, sp, sr]) for _, _, sx in relations)
+        pr, pp = pack(r.matrix, bits, sr.lo), pack(p, bits, sp.lo)
+    for rel_id, dx, sx in relations:
+        suite.expect_products(
+            rel_id,
+            lambda: sides(r.matrix, dx, p),
+            lambda: sides(pr, pack(dx, bits, sx.lo), pp) if integral else None,
+        )
     return suite.report()
 
 
@@ -193,9 +254,22 @@ def check_delta_property(sigma: SigmaSet, r: RTensor) -> CheckReport:
             blocks.append((a, b, mat.scale(qq * sign)))
     lhs = kron_blocks(alg.gradings, kron_gradings(gv, gv), blocks)
 
-    r12 = embed_triple(r.matrix, "12", gv, gv, gv)
-    r13 = embed_triple(r.matrix, "13", gv, gv, gv)
-    suite.expect_equal("(id (x) Delta) R = R13 R12", lhs, r13 @ r12)
+    def r13_r12(m: GradedMatrix) -> GradedMatrix:
+        return embed_triple(m, "13", gv, gv, gv) @ embed_triple(m, "12", gv, gv, gv)
+
+    def packed():
+        sl, sr = pack_stats(lhs), pack_stats(r.matrix)
+        if sl is None or sr is None:
+            return None
+        bits = packing_bits([sl], [sr, sr])
+        # lhs packed at 2 half and R at half: both sides carry N^(-2 half),
+        # and half is at most R's lowest exponent and half of lhs's
+        half = min(sl.lo, 2 * sr.lo) // 2
+        return pack(lhs, bits, 2 * half), r13_r12(pack(r.matrix, bits, half))
+
+    suite.expect_products(
+        "(id (x) Delta) R = R13 R12", lambda: (lhs, r13_r12(r.matrix)), packed
+    )
     return suite.report()
 
 

@@ -138,6 +138,19 @@ def test_eval_exact_rationals(capsys):
     assert "15/4" in values  # q - q^-1 at s = 2
 
 
+@pytest.mark.parametrize("args, digest", [
+    (["--m", "3", "--n", "0", "--s", "3/2"],
+     "2c21b4ee6625f8d48a2f3891dd6b5f496aa3fafcde218517ba94635d8bff04da"),
+    (["--m", "5", "--n", "4", "--s=-5/3"],
+     "5a3fffc91534b30ece3059a075c2b8573cdf2c3317a972604807cce9d11f8142"),
+])
+def test_eval_bytes_are_pinned(capsys, args, digest):
+    # digests recorded while eval still evaluated each entry term by term
+    assert run(["eval", *args]) == 0
+    out = capsys.readouterr().out.encode()
+    assert hashlib.sha256(out).hexdigest() == digest
+
+
 def test_eval_rejects_degenerate_s(capsys):
     assert run(["eval", "--m", "3", "--n", "0", "--s", "1"]) == 2
 

@@ -1,6 +1,10 @@
 import json
+from fractions import Fraction
+from functools import reduce
+from operator import matmul
 
 import pytest
+from hypothesis import given, strategies as st
 
 from laxforge.qring import LaurentPoly
 from laxforge.superroot import build_algebra
@@ -16,6 +20,9 @@ from laxforge.gradedmat import (
     graded_kron,
     graded_permutation,
     load_representation,
+    pack,
+    pack_stats,
+    packing_bits,
     tensor_dagger,
     trivial_rep,
 )
@@ -151,6 +158,21 @@ def test_load_representation_rejects_sign_flip():
         load_representation(doc, alg)
 
 
+@pytest.mark.parametrize("kind, sign", [("e", "+"), ("f", "-")])
+def test_load_representation_rejects_entry_off_weight(kind, sign):
+    # a diagonal entry shifts no weight, so it breaks [h, e] and [h, f]
+    alg = build_algebra(3, 2)
+    doc = build_vector_rep(alg).to_json()
+    label = sorted(doc[kind])[1]
+    doc[kind][label].append([1, 1, "1"])
+    with pytest.raises(RelationError) as info:
+        load_representation(doc, alg)
+    assert str(info.value) == (
+        f"[h, {kind}_{label}] relation: entry (1,1) does not shift weight "
+        f"by {sign}alpha_{label}"
+    )
+
+
 def test_load_representation_rejects_malformed_document():
     with pytest.raises(SchemaError):
         load_representation({"algebra": {"m": 3, "n": 2}})
@@ -211,8 +233,6 @@ def test_embed_triple_rejects_wrong_space():
 
 def test_matrix_algebra_on_scalar_entries():
     # evaluated matrices hold plain ints and Fractions
-    from fractions import Fraction
-
     x = GradedMatrix(G2, {(0, 1): 3, (1, 1): Fraction(1, 2)})
     y = GradedMatrix(G2, {(1, 0): 2, (1, 1): -Fraction(1, 2)})
     assert (x + y).entries == {(0, 1): 3, (1, 0): 2}
@@ -221,3 +241,80 @@ def test_matrix_algebra_on_scalar_entries():
     assert graded_kron(x, y).entries[(1, 2)] == -6
     assert x == GradedMatrix(G2, {(0, 1): LaurentPoly.const(3),
                                   (1, 1): LaurentPoly.const(Fraction(1, 2))})
+
+
+# -- Kronecker packing ----------------------------------------------------------
+
+G3 = (0, 1, 0)
+int_polys = st.dictionaries(
+    st.integers(min_value=-3, max_value=3),
+    st.integers(min_value=-3, max_value=3),
+    max_size=3,
+).map(LaurentPoly)
+matrices = st.dictionaries(
+    st.tuples(st.integers(min_value=0, max_value=2), st.integers(min_value=0, max_value=2)),
+    int_polys,
+    max_size=5,
+).map(lambda entries: GradedMatrix(G3, entries))
+products = st.lists(matrices, min_size=1, max_size=3)
+
+
+def packed_products_equal(lhs, rhs):
+    """Whether the products of two factor lists agree with s = 2^B, B from
+    packing_bits; each side is scaled to the lower of the two sides' s^lo."""
+    stats = [[pack_stats(m) for m in side] for side in (lhs, rhs)]
+    bits = packing_bits(*stats)
+    shifts = [sum(f.lo for f in side) for side in stats]
+    packed = []
+    for side, st_side, shift in zip((lhs, rhs), stats, shifts):
+        prod = reduce(matmul, (pack(m, bits, f.lo) for m, f in zip(side, st_side)))
+        up = bits * (shift - min(shifts))
+        packed.append({key: v << up for key, v in prod.entries.items()})
+    return packed[0] == packed[1]
+
+
+@given(products, products, st.sampled_from(("independent", "regrouped", "perturbed")),
+       st.integers(min_value=-3, max_value=3), st.integers(min_value=-1, max_value=1))
+def test_packed_products_agree_with_laurent_products(lhs, other, how, k, c):
+    # the right side is drawn on its own, or equals the left product with
+    # factors rescaled by s^k and s^-k, or differs from the left factors by
+    # c s^k in one entry
+    if how == "independent":
+        rhs = other
+    elif how == "regrouped":
+        rhs = [m.scale(LaurentPoly.s_power(k)) for m in lhs[:1]] + lhs[1:]
+        rhs[-1] = rhs[-1].scale(LaurentPoly.s_power(-k))
+    else:
+        rhs = [lhs[0] + GradedMatrix(G3, {(1, 2): LaurentPoly.s_power(k, c)}), *lhs[1:]]
+    symbolic = reduce(matmul, lhs) == reduce(matmul, rhs)
+    assert packed_products_equal(lhs, rhs) == symbolic
+
+
+def test_packing_bits_separate_a_collision_one_bit_lower():
+    # (a b)[0, 0] = 4 + 4 = 8 reaches its bound 1 * 4 * (two terms in a row
+    # of a), and y = s; the sides are different Laurent polynomials that
+    # agree at s = 8, so B must exceed 3 bits
+    g = (0, 0)
+    a = GradedMatrix(g, {(0, 0): LaurentPoly.one(), (0, 1): LaurentPoly.one()})
+    b = GradedMatrix(g, {(0, 0): LaurentPoly.const(4), (1, 0): LaurentPoly.const(4)})
+    y = GradedMatrix(g, {(0, 0): LaurentPoly.s_power(1)})
+    bits = packing_bits([pack_stats(a), pack_stats(b)], [pack_stats(y)])
+
+    def sides(n):
+        # y is packed at lo = 0, below its lowest exponent 1, to match a b
+        return pack(a, n, 0) @ pack(b, n, 0), pack(y, n, 0)
+
+    assert a @ b != y
+    lhs, rhs = sides(bits)
+    assert lhs != rhs
+    lhs, rhs = sides(bits - 1)
+    assert lhs == rhs
+
+
+def test_pack_stats_refuses_fraction_coefficients():
+    half = GradedMatrix(G2, {(0, 1): LaurentPoly({2: Fraction(1, 2)})})
+    assert pack_stats(half) is None
+    m = GradedMatrix(G2, {(0, 1): LaurentPoly({-2: 3, 1: -1}), (0, 0): LaurentPoly.one()})
+    stats = pack_stats(m)
+    assert (stats.lo, stats.norm, stats.row) == (-2, 4, 2)
+    assert pack(m, 4, stats.lo).entries == {(0, 1): 3 - (1 << 12), (0, 0): 1 << 8}

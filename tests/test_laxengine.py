@@ -108,6 +108,21 @@ def test_assemble_r_rejects_entry_that_breaks_weights():
     assert str(info.value) == f"R is not weightless against weight {first}"
 
 
+def test_extend_sigma_rejects_seed_off_weight():
+    partial = init_simple_sigma(build_vector_rep(build_algebra(3, 2)))
+    alg = partial.algebra
+    sigma = dict(partial.sigma)
+    b, a = next(iter(sigma))
+    sigma[(b, a)] = sigma[(b, a)] + GradedMatrix.elementary(0, 0, alg.gradings)
+    bad = SigmaSet(rep=partial.rep, sigma=sigma, provenance=dict(partial.provenance))
+    with pytest.raises(AssertionError) as info:
+        extend_sigma(bad)
+    assert str(info.value) == (
+        f"sigma({alg.labels[b]},{alg.labels[a]}) is not weight-homogeneous "
+        f"at entry (1,1)"
+    )
+
+
 def test_trivial_rep_gives_identity_lax():
     alg = build_algebra(4, 2)
     rep = trivial_rep(alg)

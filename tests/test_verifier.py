@@ -1,8 +1,15 @@
+from fractions import Fraction
+
 import pytest
 
 from laxforge.qring import LaurentPoly
 from laxforge.superroot import build_algebra
-from laxforge.gradedmat import GradedMatrix, build_vector_rep, trivial_rep
+from laxforge.gradedmat import (
+    GradedMatrix,
+    build_vector_rep,
+    load_representation,
+    trivial_rep,
+)
 from laxforge.laxengine import (
     RTensor,
     SigmaSet,
@@ -31,10 +38,11 @@ def build(m, n):
     return rep, extend_sigma(init_simple_sigma(rep))
 
 
-def mutate_r(r, sign_flip=True):
-    """Flip the sign of one off-diagonal entry."""
+def mutate_r(r, off_diagonal=True):
+    """Flip the sign of the first off-diagonal entry, or of the first entry
+    when `off_diagonal` is false (an R on V (x) trivial is diagonal)."""
     entries = dict(r.matrix.entries)
-    key = next(k for k in sorted(entries) if k[0] != k[1])
+    key = next(k for k in sorted(entries) if k[0] != k[1] or not off_diagonal)
     entries[key] = -entries[key]
     return RTensor(
         r.dims,
@@ -113,6 +121,19 @@ def test_lax_ybe_trivial_and_vector():
     assert check_lax_ybe(rv, rv).status == "pass"
 
 
+def test_ybe_and_lax_ybe_multiply_packed_ints(monkeypatch):
+    # with integral coefficients both suites multiply ints only
+    _, ss = build(3, 2)
+    r = assemble_R(ss)
+
+    def refuse(self, other):
+        raise AssertionError("a Laurent polynomial was multiplied")
+
+    monkeypatch.setattr(LaurentPoly, "__mul__", refuse)
+    assert check_ybe(r).status == "pass"
+    assert check_lax_ybe(r, r).status == "pass"
+
+
 def test_lax_ybe_rejects_dimension_mismatch():
     _, ss32 = build(3, 2)
     _, ss40 = build(4, 0)
@@ -132,18 +153,30 @@ def test_appendix_parity_gating():
 # -- negative controls -------------------------------------------------------
 
 
+def witness(relation, row, col, lhs, rhs):
+    return {"relation": relation, "row": row, "col": col, "lhs": lhs, "rhs": rhs}
+
+
+YBE = "R12 R13 R23 = R23 R13 R12"
+LAX_YBE = "r12 R13 R23 = R23 R13 r12"
+
+
 def test_ybe_fails_on_sign_flip():
     _, ss = build(3, 2)
     report = check_ybe(mutate_r(assemble_R(ss)))
     assert report.status == "fail"
-    assert report.witness is not None
-    assert {"relation", "row", "col", "lhs", "rhs"} <= set(report.witness)
+    assert report.witness == witness(
+        YBE, 26, 2, "1*s^-6 + -3*s^-2 + 2*s^2", "-1*s^-6 + 1*s^-2"
+    )
 
 
 def test_intertwining_fails_on_sign_flip():
     rep, ss = build(3, 2)
     report = check_intertwining(mutate_r(assemble_R(ss)), rep)
-    assert report.status == "fail" and report.witness
+    assert report.status == "fail"
+    assert report.witness == witness(
+        "R Delta(e_s) = Delta^T(e_s) R", 1, 2, "-1*s^-3", "1*s^-3 + -2*s^1"
+    )
 
 
 def test_delta_property_fails_on_mutation():
@@ -151,7 +184,68 @@ def test_delta_property_fails_on_mutation():
     # sigma mutation shifts both sides equally; corrupt the R under test
     _, ss = build(3, 2)
     report = check_delta_property(ss, r=mutate_r(assemble_R(ss)))
-    assert report.status == "fail" and report.witness
+    assert report.status == "fail"
+    assert report.witness == witness(
+        "(id (x) Delta) R = R13 R12", 26, 2, "1*s^-4 + -1", "-1*s^-4 + 1"
+    )
+
+
+def test_lax_ybe_fails_on_flipped_vector_lax_operator():
+    _, ss = build(3, 2)
+    rv = assemble_R(ss)
+    report = check_lax_ybe(rv, mutate_r(rv))
+    assert report.status == "fail"
+    assert report.witness == witness(
+        LAX_YBE, 36, 8, "-1*s^-4 + 2 + -1*s^4", "1*s^-4 + -2 + 1*s^4"
+    )
+
+
+def test_lax_ybe_fails_on_flipped_trivial_lax_operator():
+    alg = build_algebra(3, 2)
+    _, ss = build(3, 2)
+    rw = assemble_R(extend_sigma(init_simple_sigma(trivial_rep(alg))))
+    report = check_lax_ybe(assemble_R(ss), mutate_r(rw, off_diagonal=False))
+    assert report.status == "fail"
+    assert report.witness == witness(
+        LAX_YBE, 9, 5, "-1*s^-2 + 1*s^2", "1*s^-2 + -1*s^2"
+    )
+
+
+def rescaled_vector_rep(alg):
+    """The vector representation conjugated by diag(d_1, ..., d_dim) with
+    rational d_i, read back through load_representation: an isomorphic
+    module whose generator matrices have Fraction entries."""
+    doc = build_vector_rep(alg).to_json()
+    scale = [Fraction(i + 1, 2 + i % 3) for i in range(doc["dim"])]
+
+    def conjugate(entries):
+        return [
+            [r, c, str(LaurentPoly.parse(text) * (scale[r - 1] / scale[c - 1]))]
+            for r, c, text in entries
+        ]
+
+    doc["name"] = "rescaled"
+    doc["e"] = {lab: conjugate(ent) for lab, ent in doc["e"].items()}
+    doc["f"] = {lab: conjugate(ent) for lab, ent in doc["f"].items()}
+    return load_representation(doc, alg)
+
+
+def test_lax_ybe_with_fraction_coefficients():
+    # a Fraction coefficient in R_W cannot be packed into an int, so the
+    # suite compares the Laurent-polynomial products directly
+    alg = build_algebra(3, 2)
+    _, ss = build(3, 2)
+    rv = assemble_R(ss)
+    rw = assemble_R(extend_sigma(init_simple_sigma(rescaled_vector_rep(alg))))
+    assert any(
+        type(c) is not int for v in rw.matrix.entries.values() for c in v.terms.values()
+    )
+    assert check_lax_ybe(rv, rw).status == "pass"
+    report = check_lax_ybe(rv, mutate_r(rw))
+    assert report.status == "fail"
+    assert report.witness == witness(
+        LAX_YBE, 36, 8, "-2/3*s^-4 + 4/3 + -2/3*s^4", "2/3*s^-4 + -4/3 + 2/3*s^4"
+    )
 
 
 def test_appendix_and_path_independence_fail_on_mutation():
