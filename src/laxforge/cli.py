@@ -18,7 +18,7 @@ import sys
 import tempfile
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from pathlib import Path
 
 from .qring import PoleError
@@ -431,9 +431,16 @@ def _config(args: argparse.Namespace) -> JobConfig:
     )
 
 
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """build_parser's parser, built on the first call in a process and kept:
+    building it takes about a millisecond (argparse formats every argument
+    as it is added), and parsing leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     commands = {
         "generate": cmd_generate,
         "verify": cmd_verify,

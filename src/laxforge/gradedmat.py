@@ -1,8 +1,9 @@
 """Sparse matrices over Laurent polynomials on a Z2-graded basis.
 
 Entries are LaurentPoly values, or plain exact scalars (int or Fraction)
-when a matrix has been evaluated at a point; sums, products, equality and
-graded_kron work on either.
+when a matrix has been evaluated at a point or packed; sums, products,
+scale, equality, graded_kron and kron_blocks work on either, and a scalar
+entry stays a scalar.
 
 All Koszul signs live in graded_kron, graded_permutation, embed_triple
 (a matrix on two slots of a triple tensor space) and the two daggers.
@@ -111,8 +112,7 @@ class GradedMatrix:
         return res
 
     def scale(self, c: LaurentPoly | Scalar) -> "GradedMatrix":
-        if not isinstance(c, LaurentPoly):
-            c = LaurentPoly.const(c)
+        """c times every entry; int entries scaled by an int stay ints."""
         if not c:
             return GradedMatrix.zeros(self.gradings)
         res = GradedMatrix.__new__(GradedMatrix)
@@ -217,10 +217,15 @@ def kron_blocks(
     """sum over (a, b, m) in `blocks` of graded_kron(E^a_b, m), m on the
     space graded by gw.  Each (a, b) must occur at most once: the blocks
     then do not overlap, so their entries are collected into one dict
-    rather than summed."""
+    rather than summed.  Entry (r, c) of m goes to ((a, r), (b, c)) with
+    graded_kron's sign (-1)^(([r]+[c])[b]) and is not multiplied, so it
+    keeps its type."""
+    dw = len(gw)
     entries: dict[tuple[int, int], LaurentPoly] = {}
     for a, b, m in blocks:
-        entries.update(graded_kron(GradedMatrix.elementary(a, b, gv), m).entries)
+        ra, cb, odd = a * dw, b * dw, gv[b] % 2
+        for (r, c), v in m.entries.items():
+            entries[(ra + r, cb + c)] = -v if odd and (gw[r] + gw[c]) % 2 else v
     gradings = kron_gradings(gv, gw)
     res = GradedMatrix.__new__(GradedMatrix)
     res.gradings, res.dim, res.entries = gradings, len(gradings), entries

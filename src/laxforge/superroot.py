@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import sub
 
 from .qring import Scalar, _canonical
 
@@ -271,11 +272,13 @@ def _check_invariants(alg: AlgebraData) -> None:
         assert bilinear(alg.rho, alpha) == Fraction(bilinear(alpha, alpha), 2), (
             f"rho pairing fails on alpha_{lab}"
         )
-    # every simple root is positive: realized as eps_b - eps_a with b above a
+    # every simple root is positive: realized as eps_b - eps_a with b above a;
+    # compared as coordinate tuples, so no Weight is built per pair
+    coords = [w.eps + w.delta for w in alg.weights]
+    positive = {
+        tuple(map(sub, coords[b], coords[a])) for (b, a) in alg.extended_pairs()
+    }
     for lab, alpha in alg.simple_roots:
-        found = False
-        for (b, a) in alg.extended_pairs():
-            if alg.weights[b] - alg.weights[a] == alpha:
-                found = True
-                break
-        assert found, f"alpha_{lab} is not positive in the weight order"
+        assert alpha.eps + alpha.delta in positive, (
+            f"alpha_{lab} is not positive in the weight order"
+        )

@@ -9,6 +9,9 @@ s = 2^B substituted (gradedmat.pack): each Laurent entry becomes one Python
 int, and B is taken from a bound on the coefficients of both sides
 (gradedmat.packing_bits), so the packed sides are equal exactly when the
 Laurent-polynomial sides are.  No float, sample or tolerance is involved.
+The delta suite's left side (id (x) Delta) R is built by delta_lhs from
+sigma~ = q^(h_a) sigma_ba blocks, on packed ints with B from the a-priori
+bound delta_lhs_bound, or on Laurent polynomials by the same code.
 When a coefficient is not an int, or when the packed sides differ, the
 relation is compared on Laurent-polynomial entries, so a witness always
 shows Laurent polynomials.
@@ -22,6 +25,7 @@ from .qring import LaurentPoly, ZERO, q_minus_qinv, q_power
 from .superroot import Weight, bilinear
 from .gradedmat import (
     GradedMatrix,
+    PackStats,
     Representation,
     embed_triple,
     graded_kron,
@@ -215,60 +219,100 @@ def check_intertwining(r: RTensor, rep: Representation) -> CheckReport:
     return suite.report()
 
 
-def _delta_sigma(sigma: SigmaSet, b: int, a: int) -> GradedMatrix:
-    """Delta(sigma_ba) = sigma_ba (x) I + q^(h_b - h_a) (x) sigma_ba
-    + (q - q^-1) sum_{b < c < a} (-1)^[c] q^(h_c - h_a) sigma_bc (x) sigma_ca.
+def delta_lhs_bound(norm: int, dim: int) -> int:
+    """A bound on the L1 norm of every entry of (id (x) Delta) R, from the
+    largest L1 norm S of an entry of any sigma~_ba and d = dim V.
+
+    The L1 norm (sum of absolute coefficients) is subadditive and
+    submultiplicative, so it bounds every coefficient.  An entry of
+    q^(h_a) is q^t with coefficient 1 (norm 1) and q - q^-1 has norm 2.
+    In delta_lhs a diagonal block q^(h_a) (x) q^(h_a) has entries of norm
+    1.  An entry of block (a, b) is (q - q^-1)(-1)^[b] times the sum of one
+    entry of sigma~_ba (x) q^(h_a) (norm at most S), one of
+    q^(h_b) (x) sigma~_ba (at most S) and, for each of the fewer than d
+    indices c, (q - q^-1)(-1)^[c] times one entry of sigma~_bc (x)
+    sigma~_ca (at most 2 S^2): at most 2 (2 S + 2 d S^2) in all."""
+    return max(1, 2 * (2 * norm + 2 * dim * norm * norm))
+
+
+def delta_lhs(
+    sigma: SigmaSet, qh: list[GradedMatrix], bits: int | None = None, lo: int = 0
+) -> GradedMatrix:
+    """(id (x) Delta) R on V (x) V (x) V, from the displayed coproduct
+
+        Delta(sigma_ba) = sigma_ba (x) I + q^(h_b - h_a) (x) sigma_ba
+            + (q - q^-1) sum_{b < c < a} (-1)^[c] q^(h_c - h_a) sigma_bc (x) sigma_ca
+
+    and R = sum_a E^a_a (x) q^(h_a) + (q - q^-1) sum (-1)^[b] E^a_b (x)
+    q^(h_a) sigma_ba, with qh[a] = q^(h_a).  q^(h_a) (x) q^(h_a) is even
+    and diagonal, so it moves into each factor of a tensor product; with
+    sigma~_xy = q^(h_y) sigma_xy the blocks are
+
+        (a, a): q^(h_a) (x) q^(h_a)
+        (a, b): (q - q^-1)(-1)^[b] [sigma~_ba (x) q^(h_a) + q^(h_b) (x) sigma~_ba
+                + (q - q^-1) sum_{b < c < a} (-1)^[c] sigma~_bc (x) sigma~_ca].
+
+    With bits = None the entries are Laurent polynomials.  Otherwise they
+    are the packed ints of gradedmat.pack with N = 2^bits, and the result
+    is pack(lhs, bits, 4 lo - 4), where lo <= 0 is at most the lowest
+    exponent of s in every qh[a] and sigma_ba: sigma~ comes out at shift
+    2 lo as a product of factors packed at lo, q - q^-1 is packed at -2
+    and the q^(h) factors at 2 lo - 2, so every term of a block has shift
+    4 lo - 4.  That is where R13 R12 comes out for R packed at 2 lo - 2.
     """
-    rep = sigma.rep
     alg = sigma.algebra
-    w = alg.weights
-    ident = GradedMatrix.identity(rep.gradings)
-    total = graded_kron(sigma.sigma[(b, a)], ident)
-    total = total + graded_kron(rep.qh_diag(w[b] - w[a], 1), sigma.sigma[(b, a)])
-    qq = q_minus_qinv()
-    for c in range(b + 1, a):
-        sign = -1 if alg.gradings[c] % 2 else 1
-        left = rep.qh_diag(w[c] - w[a], 1) @ sigma.sigma[(b, c)]
-        total = total + graded_kron(left, sigma.sigma[(c, a)]).scale(qq * sign)
-    return total
+    g, pairs = alg.gradings, alg.extended_pairs()
+    if bits is None:
+        tilde = {(b, a): qh[a] @ sigma.sigma[(b, a)] for (b, a) in pairs}
+        qq, hq = q_minus_qinv(), qh
+    else:
+        ph = [pack(m, bits, lo) for m in qh]
+        tilde = {(b, a): ph[a] @ pack(sigma.sigma[(b, a)], bits, lo) for (b, a) in pairs}
+        qq = (1 << 4 * bits) - 1  # q - q^-1 = s^2 - s^-2 at shift -2: N^4 - 1
+        hq = [pack(m, bits, 2 * lo - 2) for m in qh]
+    qq_tilde = {(c, a): t.scale(-qq if g[c] % 2 else qq) for (c, a), t in tilde.items()}
+    blocks = [(a, a, graded_kron(h, h)) for a, h in enumerate(hq)]
+    for (b, a) in pairs:
+        t = tilde[(b, a)]
+        total = graded_kron(t, hq[a]) + graded_kron(hq[b], t)
+        for c in range(b + 1, a):
+            total = total + graded_kron(tilde[(b, c)], qq_tilde[(c, a)])
+        blocks.append((a, b, total.scale(-qq if g[b] % 2 else qq)))
+    gv = sigma.rep.gradings
+    return kron_blocks(g, kron_gradings(gv, gv), blocks)
 
 
 def check_delta_property(sigma: SigmaSet, r: RTensor) -> CheckReport:
     """(id (x) Delta) R = R13 R12 with Delta(sigma_ba) from the displayed
-    coproduct formula; a single exact identity on V (x) V (x) V.
+    coproduct formula (see delta_lhs); a single exact identity on
+    V (x) V (x) V.
 
     `r` is the R-matrix under test, normally the one assembled from `sigma`.
     """
     suite = _Suite("delta_property")
-    rep = sigma.rep
-    alg = sigma.algebra
-    gv = rep.gradings
-    qq = q_minus_qinv()
-
-    hh = [graded_kron(qh, qh) for qh in qh_eps(rep)]
-    blocks = [(a, a, hh[a]) for a in range(alg.dim)]
-    for (b, a) in alg.extended_pairs():
-        mat = hh[a] @ _delta_sigma(sigma, b, a)
-        if not mat.is_zero():
-            sign = -1 if alg.gradings[b] % 2 else 1
-            blocks.append((a, b, mat.scale(qq * sign)))
-    lhs = kron_blocks(alg.gradings, kron_gradings(gv, gv), blocks)
+    gv = sigma.rep.gradings
+    qh = qh_eps(sigma.rep)
 
     def r13_r12(m: GradedMatrix) -> GradedMatrix:
         return embed_triple(m, "13", gv, gv, gv) @ embed_triple(m, "12", gv, gv, gv)
 
     def packed():
-        sl, sr = pack_stats(lhs), pack_stats(r.matrix)
-        if sl is None or sr is None:
+        sr, sh = pack_stats(r.matrix), [pack_stats(m) for m in qh]
+        ss = [pack_stats(m) for m in sigma.sigma.values()]
+        if sr is None or any(st is None for st in sh + ss):
             return None
-        bits = packing_bits([sl], [sr, sr])
-        # lhs packed at 2 half and R at half: both sides carry N^(-2 half),
-        # and half is at most R's lowest exponent and half of lhs's
-        half = min(sl.lo, 2 * sr.lo) // 2
-        return pack(lhs, bits, 2 * half), r13_r12(pack(r.matrix, bits, half))
+        # q^(h) entries are q^t with coefficient 1, so sigma~ has sigma's norms
+        norm = max((st.norm for st in ss), default=0)
+        bound = PackStats(lo=0, norm=delta_lhs_bound(norm, sigma.algebra.dim), row=1)
+        bits = packing_bits([bound], [sr, sr])
+        # the left side comes out at shift 4 lo - 4, so R is packed at 2 lo - 2
+        lo = min(0, (sr.lo + 2) // 2, *(st.lo for st in sh + ss))
+        return delta_lhs(sigma, qh, bits, lo), r13_r12(pack(r.matrix, bits, 2 * lo - 2))
 
     suite.expect_products(
-        "(id (x) Delta) R = R13 R12", lambda: (lhs, r13_r12(r.matrix)), packed
+        "(id (x) Delta) R = R13 R12",
+        lambda: (delta_lhs(sigma, qh), r13_r12(r.matrix)),
+        packed,
     )
     return suite.report()
 

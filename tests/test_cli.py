@@ -1,9 +1,14 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import laxforge
 from laxforge.cli import main
 
 
@@ -383,3 +388,35 @@ def test_internal_assertion_has_its_own_exit_code(monkeypatch, capsys):
         "internal error: braced factor does not reproduce the constant R-matrix\n"
     )
     assert captured.out == ""
+
+
+def test_parser_reused_across_calls_matches_fresh_processes(monkeypatch, capsys):
+    # main keeps one parser per process; consecutive calls, with an
+    # argparse usage error between them, print what fresh processes print
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage to the terminal
+    src = str(Path(laxforge.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    calls = [
+        ["verify", "--m", "3", "--n", "2", "--suite", "ybe", "--suite", "delta"],
+        ["verify", "--m", "3", "--suite", "qcom"],  # no --n: a usage error
+        ["verify", "--m", "3", "--n", "0", "--suite", "qcom", "--format", "text"],
+        ["verify", "--m", "3", "--n", "0", "--suite", "nonsense"],
+        ["verify", "--m", "4", "--n", "0", "--suite", "all", "--format", "text"],
+    ]
+    codes = []
+    for args in calls:
+        try:
+            code = main(args)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        fresh = subprocess.run(
+            [sys.executable, "-m", "laxforge.cli", *args],
+            capture_output=True, text=True, env=env,
+        )
+        assert (code, captured.out, captured.err) == (
+            fresh.returncode, fresh.stdout, fresh.stderr
+        )
+        codes.append(code)
+    assert codes == [0, 2, 0, 2, 0]

@@ -19,6 +19,7 @@ from laxforge.gradedmat import (
     graded_dagger,
     graded_kron,
     graded_permutation,
+    kron_blocks,
     load_representation,
     pack,
     pack_stats,
@@ -241,6 +242,46 @@ def test_matrix_algebra_on_scalar_entries():
     assert graded_kron(x, y).entries[(1, 2)] == -6
     assert x == GradedMatrix(G2, {(0, 1): LaurentPoly.const(3),
                                   (1, 1): LaurentPoly.const(Fraction(1, 2))})
+
+
+# entries of each exact type on a grading with odd positions, so that the
+# Koszul signs of kron_blocks are exercised
+G4 = (0, 1, 1, 0)
+TYPED_ENTRIES = {
+    int: {(0, 1): 3, (2, 1): -2, (3, 3): 5, (1, 2): 1},
+    Fraction: {(0, 1): Fraction(3, 2), (2, 1): Fraction(-2, 5), (3, 3): Fraction(5, 7)},
+    LaurentPoly: {(0, 1): LaurentPoly({-1: 2, 3: -1}), (2, 1): LaurentPoly.const(4),
+                  (3, 3): LaurentPoly.s_power(2, -3)},
+}
+
+
+@pytest.mark.parametrize("kind", list(TYPED_ENTRIES))
+@pytest.mark.parametrize("c", [-3, 1, Fraction(2, 3)])
+def test_scale_keeps_the_entry_type(kind, c):
+    m = GradedMatrix(G4, TYPED_ENTRIES[kind])
+    scaled = m.scale(c)
+    want = Fraction if kind is int and type(c) is Fraction else kind
+    assert all(type(v) is want for v in scaled.entries.values())
+    # the same values as scaling the Laurent-polynomial form of m
+    as_poly = GradedMatrix(G4, {k: v * LaurentPoly.one() for k, v in m.entries.items()})
+    assert scaled == as_poly.scale(LaurentPoly.const(c))
+    assert m.scale(0).is_zero()
+
+
+@pytest.mark.parametrize("kind", list(TYPED_ENTRIES))
+def test_kron_blocks_keeps_the_entry_type(kind):
+    m = GradedMatrix(G4, TYPED_ENTRIES[kind])
+    gv = (1, 0, 1)
+    blocks = [(0, 0, m), (0, 2, m.scale(-1)), (1, 0, m), (2, 1, m), (2, 2, m.scale(2))]
+    out = kron_blocks(gv, G4, blocks)
+    assert all(type(v) is kind for v in out.entries.values())
+    reference = GradedMatrix.zeros(out.gradings)
+    for a, b, block in blocks:
+        reference = reference + graded_kron(GradedMatrix.elementary(a, b, gv), block)
+    assert out == reference
+    # the odd first-slot columns 0 and 2 flip the odd entries of their block
+    assert out.entries[(1 * 4 + 0, 0 * 4 + 1)] == -m.entries[(0, 1)]
+    assert out.entries[(2 * 4 + 3, 1 * 4 + 3)] == m.entries[(3, 3)]
 
 
 # -- Kronecker packing ----------------------------------------------------------

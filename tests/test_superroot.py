@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -5,6 +6,7 @@ import pytest
 from laxforge.superroot import (
     AlgebraError,
     Weight,
+    _check_invariants,
     bilinear,
     build_algebra,
 )
@@ -95,3 +97,16 @@ def test_serialization_shape():
 def test_weight_json_round_trip():
     w = Weight((F(1, 2), F(-3)), (F(0),))
     assert Weight.from_json(w.to_json()) == w
+
+
+@pytest.mark.parametrize("mn", [(3, 2), (5, 4)])
+def test_invariants_reject_a_simple_root_that_is_not_positive(mn):
+    # -alpha_s is isotropic and orthogonal to rho like alpha_s, so only the
+    # positivity check can catch it; the message was recorded before the
+    # check compared coordinate tuples
+    alg = build_algebra(*mn)
+    roots = tuple((lab, -w if lab == "s" else w) for lab, w in alg.simple_roots)
+    with pytest.raises(AssertionError) as info:
+        _check_invariants(dataclasses.replace(alg, simple_roots=roots))
+    assert str(info.value) == "alpha_s is not positive in the weight order"
+    _check_invariants(alg)

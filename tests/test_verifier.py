@@ -8,6 +8,8 @@ from laxforge.gradedmat import (
     GradedMatrix,
     build_vector_rep,
     load_representation,
+    pack,
+    pack_stats,
     trivial_rep,
 )
 from laxforge.laxengine import (
@@ -17,6 +19,7 @@ from laxforge.laxengine import (
     extend_sigma,
     init_simple_sigma,
     opposite_R,
+    qh_eps,
 )
 from laxforge.verifier import (
     check_appendix,
@@ -29,6 +32,8 @@ from laxforge.verifier import (
     check_qcom,
     check_qserre,
     check_ybe,
+    delta_lhs,
+    delta_lhs_bound,
 )
 
 
@@ -132,6 +137,35 @@ def test_ybe_and_lax_ybe_multiply_packed_ints(monkeypatch):
     monkeypatch.setattr(LaurentPoly, "__mul__", refuse)
     assert check_ybe(r).status == "pass"
     assert check_lax_ybe(r, r).status == "pass"
+
+
+def test_delta_property_multiplies_packed_ints(monkeypatch):
+    # both sides of the delta identity are built and multiplied on ints
+    _, ss = build(3, 2)
+    r = assemble_R(ss)
+
+    def refuse(self, other):
+        raise AssertionError("a Laurent polynomial was multiplied")
+
+    monkeypatch.setattr(LaurentPoly, "__mul__", refuse)
+    assert check_delta_property(ss, r).status == "pass"
+
+
+@pytest.mark.parametrize(
+    "mn", [(3, 0), (4, 0), (5, 0), (6, 0), (3, 2), (4, 2), (5, 2), (3, 4), (5, 4), (8, 6)]
+)
+def test_packed_delta_lhs_is_the_packed_symbolic_lhs(mn):
+    rep, ss = build(*mn)
+    qh = qh_eps(rep)
+    lhs = delta_lhs(ss, qh)
+    lo = min(0, *(pack_stats(m).lo for m in (*qh, *ss.sigma.values())))
+    # pack is a ring map for any B, so the packed build is exactly pack(lhs)
+    for bits in (3, 12):
+        assert delta_lhs(ss, qh, bits, lo) == pack(lhs, bits, 4 * lo - 4)
+    # the a-priori bound the suite packs with covers the exact largest norm
+    norm = max(pack_stats(m).norm for m in ss.sigma.values())
+    exact = max(sum(map(abs, v.terms.values())) for v in lhs.entries.values())
+    assert delta_lhs_bound(norm, rep.dim) >= exact
 
 
 def test_lax_ybe_rejects_dimension_mismatch():
