@@ -19,6 +19,7 @@ import tempfile
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
+from json.encoder import encode_basestring_ascii as _ascii
 from pathlib import Path
 
 from .qring import PoleError
@@ -70,8 +71,48 @@ class JobConfig:
 # ---------------------------------------------------------------------------
 
 
+# how _json_text writes each scalar type
+_SCALARS = {
+    str: _ascii,
+    int: int.__repr__,
+    bool: lambda x: "true" if x else "false",
+    type(None): lambda x: "null",
+}
+
+
+def _json_text(doc, pad: str = "") -> str:
+    """doc as json.dumps(doc, sort_keys=True, indent=1) writes it, with
+    `pad` the indentation of the line it starts on.  json.dumps takes its
+    pure-Python encoder for any indent; this writer joins each list of
+    scalars in one step and escapes strings with the json module's
+    encode_basestring_ascii.  Only str (also as keys), int, bool, None,
+    list and dict are written; anything else raises TypeError."""
+    kind = type(doc)
+    if kind is list or kind is dict:
+        if not doc:
+            return "[]" if kind is list else "{}"
+        inner = pad + " "
+        sep = ",\n" + inner
+        if kind is dict:
+            if any(type(key) is not str for key in doc):
+                raise TypeError("JSON object keys must be str")
+            body = sep.join([
+                f"{_ascii(key)}: {_json_text(doc[key], inner)}" for key in sorted(doc)
+            ])
+            return f"{{\n{inner}{body}\n{pad}}}"
+        try:
+            body = sep.join([_SCALARS[type(x)](x) for x in doc])
+        except KeyError:  # an item is a container, or not writable
+            body = sep.join([_json_text(x, inner) for x in doc])
+        return f"[\n{inner}{body}\n{pad}]"
+    write = _SCALARS.get(kind)
+    if write is None:
+        raise TypeError(f"cannot write {kind.__name__} as JSON")
+    return write(doc)
+
+
 def _canonical_bytes(doc) -> bytes:
-    return json.dumps(doc, sort_keys=True, indent=1).encode() + b"\n"
+    return _json_text(doc).encode() + b"\n"
 
 
 def _atomic_write(path: Path, data: bytes) -> None:

@@ -12,6 +12,14 @@ Ordinary matrix composition is ungraded.
 `pack` turns a matrix over Z[s, s^-1] into a matrix of ints by Kronecker
 substitution, s = 2^B; `packing_bits` picks a B for which two packed
 products are equal exactly when the Laurent-polynomial products are.
+
+The same substitution packs a row of a matrix on U1 (x) U2 (x) U3 into one
+int.  `weight_lanes` gives each index a block, its total weight, and a lane,
+its position inside that block; `lane_product` returns each row of a product
+as sum_c x_c 2^(B lane(c)).  When every factor keeps each column in its
+row's block, a row of the product lies in one block, where lanes are
+distinct, and `lane_sides` compares two products row by row with B from
+the same `packing_bits`.
 """
 
 from __future__ import annotations
@@ -20,7 +28,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from operator import sub
+from operator import add, sub
 from typing import Mapping
 
 from .qring import LaurentPoly, ONE, ZERO, Scalar, q_int
@@ -300,19 +308,24 @@ class PackStats:
 
 
 def pack_stats(m: GradedMatrix) -> PackStats | None:
-    """The PackStats of a matrix over Z[s, s^-1], or None when some
-    coefficient is not an int, so that `pack` does not apply.  embed_triple
-    only re-indexes and signs entries, so an embedded matrix has the stats
-    of the matrix it embeds."""
+    """The PackStats of a matrix over Z[s, s^-1], or of a matrix of ints
+    (each entry v a constant: lo = 0, norm = |v|); None when some entry or
+    coefficient is not an int, so that neither `pack` nor the lane
+    comparison applies.  embed_triple only re-indexes and signs entries, so
+    an embedded matrix has the stats of the matrix it embeds."""
     values = m.entries.values()
-    if any(type(c) is not int for v in values for c in v.terms.values()):
+    if all(type(v) is int for v in values):
+        lo, norm = 0, max(map(abs, values), default=0)
+    elif all(
+        isinstance(v, LaurentPoly) and all(type(c) is int for c in v.terms.values())
+        for v in values
+    ):
+        lo = min(min(v.terms) for v in values)
+        norm = max(sum(map(abs, v.terms.values())) for v in values)
+    else:
         return None
     rows = Counter(r for r, _ in m.entries)
-    return PackStats(
-        lo=min((min(v.terms) for v in values), default=0),
-        norm=max((sum(map(abs, v.terms.values())) for v in values), default=0),
-        row=max(rows.values(), default=0),
-    )
+    return PackStats(lo=lo, norm=norm, row=max(rows.values(), default=0))
 
 
 def packing_bits(*sides: list[PackStats]) -> int:
@@ -347,6 +360,85 @@ def pack(m: GradedMatrix, bits: int, lo: int) -> GradedMatrix:
     res = GradedMatrix.__new__(GradedMatrix)
     res.gradings, res.dim, res.entries = m.gradings, m.dim, entries
     return res
+
+
+def weight_lanes(
+    c1: list[tuple], c2: list[tuple], c3: list[tuple]
+) -> tuple[list[int], list[int]]:
+    """The block and the lane of each index of U1 (x) U2 (x) U3, from the
+    weight coordinate tuples of the basis of each factor.  The block of
+    (x, y, z) is its total weight c1[x] + c2[y] + c3[z], numbered in order
+    of first appearance; its lane is the number of earlier indices in the
+    same block, so lanes are distinct inside a block and repeat across
+    blocks."""
+    seen: dict[tuple, list[int]] = {}  # total weight -> [block, next lane]
+    blocks, lanes = [], []
+    for x in c1:
+        for y in c2:
+            xy = tuple(map(add, x, y))
+            for z in c3:
+                total = tuple(map(add, xy, z))
+                at = seen.get(total)
+                if at is None:
+                    at = seen[total] = [len(seen), 0]
+                blocks.append(at[0])
+                lanes.append(at[1])
+                at[1] += 1
+    return blocks, lanes
+
+
+def lane_product(factors: list[GradedMatrix], lanes: list[int], bits: int) -> dict:
+    """The nonzero rows of A_1 ... A_t, row r as sum_c x_c 2^(bits lane(c))
+    over its entries x_c.
+
+    Packing a row is linear, so the last factor's rows are packed and each
+    earlier factor A then gives row r as the sum of v row[c] over its
+    nonzeros v = A[r, c].  The entries may be Laurent polynomials as well,
+    but only on ints is this cheap."""
+    *head, last = factors
+    unit = [1 << bits * lane for lane in range(max(lanes, default=-1) + 1)]
+    rows: dict = {}
+    for (r, c), v in last.entries.items():
+        x = v * unit[lanes[c]]
+        acc = rows.get(r)
+        rows[r] = x if acc is None else acc + x
+    for factor in reversed(head):
+        out: dict = {}
+        for (r, c), v in factor.entries.items():
+            x = rows.get(c)
+            if x is not None:
+                acc = out.get(r)
+                out[r] = v * x if acc is None else acc + v * x
+        rows = out
+    return {r: x for r, x in rows.items() if x}
+
+
+def lane_sides(
+    lhs: list[GradedMatrix],
+    rhs: list[GradedMatrix],
+    blocks: list[int],
+    lanes: list[int],
+) -> tuple[dict, dict] | None:
+    """The rows of the products of two factor lists as lane_product gives
+    them, with one lane width from packing_bits for both, or None when the
+    lanes cannot tell the products apart: some entry is not an int (or a
+    Laurent polynomial with int coefficients), or some factor maps a column
+    outside its row's block.
+
+    When every factor keeps blocks, a row of either product lies in its
+    row's block, where lanes are distinct.  The two packed rows then differ
+    by sum_c d_c 2^(bits lane(c)) with every |d_c| below 2^bits, which is 0
+    only when every d_c is: the rows are equal exactly when the products'
+    rows are."""
+    factors = {id(f): f for f in (*lhs, *rhs)}
+    for f in factors.values():
+        if any(blocks[r] != blocks[c] for r, c in f.entries):
+            return None
+    stats = {key: pack_stats(f) for key, f in factors.items()}
+    if None in stats.values():
+        return None
+    bits = packing_bits(*([stats[id(f)] for f in side] for side in (lhs, rhs)))
+    return lane_product(lhs, lanes, bits), lane_product(rhs, lanes, bits)
 
 
 def graded_dagger(x: GradedMatrix) -> GradedMatrix:

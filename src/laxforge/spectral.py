@@ -10,7 +10,10 @@ with D = (z - q^(m-n-2)) for the untwisted family and D = (z + q^(m-n))
 for the twisted one.  r(z) is kept as it is built: the three constant
 matrices P, E and r, each with a z-polynomial weight over the Laurent ring
 in s = q^(1/2), over the one shared denominator (q - q^-1 z) D.  The
-spectral Yang-Baxter equation is verified by exact rational sampling.
+spectral Yang-Baxter equation is verified by exact rational sampling:
+SpectralAtS substitutes s = s0 once and gives r(z0) as ints times one
+constant, and the two triple products are compared row by row, each row
+one int inside its weight block (gradedmat.lane_sides).
 """
 
 from __future__ import annotations
@@ -43,6 +46,8 @@ from .gradedmat import (
     embed_triple,
     graded_permutation,
     kron_blocks,
+    lane_sides,
+    weight_lanes,
 )
 from .laxengine import RTensor, SigmaSet, qh_eps
 from .verifier import CheckReport, _Suite
@@ -181,45 +186,78 @@ class SpectralRMatrix:
 
 
 class SpectralAtS:
-    """A SpectralRMatrix with s = s0 substituted, to be sampled at many z.
+    """A SpectralRMatrix with s = s0 = a/b substituted, to be sampled at many z.
 
-    The denominator, each weight and each distinct entry value of the
-    constant matrices are evaluated at s0 once; an entry at z is then
+    The denominator and each weight are evaluated at s0 once.  With
+    [lo, hi] the range of exponents of s over the entries of all pieces,
+    each distinct entry value v is kept as the int v(s0) b^hi a^-lo (times
+    the lcm of its coefficients' denominators, 1 on every algebra built
+    here), from powers of a and b computed once.  An entry at z is then
     sum_i w_i(z) M_i[entry] / den(z), and entries whose values agree in
     every piece share that sum."""
 
-    __slots__ = ("den", "den_at", "weights_at", "sums", "where")
+    __slots__ = ("den", "den_at", "weights_at", "scale", "sums", "where")
 
     def __init__(self, spec: SpectralRMatrix, s0: Scalar):
         self.den = spec.den
         self.den_at = [c.evaluate(s0) for c in spec.den]
         self.weights_at = [[c.evaluate(s0) for c in w] for w, _ in spec.pieces]
         index: dict[LaurentPoly, int] = {}  # distinct entry value -> position
-        at_s0: list[Fraction] = []
         # entry -> [(piece index, position of its value there)]
         terms: dict[tuple[int, int], list[tuple[int, int]]] = {}
         for i, (_, mat) in enumerate(spec.pieces):
             for key, v in mat.entries.items():
-                j = index.get(v)
-                if j is None:
-                    j = index[v] = len(at_s0)
-                    at_s0.append(v.evaluate(s0))
-                terms.setdefault(key, []).append((i, j))
+                terms.setdefault(key, []).append((i, index.setdefault(v, len(index))))
+        exps = [k for v in index for k in v.terms]
+        lo, hi = min(exps, default=0), max(exps, default=0)
+        coeff_lcm = math.lcm(*(c.denominator for v in index for c in v.terms.values()))
+        s0 = Fraction(_canonical(s0))
+        a, b = s0.numerator, s0.denominator
+        pa, pb = [1], [1]  # a^j and b^j for 0 <= j <= hi - lo
+        for _ in range(hi - lo):
+            pa.append(pa[-1] * a)
+            pb.append(pb[-1] * b)
+        at_s0 = [
+            sum(
+                c.numerator * (coeff_lcm // c.denominator) * pa[k - lo] * pb[hi - k]
+                for k, c in v.terms.items()
+            )
+            for v in index
+        ]
+        # each at_s0 entry is v(s0) times this
+        self.scale = coeff_lcm * Fraction(b) ** hi / Fraction(a) ** lo
         sums: dict[tuple, int] = {}
         self.where = [
             (key, sums.setdefault(tuple(t), len(sums))) for key, t in terms.items()
         ]
         self.sums = [[(i, at_s0[j]) for i, j in t] for t in sums]
 
-    def values(self, z0: Scalar) -> dict[tuple[int, int], Fraction]:
-        """The nonzero entries of r(z0); PoleError if the denominator vanishes."""
+    def int_values(self, z0: Scalar) -> tuple[dict[tuple[int, int], int], Fraction]:
+        """The nonzero entries of r(z0) times one nonzero constant, as ints,
+        and that constant; PoleError if the denominator vanishes.  The
+        weights w_i(z0) are cleared to ints with the lcm of their
+        denominators before the sums, so every sum is over ints."""
         z0 = Fraction(_canonical(z0))
         d = horner(self.den_at, z0)
         if not d:
             raise PoleError(_zstr(self.den))
         w = [horner(coeffs, z0) for coeffs in self.weights_at]
-        vals = [sum(w[i] * x for i, x in t) / d for t in self.sums]
-        return {key: vals[j] for key, j in self.where if vals[j]}
+        lcm = math.lcm(*(x.denominator for x in w))
+        w = [x.numerator * (lcm // x.denominator) for x in w]
+        vals = [sum(w[i] * x for i, x in t) for t in self.sums]
+        # divided by their gcd, the ints are as short as r(z0) allows
+        g = math.gcd(*vals) or 1
+        if g > 1:
+            vals = [x // g for x in vals]
+        ints = {key: vals[j] for key, j in self.where if vals[j]}
+        return ints, lcm * d * self.scale / g
+
+    def values(self, z0: Scalar) -> dict[tuple[int, int], Fraction]:
+        """The nonzero entries of r(z0); PoleError if the denominator vanishes."""
+        ints, scale = self.int_values(z0)
+        # entries share few distinct values, so each is divided once
+        unscaled = {v: v / scale for v in set(ints.values())}
+        return {key: unscaled[v] for key, v in ints.items()}
 
 
 def build_spectral_R(sigma: SigmaSet, r: RTensor, kind: str) -> SpectralRMatrix:
@@ -303,12 +341,6 @@ def _sample_point(rng: random.Random) -> tuple[Fraction, Fraction, Fraction]:
     return s0, small(), small()
 
 
-def _integral(vals: dict[tuple[int, int], Fraction]) -> dict[tuple[int, int], int]:
-    """Sampled entries times the lcm of their denominators: all integers."""
-    lcm = math.lcm(*(v.denominator for v in vals.values()))
-    return {key: v.numerator * (lcm // v.denominator) for key, v in vals.items()}
-
-
 def check_spectral_ybe(
     spec: SpectralRMatrix, samples: int = 20, seed: int = 0
 ) -> CheckReport:
@@ -317,24 +349,35 @@ def check_spectral_ybe(
 
     Each sample substitutes s = s0 into r once and evaluates the result at
     z0, z0 w0 and w0.  Both sides are linear in each of r(z), r(zw) and
-    r(w), so each sampled matrix is scaled by the lcm of its denominators
-    and the products run over plain integers; scaling by nonzero constants
-    keeps the comparison an exact identity test.  A failing sample is
-    recomputed unscaled, so the witness reports the entries of the unscaled
-    products.  Raises SamplingError if 50 * samples draws do not yield
-    enough pole-free points."""
+    r(w), so each sampled matrix is taken as ints times one nonzero
+    constant (SpectralAtS.int_values), and the two products are compared
+    row by row, each row one int in its weight block (gradedmat.lane_sides):
+    r(z) keeps total weight, so every row of either side lies in one block.
+    A failing sample, or a matrix that does not keep weight, is recomputed
+    with `@` on the unscaled values, so the witness reports the entries of
+    the unscaled products.  Raises SamplingError if 50 * samples draws do
+    not yield enough pole-free points."""
     if samples < 1:
         raise ValueError("need at least one sample")
     suite = _Suite(f"spectral_ybe_{spec.kind}")
     rng = random.Random(seed)
     gv = spec.algebra.gradings
+    coords = [w.eps + w.delta for w in spec.algebra.weights]
+    blocks, lanes = weight_lanes(coords, coords, coords)
 
-    def ybe_sides(vz, vzw, vw):
-        r12, r13, r23 = (
+    def embedded(vz, vzw, vw):
+        return [
             embed_triple(GradedMatrix(spec.gradings, vals), slots, gv, gv, gv)
             for vals, slots in ((vz, "12"), (vzw, "13"), (vw, "23"))
-        )
+        ]
+
+    def symbolic(fixed, points):
+        r12, r13, r23 = embedded(*(fixed.values(x) for x in points))
         return r12 @ r13 @ r23, r23 @ r13 @ r12
+
+    def packed(ints):
+        r12, r13, r23 = embedded(*ints)
+        return lane_sides([r12, r13, r23], [r23, r13, r12], blocks, lanes)
 
     done = 0
     attempts = 0
@@ -346,13 +389,15 @@ def check_spectral_ybe(
             )
         s0, z0, w0 = _sample_point(rng)
         fixed = SpectralAtS(spec, s0)
+        points = (z0, z0 * w0, w0)
         try:
-            vz, vzw, vw = fixed.values(z0), fixed.values(z0 * w0), fixed.values(w0)
+            ints = [fixed.int_values(x)[0] for x in points]
         except PoleError:
             continue
-        lhs, rhs = ybe_sides(_integral(vz), _integral(vzw), _integral(vw))
-        if lhs != rhs:
-            lhs, rhs = ybe_sides(vz, vzw, vw)
-        suite.expect_equal(f"spectral YBE at s={s0}, z={z0}, w={w0}", lhs, rhs)
+        suite.expect_products(
+            f"spectral YBE at s={s0}, z={z0}, w={w0}",
+            lambda: symbolic(fixed, points),
+            lambda: packed(ints),
+        )
         done += 1
     return suite.report()

@@ -255,9 +255,13 @@ def build_algebra(m: int, n: int) -> AlgebraData:
 
 
 def _check_invariants(alg: AlgebraData) -> None:
+    """The layout's invariants, with weights compared and paired as
+    coordinate tuples, so that no Weight is built per index."""
+    coords = [w.eps + w.delta for w in alg.weights]
     for p in range(alg.dim):
         assert alg.bar[alg.bar[p]] == p, "bar must be an involution"
-        assert alg.weights[alg.bar[p]] == -alg.weights[p], "weight(bar) = -weight"
+        negated = tuple(-a for a in coords[p])
+        assert coords[alg.bar[p]] == negated, "weight(bar) = -weight"
     # zero weight appears exactly once, for odd m, and is self-barred
     zeros = [p for p, w in enumerate(alg.weights) if w.is_zero()]
     if alg.m % 2 == 1:
@@ -267,14 +271,18 @@ def _check_invariants(alg: AlgebraData) -> None:
     # nonzero weights pairwise distinct
     nz = [(w.eps, w.delta) for w in alg.weights if not w.is_zero()]
     assert len(nz) == len(set(nz)), "nonzero weights must be pairwise distinct"
-    # (rho, alpha) = (alpha, alpha)/2 on every simple root
+    # 2 (rho, alpha) = (alpha, alpha) on every simple root, paired on the
+    # coordinates with 2 rho, integral on every layout built here
+    signs = (1,) * alg.l + (-1,) * alg.k  # (eps_i, eps_i) = 1, (delta, delta) = -1
+
+    def form(x: tuple, y: tuple) -> Scalar:
+        return sum(s * a * b for s, a, b in zip(signs, x, y))
+
+    two_rho = tuple(_canonical(2 * a) for a in alg.rho.eps + alg.rho.delta)
     for lab, alpha in alg.simple_roots:
-        assert bilinear(alg.rho, alpha) == Fraction(bilinear(alpha, alpha), 2), (
-            f"rho pairing fails on alpha_{lab}"
-        )
-    # every simple root is positive: realized as eps_b - eps_a with b above a;
-    # compared as coordinate tuples, so no Weight is built per pair
-    coords = [w.eps + w.delta for w in alg.weights]
+        a = alpha.eps + alpha.delta
+        assert form(two_rho, a) == form(a, a), f"rho pairing fails on alpha_{lab}"
+    # every simple root is positive: realized as eps_b - eps_a with b above a
     positive = {
         tuple(map(sub, coords[b], coords[a])) for (b, a) in alg.extended_pairs()
     }

@@ -7,9 +7,10 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
 import laxforge
-from laxforge.cli import main
+from laxforge.cli import _canonical_bytes, main
 
 
 def run(args):
@@ -420,3 +421,30 @@ def test_parser_reused_across_calls_matches_fresh_processes(monkeypatch, capsys)
         )
         codes.append(code)
     assert codes == [0, 2, 0, 2, 0]
+
+
+# text with non-ASCII and control characters, quotes and backslashes
+json_text = st.text(
+    alphabet=st.characters(max_codepoint=0x2FFF) | st.sampled_from('"\\\x00\x1f\x7f')
+)
+json_docs = st.recursive(
+    st.none() | st.booleans() | st.integers() | json_text,
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(json_text, children, max_size=4),
+    max_leaves=20,
+)
+
+
+@given(json_docs)
+def test_canonical_bytes_match_json_dumps(doc):
+    want = json.dumps(doc, sort_keys=True, indent=1).encode() + b"\n"
+    assert _canonical_bytes(doc) == want
+
+
+@pytest.mark.parametrize("bad", [1.5, Fraction(1, 2), (1, 2)])
+def test_canonical_bytes_refuse_other_types(bad):
+    for doc in (bad, [1, bad], {"a": {"b": bad}}):
+        with pytest.raises(TypeError):
+            _canonical_bytes(doc)
+    with pytest.raises(TypeError):
+        _canonical_bytes({1: "int key"})

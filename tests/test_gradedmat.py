@@ -1,4 +1,5 @@
 import json
+import random
 from fractions import Fraction
 from functools import reduce
 from operator import matmul
@@ -11,6 +12,7 @@ from laxforge.superroot import build_algebra
 from laxforge.laxengine import assemble_R, extend_sigma, init_simple_sigma
 from laxforge.gradedmat import (
     GradedMatrix,
+    PackStats,
     RelationError,
     SchemaError,
     build_vector_rep,
@@ -20,13 +22,17 @@ from laxforge.gradedmat import (
     graded_kron,
     graded_permutation,
     kron_blocks,
+    lane_product,
+    lane_sides,
     load_representation,
     pack,
     pack_stats,
     packing_bits,
     tensor_dagger,
     trivial_rep,
+    weight_lanes,
 )
+from laxforge.verifier import _Suite
 
 G2 = (0, 1)  # one even, one odd position
 
@@ -359,3 +365,101 @@ def test_pack_stats_refuses_fraction_coefficients():
     stats = pack_stats(m)
     assert (stats.lo, stats.norm, stats.row) == (-2, 4, 2)
     assert pack(m, 4, stats.lo).entries == {(0, 1): 3 - (1 << 12), (0, 0): 1 << 8}
+
+
+# -- weight lanes ---------------------------------------------------------------
+
+
+def weight_preserving(rng, ca, cb, ga, gb):
+    """A random int matrix on U_a (x) U_b that keeps total weight, from the
+    weight coordinates and gradings of both factors."""
+    totals = [tuple(map(sum, zip(x, y))) for x in ca for y in cb]
+    entries = {
+        (r, c): rng.randint(-5, 5)
+        for r in range(len(totals))
+        for c in range(len(totals))
+        if totals[r] == totals[c] and rng.random() < 0.6
+    }
+    return GradedMatrix(tuple((p + q) % 2 for p in ga for q in gb), entries)
+
+
+def lane_rows(m, lanes, bits):
+    """The rows of m packed as lane_product packs them, entry by entry."""
+    rows = {}
+    for (r, c), v in m.entries.items():
+        rows[r] = rows.get(r, 0) + (v << bits * lanes[c])
+    return {r: x for r, x in rows.items() if x}
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_lane_product_equals_the_rows_of_the_product(seed):
+    # V (x) V (x) W with V the vector module of osp(3|2) (two odd indices)
+    # and W two-dimensional with an odd index; factors keep total weight
+    rng = random.Random(seed)
+    alg = build_algebra(3, 2)
+    cv = [w.eps + w.delta for w in alg.weights]
+    cw = [cv[0], cv[2]]
+    gv, gw = alg.gradings, (1, 0)
+    a = embed_triple(weight_preserving(rng, cv, cv, gv, gv), "12", gv, gv, gw)
+    b = embed_triple(weight_preserving(rng, cv, cw, gv, gw), "13", gv, gv, gw)
+    c = embed_triple(weight_preserving(rng, cv, cw, gv, gw), "23", gv, gv, gw)
+    blocks, lanes = weight_lanes(cv, cv, cw)
+    assert len(blocks) == len(lanes) == a.dim
+    for block in set(blocks):
+        assert sorted(l for b_, l in zip(blocks, lanes) if b_ == block) == list(
+            range(blocks.count(block))
+        )
+    stats = [pack_stats(m) for m in (a, b, c)]
+    assert all(st.lo == 0 for st in stats)
+    bits = packing_bits(stats, stats[::-1])
+    assert lane_product([a, b, c], lanes, bits) == lane_rows(a @ b @ c, lanes, bits)
+    assert lane_product([c], lanes, bits) == lane_rows(c, lanes, bits)
+    sides = lane_sides([a, b, c], [c, b, a], blocks, lanes)
+    assert (sides[0] == sides[1]) == (a @ b @ c == c @ b @ a)
+    assert lane_sides([a, b, c], [a, b, c], blocks, lanes)[0] == sides[0]
+
+
+def test_pack_stats_of_int_matrices():
+    m = GradedMatrix(G3, {(0, 1): -7, (0, 2): 3, (2, 2): 5})
+    want = PackStats(lo=0, norm=7, row=2)
+    assert pack_stats(m) == pack_stats(m.scale(LaurentPoly.one())) == want
+    assert pack_stats(GradedMatrix(G3, {(0, 1): Fraction(1, 2)})) is None
+
+
+def test_lane_sides_refuse_a_factor_that_crosses_blocks():
+    # index 0 has weight 1 and index 1 weight 0: two blocks, both indices in
+    # lane 0.  Row 0 of `a` reaches both, with entries that cancel once
+    # packed, so without the block check a != 0 would compare equal.
+    blocks, lanes = weight_lanes([(1,), (0,)], [(0,)], [(0,)])
+    assert (blocks, lanes) == ([0, 1], [0, 0])
+    g = (0, 1)
+    a = GradedMatrix(g, {(0, 0): 1, (0, 1): -1})
+    zero = GradedMatrix.zeros(g)
+    assert lane_product([a], lanes, 4) == lane_product([zero], lanes, 4) == {}
+    assert lane_sides([a], [zero], blocks, lanes) is None
+    suite = _Suite("crossing")
+    suite.expect_products(
+        "a = 0",
+        lambda: (a, zero),
+        lambda: lane_sides([a], [zero], blocks, lanes),
+    )
+    report = suite.report()
+    assert report.status == "fail" and report.witness["col"] == 1
+
+
+def test_lane_width_below_packing_bits_collides():
+    # one block of three lanes.  Row 0 is 2^w in lane 0 on the left and 1 in
+    # lane 1 on the right: equal at lane width w.  Row 1 holds 2^(P-2) on
+    # both sides, which raises packing_bits to P.  So for every P and every
+    # width w below it there are sides that only packing_bits tells apart.
+    blocks, lanes = weight_lanes([(0,)] * 3, [(0,)], [(0,)])
+    g = (0, 1, 0)
+    for top in range(2, 14):
+        for w in range(1, top):
+            extra = {(1, 0): 1 << top - 2} if top > w + 1 else {}
+            lhs = GradedMatrix(g, {(0, 0): 1 << w, **extra})
+            rhs = GradedMatrix(g, {(0, 1): 1, **extra})
+            assert packing_bits([pack_stats(lhs)], [pack_stats(rhs)]) == top
+            assert lane_product([lhs], lanes, w) == lane_product([rhs], lanes, w)
+            left, right = lane_sides([lhs], [rhs], blocks, lanes)
+            assert left != right

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from laxforge.qring import LaurentPoly, PoleError, RatFunc, q_power
+from laxforge.qring import LaurentPoly, PoleError, RatFunc, horner, q_power
 from laxforge.superroot import bilinear, build_algebra
 from laxforge.gradedmat import (
     GradedMatrix,
@@ -277,3 +277,76 @@ def test_sampling_reports_pole_exhaustion(monkeypatch):
     )
     with pytest.raises(SamplingError, match="pole-free samples"):
         check_spectral_ybe(Context(3, 0).spectral("untwisted"), samples=2, seed=0)
+
+
+ACCEPTANCE = [(3, 0), (4, 0), (5, 0), (6, 0), (3, 2), (4, 2), (5, 2), (3, 4), (5, 4)]
+
+
+def assert_int_values_scale_values(spec):
+    """int_values and values against each piece evaluated term by term, at
+    s0 < 0 and at s0 = 1/b."""
+    for s0 in (Fraction(-5, 3), Fraction(1, 3), Fraction(-2)):
+        fixed = SpectralAtS(spec, s0)
+        for z0 in (Fraction(-2, 5), Fraction(3)):
+            den = horner([c.evaluate(s0) for c in spec.den], z0)
+            want = {}
+            for weight, mat in spec.pieces:
+                w = horner([c.evaluate(s0) for c in weight], z0)
+                for key, v in mat.entries.items():
+                    want[key] = want.get(key, 0) + w * v.evaluate(s0) / den
+            want = {key: v for key, v in want.items() if v}
+            ints, scale = fixed.int_values(z0)
+            assert scale != 0
+            assert all(type(v) is int for v in ints.values())
+            assert {key: v / scale for key, v in ints.items()} == want
+            assert fixed.values(z0) == want
+
+
+@pytest.mark.parametrize("mn", ACCEPTANCE)
+@pytest.mark.parametrize("kind", ["untwisted", "twisted"])
+def test_int_values_are_values_times_one_constant(mn, kind):
+    assert_int_values_scale_values(Context(*mn).spectral(kind))
+
+
+@pytest.mark.parametrize("mn", [(3, 0), (3, 2)])
+def test_int_values_with_odd_lowest_exponent_and_fraction_coefficients(mn):
+    # every piece built here has even exponents of s and int coefficients;
+    # an extra piece with 2/3 s^-5 on one entry makes the lowest exponent
+    # odd, so the sign of a negative s0 and the coefficient lcm both count
+    spec = Context(*mn).spectral("untwisted")
+    weight, _ = spec.pieces[1]
+    extra = GradedMatrix(
+        spec.gradings, {nonzero_keys(spec)[0]: LaurentPoly({-5: Fraction(2, 3), 1: 1})}
+    )
+    pieces = spec.pieces + ((weight, extra),)
+    assert_int_values_scale_values(
+        SpectralRMatrix(spec.algebra, spec.kind, spec.gradings, spec.den, pieces)
+    )
+
+
+def test_spectral_ybe_runs_no_matrix_product(monkeypatch):
+    specs = [Context(3, 2).spectral(kind) for kind in ("untwisted", "twisted")]
+
+    def refuse(self, other):
+        raise AssertionError("GradedMatrix @ called")
+
+    monkeypatch.setattr(GradedMatrix, "__matmul__", refuse)
+    for spec in specs:
+        report = check_spectral_ybe(spec, samples=5, seed=7)
+        assert (report.status, report.relations_checked) == ("pass", 5)
+
+
+def test_spectral_ybe_fails_on_an_entry_off_its_weight_block():
+    # an extra entry that moves total weight: lanes cannot compare it, so
+    # the sample goes to the products on the unscaled values and fails
+    spec = Context(3, 0).spectral("untwisted")
+    d = spec.algebra.dim
+    key = (0 * d + 0, 0 * d + 1)  # v_1 (x) v_2 -> v_1 (x) v_1
+    assert key not in spec.pieces[0][1].entries
+    weight, _ = spec.pieces[2]
+    extra = GradedMatrix(spec.gradings, {key: LaurentPoly.one()})
+    bad = SpectralRMatrix(
+        spec.algebra, spec.kind, spec.gradings, spec.den, spec.pieces + ((weight, extra),)
+    )
+    report = check_spectral_ybe(bad, samples=2, seed=0)
+    assert report.status == "fail" and report.witness

@@ -110,3 +110,19 @@ def test_invariants_reject_a_simple_root_that_is_not_positive(mn):
         _check_invariants(dataclasses.replace(alg, simple_roots=roots))
     assert str(info.value) == "alpha_s is not positive in the weight order"
     _check_invariants(alg)
+
+
+@pytest.mark.parametrize("mn, first", [((3, 2), "s"), ((5, 4), "s"), ((4, 0), "i1")])
+def test_invariants_reject_a_corrupted_bar_and_rho(mn, first):
+    # the messages were recorded before the checks compared coordinate tuples
+    alg = build_algebra(*mn)
+    w = list(alg.weights)
+    w[0], w[1] = w[1], w[0]
+    shifted = Weight((alg.rho.eps[0] + F(1, 3),) + alg.rho.eps[1:], alg.rho.delta)
+    for bad, message in (
+        (dataclasses.replace(alg, weights=tuple(w)), "weight(bar) = -weight"),
+        (dataclasses.replace(alg, rho=shifted), f"rho pairing fails on alpha_{first}"),
+    ):
+        with pytest.raises(AssertionError) as info:
+            _check_invariants(bad)
+        assert str(info.value) == message
