@@ -28,6 +28,7 @@ from .gradedmat import (
     RelationError,
     SchemaError,
     build_vector_rep,
+    entry_triples,
     load_representation,
     trivial_rep,
 )
@@ -259,11 +260,14 @@ def _rtensor_json(r: RTensor, alg, rep_name: str) -> dict:
         "rep_name": rep_name,
         "kind": r.kind,
         "dims": list(r.dims),
-        "entries": [
-            [row + 1, col + 1, str(v)]
-            for (row, col), v in sorted(r.matrix.entries.items())
-        ],
+        "entries": entry_triples(r.matrix.entries),
     }
+
+
+def _check_generic(s: Fraction) -> None:
+    """The one rule for --s, in eval and in spectral --z."""
+    if abs(s) in (0, 1):
+        raise SchemaError("--s must avoid 0 and +-1 so that q stays generic")
 
 
 def _parse_fraction(text: str) -> Fraction:
@@ -284,30 +288,21 @@ def cmd_generate(cfg: JobConfig) -> int:
     fp = _fingerprint(alg, rep)
     out_dir = Path(cfg.out) if cfg.out else Path(".")
 
+    # file name -> (cache key, the document); each is built only on a miss
     artifacts = {
-        f"sigma_{cfg.m}_{cfg.n}_{rep.name}.json": f"{fp}-sigma",
-        f"r_{rep.name}_{cfg.m}_{cfg.n}.json": f"{fp}-r",
+        f"sigma_{cfg.m}_{cfg.n}_{rep.name}.json": (
+            f"{fp}-sigma", lambda: ctx.sigma.to_json()
+        ),
+        f"r_{rep.name}_{cfg.m}_{cfg.n}.json": (
+            f"{fp}-r", lambda: _rtensor_json(ctx.r, alg, rep.name)
+        ),
     }
     payloads: dict[str, bytes] = {}
-    missing = []
-    for name, key in artifacts.items():
-        cached = _cache_fetch(cfg, key)
-        if cached is None:
-            missing.append(name)
-        else:
-            payloads[name] = cached
-    if missing:
-        fresh = {
-            f"sigma_{cfg.m}_{cfg.n}_{rep.name}.json": _canonical_bytes(
-                ctx.sigma.to_json()
-            ),
-            f"r_{rep.name}_{cfg.m}_{cfg.n}.json": _canonical_bytes(
-                _rtensor_json(ctx.r, alg, rep.name)
-            ),
-        }
-        for name in missing:
-            payloads[name] = fresh[name]
-            _cache_store(cfg, artifacts[name], fresh[name])
+    for name, (key, build) in artifacts.items():
+        payloads[name] = _cache_fetch(cfg, key)
+        if payloads[name] is None:
+            payloads[name] = _canonical_bytes(build())
+            _cache_store(cfg, key, payloads[name])
     for name, data in payloads.items():
         _atomic_write(out_dir / name, data)
         print(out_dir / name)
@@ -361,18 +356,21 @@ def cmd_spectral(cfg: JobConfig) -> int:
             f"spectral builds r(z) on the vector representation only, "
             f"not on --rep {cfg.rep_source}"
         )
-    spec = Context(cfg.m, cfg.n).spectral(cfg.kind)
+    ctx = Context(cfg.m, cfg.n)
+    ctx.alg  # an invalid algebra is reported before an invalid s
+    if cfg.s is not None:
+        if cfg.z is None:
+            raise SchemaError("spectral --s needs --z: it sets s at the point z")
+        _check_generic(cfg.s)
+    spec = ctx.spectral(cfg.kind)
     if cfg.z is not None:
         s0 = cfg.s if cfg.s is not None else Fraction(2)
-        values = SpectralAtS(spec, s0).values(cfg.z)
         doc = {
             "algebra": {"m": cfg.m, "n": cfg.n},
             "kind": cfg.kind,
             "s": str(s0),
             "z": str(cfg.z),
-            "entries": [
-                [r + 1, c + 1, str(v)] for (r, c), v in sorted(values.items())
-            ],
+            "entries": entry_triples(SpectralAtS(spec, s0).values(cfg.z)),
         }
     else:
         doc = spec.to_json()
@@ -385,8 +383,7 @@ def cmd_eval(cfg: JobConfig) -> int:
     ctx.alg  # an invalid algebra is reported before an invalid s
     if cfg.s is None:
         raise SchemaError("eval requires --s")
-    if abs(cfg.s) in (0, 1):
-        raise SchemaError("--s must avoid 0 and +-1 so that q stays generic")
+    _check_generic(cfg.s)
     r = ctx.r
     # s^k for each exponent k of R, computed once rather than once per term
     exponents = {k for v in r.matrix.entries.values() for k in v.terms}
@@ -396,12 +393,10 @@ def cmd_eval(cfg: JobConfig) -> int:
         "rep_name": ctx.rep.name,
         "s": str(cfg.s),
         "dims": list(r.dims),
-        "entries": [
-            [row + 1, col + 1, str(sum(
-                (c * powers[k] for k, c in v.terms.items()), Fraction(0)
-            ))]
-            for (row, col), v in sorted(r.matrix.entries.items())
-        ],
+        "entries": entry_triples({
+            key: sum((c * powers[k] for k, c in v.terms.items()), Fraction(0))
+            for key, v in r.matrix.entries.items()
+        }),
     }
     _emit(cfg, _canonical_bytes(doc))
     return 0
@@ -410,6 +405,9 @@ def cmd_eval(cfg: JobConfig) -> int:
 # ---------------------------------------------------------------------------
 # Argument parsing
 # ---------------------------------------------------------------------------
+
+
+S_HELP = "s = q^(1/2), an exact rational such as 3/2 or -5/3, not 0 or +-1"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -442,13 +440,26 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("spectral", help="build a spectral R-matrix")
     common(s)
     s.add_argument("--kind", choices=KINDS, required=True)
-    s.add_argument("--s", dest="s_value")
-    s.add_argument("--z", dest="z_value")
+    s.add_argument("--s", dest="s_value", help=f"with --z: {S_HELP} (default 2)")
+    s.add_argument("--z", dest="z_value",
+                   help="evaluate r(z) at this exact rational, such as 1/3 or -2/5")
 
     e = sub.add_parser("eval", help="evaluate the constant R-matrix at exact s")
     common(e)
-    e.add_argument("--s", dest="s_value", required=True)
+    e.add_argument("--s", dest="s_value", required=True, help=S_HELP)
     return parser
+
+
+def _attach_negative_values(argv: list[str]) -> list[str]:
+    """argparse reads a value such as -5/3 as an option, so a negative value
+    given after --s or --z is attached to it: --s -5/3 is read as --s=-5/3."""
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1] in ("--s", "--z") and arg[:1] == "-" and arg[1:2].isdigit():
+            out[-1] = f"{out[-1]}={arg}"
+        else:
+            out.append(arg)
+    return out
 
 
 def _config(args: argparse.Namespace) -> JobConfig:
@@ -481,7 +492,8 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = _parser().parse_args(_attach_negative_values(argv))
     commands = {
         "generate": cmd_generate,
         "verify": cmd_verify,

@@ -31,7 +31,7 @@ from functools import cached_property
 from operator import add, sub
 from typing import Mapping
 
-from .qring import LaurentPoly, ONE, ZERO, Scalar, q_int
+from .qring import LaurentPoly, ONE, Scalar, q_int
 from .superroot import AlgebraData, Weight, bilinear
 
 
@@ -71,6 +71,14 @@ class GradedMatrix:
     # -- constructors ---------------------------------------------------
 
     @classmethod
+    def _of(cls, gradings: tuple[int, ...], entries: dict) -> "GradedMatrix":
+        """The matrix with `entries` as given, not copied or checked: every
+        value nonzero and every index inside dim."""
+        res = cls.__new__(cls)
+        res.gradings, res.dim, res.entries = gradings, len(gradings), entries
+        return res
+
+    @classmethod
     def zeros(cls, gradings: tuple[int, ...]) -> "GradedMatrix":
         return cls(gradings)
 
@@ -106,27 +114,19 @@ class GradedMatrix:
                     out[key] = acc
                 else:
                     del out[key]
-        res = GradedMatrix.__new__(GradedMatrix)
-        res.gradings, res.dim, res.entries = self.gradings, self.dim, out
-        return res
+        return self._of(self.gradings, out)
 
     def __sub__(self, other: "GradedMatrix") -> "GradedMatrix":
         return self + (-other)
 
     def __neg__(self) -> "GradedMatrix":
-        res = GradedMatrix.__new__(GradedMatrix)
-        res.gradings, res.dim = self.gradings, self.dim
-        res.entries = {k: -v for k, v in self.entries.items()}
-        return res
+        return self._of(self.gradings, {k: -v for k, v in self.entries.items()})
 
     def scale(self, c: LaurentPoly | Scalar) -> "GradedMatrix":
         """c times every entry; int entries scaled by an int stay ints."""
         if not c:
             return GradedMatrix.zeros(self.gradings)
-        res = GradedMatrix.__new__(GradedMatrix)
-        res.gradings, res.dim = self.gradings, self.dim
-        res.entries = {k: v * c for k, v in self.entries.items()}
-        return res
+        return self._of(self.gradings, {k: v * c for k, v in self.entries.items()})
 
     def __matmul__(self, other: "GradedMatrix") -> "GradedMatrix":
         self._same_space(other)
@@ -143,9 +143,7 @@ class GradedMatrix:
                     out[key] = val
                 elif acc is not None:
                     del out[key]
-        res = GradedMatrix.__new__(GradedMatrix)
-        res.gradings, res.dim, res.entries = self.gradings, self.dim, out
-        return res
+        return self._of(self.gradings, out)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, GradedMatrix):
@@ -211,10 +209,7 @@ def graded_kron(a: GradedMatrix, b: GradedMatrix) -> GradedMatrix:
             sign = -1 if ((gb[r2] + gb[c2]) * gc1) % 2 else 1
             v = va * vb if sign > 0 else -(va * vb)
             entries[(r1 * db + r2, c1 * db + c2)] = v
-    gradings = kron_gradings(ga, gb)
-    res = GradedMatrix.__new__(GradedMatrix)
-    res.gradings, res.dim, res.entries = gradings, len(gradings), entries
-    return res
+    return GradedMatrix._of(kron_gradings(ga, gb), entries)
 
 
 def kron_blocks(
@@ -234,10 +229,7 @@ def kron_blocks(
         ra, cb, odd = a * dw, b * dw, gv[b] % 2
         for (r, c), v in m.entries.items():
             entries[(ra + r, cb + c)] = -v if odd and (gw[r] + gw[c]) % 2 else v
-    gradings = kron_gradings(gv, gw)
-    res = GradedMatrix.__new__(GradedMatrix)
-    res.gradings, res.dim, res.entries = gradings, len(gradings), entries
-    return res
+    return GradedMatrix._of(kron_gradings(gv, gw), entries)
 
 
 def graded_permutation(gradings: tuple[int, ...]) -> GradedMatrix:
@@ -292,10 +284,7 @@ def embed_triple(
             block = d2 * d3
             for k, gk in enumerate(g1):
                 entries[(k * block + r, k * block + c)] = -v if odd and gk else v
-    gradings = kron_gradings(kron_gradings(g1, g2), g3)
-    res = GradedMatrix.__new__(GradedMatrix)
-    res.gradings, res.dim, res.entries = gradings, len(gradings), entries
-    return res
+    return GradedMatrix._of(kron_gradings(kron_gradings(g1, g2), g3), entries)
 
 
 @dataclass(frozen=True)
@@ -348,18 +337,19 @@ def packing_bits(*sides: list[PackStats]) -> int:
     return max(1, total.bit_length())
 
 
+def pack_entry(p: LaurentPoly, bits: int, lo: int) -> int:
+    """p over Z[s, s^-1] as the int p(N) N^-lo = sum_k c_k 2^(bits (k - lo)),
+    with N = 2^bits and lo at most the lowest exponent of s in p."""
+    return sum(c << bits * (k - lo) for k, c in p.terms.items())
+
+
 def pack(m: GradedMatrix, bits: int, lo: int) -> GradedMatrix:
-    """m over Z[s, s^-1] as a matrix of ints: each entry p becomes
-    p(N) N^-lo = sum_k c_k 2^(bits (k - lo)), with N = 2^bits and lo at most
-    the lowest exponent of s in m.  A product of packed factors is the
-    packed product, with the factors' lo summed."""
-    entries = {
-        key: sum(c << bits * (k - lo) for k, c in v.terms.items())
-        for key, v in m.entries.items()
-    }
-    res = GradedMatrix.__new__(GradedMatrix)
-    res.gradings, res.dim, res.entries = m.gradings, m.dim, entries
-    return res
+    """m over Z[s, s^-1] as a matrix of ints, each entry packed by
+    pack_entry with lo at most the lowest exponent of s in m.  A product of
+    packed factors is the packed product, with the factors' lo summed."""
+    return GradedMatrix._of(
+        m.gradings, {key: pack_entry(v, bits, lo) for key, v in m.entries.items()}
+    )
 
 
 def weight_lanes(
@@ -524,20 +514,22 @@ class Representation:
         return self.e[label] @ self.qh_diag(self.algebra.root(label), Fraction(1, 2))
 
     def to_json(self) -> dict:
-        def mat_entries(mat: GradedMatrix) -> list:
-            return [
-                [r + 1, c + 1, str(v)] for (r, c), v in sorted(mat.entries.items())
-            ]
-
         return {
             "algebra": {"m": self.algebra.m, "n": self.algebra.n},
             "name": self.name,
             "dim": self.dim,
             "gradings": list(self.gradings),
             "weights": [w.to_json() for w in self.weights],
-            "e": {lab: mat_entries(m) for lab, m in self.e.items()},
-            "f": {lab: mat_entries(m) for lab, m in self.f.items()},
+            "e": {lab: entry_triples(m.entries) for lab, m in self.e.items()},
+            "f": {lab: entry_triples(m.entries) for lab, m in self.f.items()},
         }
+
+
+def entry_triples(entries: Mapping[tuple[int, int], object]) -> list:
+    """Sparse entries as the 1-based [row, col, str(value)] triples, in
+    index order, that every JSON document writes; matrix_from_entries reads
+    them back."""
+    return [[r + 1, c + 1, str(v)] for (r, c), v in sorted(entries.items())]
 
 
 def matrix_from_entries(entries: list, gradings: tuple[int, ...]) -> GradedMatrix:
@@ -604,50 +596,36 @@ def check_representation(rep: Representation) -> None:
                 raise RelationError(f"[f_{lab_a}, f_{lab_a}] = 0 fails")
 
 
-def pi_sigma(alg: AlgebraData, a: int, b: int) -> GradedMatrix:
-    """Vector representation of the Cartan-Weyl generator with upper index a,
-    lower index b (0-based positions):
+def pi_sigma(
+    alg: AlgebraData, a: int, b: int, lead: LaurentPoly = ONE, tail: LaurentPoly = ONE
+) -> GradedMatrix:
+    """The two-entry matrix of sigma shape on V, upper index a, lower index
+    b (0-based positions):
 
-        E^a_b - (-1)^([a]([a]+[b])) xi_a xi_b E^bar(b)_bar(a)
+        lead E^a_b - (-1)^([a]([a]+[b])) xi_a xi_b tail E^bar(b)_bar(a)
+
+    With lead = tail = 1 it is the vector representation of the Cartan-Weyl
+    generator; the closed-form sigma_ba and the opposite R's sigma~_ab are
+    this shape with q-power coefficients.  The entries are summed, so they
+    merge when the two positions coincide.
     """
     g = alg.gradings
     sign = -1 if (g[a] * (g[a] + g[b])) % 2 else 1
-    coeff = -sign * alg.xi[a] * alg.xi[b]
-    entries = {(a, b): ONE}
-    key = (alg.bar[b], alg.bar[a])
-    prev = entries.get(key, ZERO)
-    val = prev + LaurentPoly.const(coeff)
-    if val:
-        entries[key] = val
-    elif key in entries:
-        del entries[key]
-    return GradedMatrix(g, entries)
+    coeff = tail * (-sign * alg.xi[a] * alg.xi[b])
+    return GradedMatrix(g, {(a, b): lead}) + GradedMatrix(
+        g, {(alg.bar[b], alg.bar[a]): coeff}
+    )
 
 
 def build_vector_rep(alg: AlgebraData) -> Representation:
     """The undeformed vector representation, with relations asserted."""
     e: dict[str, GradedMatrix] = {}
     f: dict[str, GradedMatrix] = {}
-    pe, po = alg.pos_even, alg.pos_odd
-    for lab, _ in alg.simple_roots:
-        if lab.startswith("i"):
-            i = int(lab[1:])
-            e[lab] = pi_sigma(alg, pe(i), pe(i + 1))
-            f[lab] = pi_sigma(alg, pe(i + 1), pe(i))
-        elif lab.startswith("mu"):
-            mu = int(lab[2:])
-            e[lab] = pi_sigma(alg, po(mu), po(mu + 1))
-            f[lab] = -pi_sigma(alg, po(mu + 1), po(mu))
-        elif lab == "s":
-            e[lab] = pi_sigma(alg, po(alg.k), pe(1))
-            f[lab] = -pi_sigma(alg, pe(1), po(alg.k))
-        elif lab == "l":
-            if alg.m == 2 * alg.l:
-                e[lab] = pi_sigma(alg, pe(alg.l - 1), alg.bar[pe(alg.l)])
-                f[lab] = pi_sigma(alg, alg.bar[pe(alg.l)], pe(alg.l - 1))
-            else:
-                e[lab] = pi_sigma(alg, pe(alg.l), pe(alg.l + 1))
-                f[lab] = pi_sigma(alg, pe(alg.l + 1), pe(alg.l))
+    for lab in alg.root_labels():
+        # e = pi(sigma_(b,a)) and f = (-1)^[b] pi(sigma_(a,b))
+        b, a = alg.simple_pair(lab)
+        e[lab] = pi_sigma(alg, b, a)
+        f[lab] = -pi_sigma(alg, a, b) if alg.gradings[b] else pi_sigma(alg, a, b)
     rep = Representation(
         algebra=alg,
         name="vector",

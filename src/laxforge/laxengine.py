@@ -17,10 +17,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
-from .qring import LaurentPoly, q_minus_qinv, q_power
+from .qring import q_minus_qinv, q_power
 from .superroot import AlgebraData, Weight, bilinear
-from .gradedmat import GradedMatrix, Representation, kron_blocks
+from .gradedmat import (
+    GradedMatrix,
+    Representation,
+    build_vector_rep,
+    entry_triples,
+    kron_blocks,
+    pi_sigma,
+)
 
 HALF = Fraction(1, 2)
 
@@ -41,16 +49,16 @@ class SigmaSet:
     def algebra(self) -> AlgebraData:
         return self.rep.algebra
 
-    def pair_weight(self, b: int, a: int) -> Weight:
-        alg = self.algebra
-        return alg.weights[b] - alg.weights[a]
-
-    def pair_parity(self, b: int, a: int) -> int:
-        alg = self.algebra
-        return (alg.gradings[a] + alg.gradings[b]) % 2
-
     def is_complete(self) -> bool:
         return set(self.sigma) == set(self.algebra.extended_pairs())
+
+    @cached_property
+    def tilde(self) -> dict[tuple[int, int], GradedMatrix]:
+        """sigma~_ba = q^(h_eps_a) sigma_ba for every extended pair, built
+        once per complete set: R's off-diagonal blocks, the spectral braced
+        factor and the delta suite's coproduct are all made of them."""
+        qh, pairs = qh_eps(self.rep), self.algebra.extended_pairs()
+        return {(b, a): qh[a] @ self.sigma[(b, a)] for (b, a) in pairs}
 
     def to_json(self) -> dict:
         alg = self.algebra
@@ -63,10 +71,7 @@ class SigmaSet:
             "rep_name": self.rep.name,
             "entries": {
                 key(p): {
-                    "matrix": [
-                        [r + 1, c + 1, str(v)]
-                        for (r, c), v in sorted(self.sigma[p].entries.items())
-                    ],
+                    "matrix": entry_triples(self.sigma[p].entries),
                     "provenance": self.provenance[p],
                 }
                 for p in sorted(self.sigma)
@@ -110,42 +115,33 @@ def induction_step(
 
 
 def init_simple_sigma(rep: Representation) -> SigmaSet:
-    """Seed the simple pairs from the raising generators (Table-1 pattern)."""
-    alg = rep.algebra
+    """Seed each simple pair (b, a) and its mirror (bar(a), bar(b)) from
+    the raising generator E = e q^(h/2) of its root (Table-1 pattern):
+    sigma_ba = q^t E and sigma_bar(a)bar(b) = c sigma_ba, with
+
+        i and even-m l: t = 1/2, c = -1;   odd-m l: t = 0, c = -q^(1/2);
+        mu: t = -1/2, c = 1;               s: t = 1/2, c = (-1)^k q^-1.
+
+    For even m the pair (i_l, bar(i_l)) is zero."""
+    alg, bar = rep.algebra, rep.algebra.bar
     sigma: dict[tuple[int, int], GradedMatrix] = {}
-    prov: dict[tuple[int, int], str] = {}
-    pe, po, bar = alg.pos_even, alg.pos_odd, alg.bar
-
-    def seed(pair: tuple[int, int], mat: GradedMatrix) -> None:
-        sigma[pair] = mat
-        prov[pair] = "simple"
-
-    def big_e(label: str, prefactor: Fraction) -> GradedMatrix:
-        return rep.big_e(label).scale(q_power(prefactor))
-
-    for i in range(1, alg.l):
-        val = big_e(f"i{i}", HALF)  # q^(1/2) e_i q^(h_i/2)
-        seed((pe(i), pe(i + 1)), val)
-        seed((bar[pe(i + 1)], bar[pe(i)]), -val)
+    for label in alg.root_labels():
+        if label == "s":
+            prefactor, mirror = HALF, q_power(-1) * (-1) ** alg.k
+        elif label.startswith("mu"):
+            prefactor, mirror = -HALF, 1
+        elif label == "l" and alg.m % 2:
+            prefactor, mirror = Fraction(0), -q_power(HALF)
+        else:
+            prefactor, mirror = HALF, -1
+        b, a = alg.simple_pair(label)
+        val = rep.big_e(label).scale(q_power(prefactor))
+        sigma[(b, a)], sigma[(bar[a], bar[b])] = val, val.scale(mirror)
+    prov = dict.fromkeys(sigma, "simple")
     if alg.m == 2 * alg.l:
-        val = big_e("l", HALF)
-        seed((pe(alg.l - 1), bar[pe(alg.l)]), val)
-        seed((pe(alg.l), bar[pe(alg.l - 1)]), -val)
-        sigma[(pe(alg.l), bar[pe(alg.l)])] = GradedMatrix.zeros(rep.gradings)
-        prov[(pe(alg.l), bar[pe(alg.l)])] = "forced_zero"
-    else:
-        val = big_e("l", Fraction(0))  # e_l q^(h_l/2), no prefactor
-        seed((pe(alg.l), pe(alg.l + 1)), val)
-        seed((pe(alg.l + 1), bar[pe(alg.l)]), val.scale(q_power(HALF)).scale(-1))
-    for mu in range(1, alg.k):
-        val = big_e(f"mu{mu}", -HALF)  # q^(-1/2) e_mu q^(h_mu/2)
-        seed((po(mu), po(mu + 1)), val)
-        seed((bar[po(mu + 1)], bar[po(mu)]), val)
-    if alg.n > 0:
-        val = big_e("s", HALF)
-        seed((po(alg.k), pe(1)), val)
-        factor = q_power(-1) * ((-1) ** alg.k)
-        seed((bar[pe(1)], bar[po(alg.k)]), val.scale(factor))
+        _, a = alg.simple_pair("l")
+        sigma[(bar[a], a)] = GradedMatrix.zeros(rep.gradings)
+        prov[(bar[a], a)] = "forced_zero"
     return SigmaSet(rep=rep, sigma=sigma, provenance=prov)
 
 
@@ -175,8 +171,9 @@ def extend_sigma(partial: SigmaSet) -> SigmaSet:
 
 
 def _check_weight_homogeneity(ss: SigmaSet) -> None:
+    w = ss.algebra.weights
     for (b, a), mat in ss.sigma.items():
-        bad = ss.rep.off_weight_entry(mat, ss.pair_weight(b, a))
+        bad = ss.rep.off_weight_entry(mat, w[b] - w[a])
         if bad is not None:
             r, c = bad
             raise AssertionError(
@@ -192,29 +189,17 @@ def closed_form_sigma(alg: AlgebraData) -> SigmaSet:
                    - (-1)^([b]([a]+[b])) xi_a xi_b q^(eps_a,eps_a)
                      q^(rho, eps_a - eps_b) E^bar(a)_bar(b)
     """
-    from .gradedmat import build_vector_rep
-
-    rep = build_vector_rep(alg)
-    g, w, xi, bar = alg.gradings, alg.weights, alg.xi, alg.bar
-    sigma: dict[tuple[int, int], GradedMatrix] = {}
-    prov: dict[tuple[int, int], str] = {}
-    for (b, a) in alg.extended_pairs():
-        entries: dict[tuple[int, int], LaurentPoly] = {}
-        lead = q_power(-bilinear(w[a], w[b]))
-        entries[(b, a)] = lead
-        sign = -1 if (g[b] * (g[a] + g[b])) % 2 else 1
-        coeff = q_power(
-            bilinear(w[a], w[a]) + bilinear(alg.rho, w[a] - w[b])
-        ) * (-sign * xi[a] * xi[b])
-        key = (bar[a], bar[b])
-        acc = entries.get(key, LaurentPoly.zero()) + coeff
-        if acc:
-            entries[key] = acc
-        elif key in entries:
-            del entries[key]
-        sigma[(b, a)] = GradedMatrix(alg.gradings, entries)
-        prov[(b, a)] = "closed_form"
-    out = SigmaSet(rep=rep, sigma=sigma, provenance=prov)
+    w = alg.weights
+    sigma = {
+        (b, a): pi_sigma(
+            alg, b, a,
+            lead=q_power(-bilinear(w[a], w[b])),
+            tail=q_power(bilinear(w[a], w[a]) + bilinear(alg.rho, w[a] - w[b])),
+        )
+        for (b, a) in alg.extended_pairs()
+    }
+    prov = dict.fromkeys(sigma, "closed_form")
+    out = SigmaSet(rep=build_vector_rep(alg), sigma=sigma, provenance=prov)
     _check_weight_homogeneity(out)
     return out
 
@@ -234,11 +219,9 @@ def assemble_R(sigma: SigmaSet) -> RTensor:
         raise ValueError("incomplete sigma set")
     alg = sigma.algebra
     gv = alg.gradings
-    qh = qh_eps(sigma.rep)
-    blocks = [(a, a, qh[a]) for a in range(alg.dim)]
+    blocks = [(a, a, qh) for a, qh in enumerate(qh_eps(sigma.rep))]
     qq = q_minus_qinv()
-    for (b, a) in alg.extended_pairs():
-        mat = qh[a] @ sigma.sigma[(b, a)]
+    for (b, a), mat in sigma.tilde.items():
         if not mat.is_zero():
             sign = -1 if gv[b] % 2 else 1
             blocks.append((a, b, mat.scale(qq * sign)))
@@ -286,22 +269,13 @@ def opposite_R(sigma: SigmaSet) -> RTensor:
     if sigma.rep.name != "vector":
         raise ValueError("opposite_R is defined on the vector representation")
     alg = sigma.algebra
-    g, w, xi, bar, gv = alg.gradings, alg.weights, alg.xi, alg.bar, alg.gradings
+    w, gv = alg.weights, alg.gradings
     # sum_b q^(eps_a,eps_b) E^b_b is q^(h_eps_a) on V
     blocks = [(a, a, qh) for a, qh in enumerate(qh_eps(sigma.rep))]
     qq = q_minus_qinv()
     for (b, a) in alg.extended_pairs():
-        entries: dict[tuple[int, int], LaurentPoly] = {(a, b): LaurentPoly.one()}
-        sign = -1 if (g[a] * (g[a] + g[b])) % 2 else 1
-        coeff = q_power(bilinear(alg.rho, w[a] - w[b])) * (-sign * xi[a] * xi[b])
-        key = (bar[b], bar[a])
-        acc = entries.get(key, LaurentPoly.zero()) + coeff
-        if acc:
-            entries[key] = acc
-        elif key in entries:
-            del entries[key]
-        tilde_ab = GradedMatrix(gv, entries)
-        outer = -1 if g[a] % 2 else 1
+        tilde_ab = pi_sigma(alg, a, b, tail=q_power(bilinear(alg.rho, w[a] - w[b])))
+        outer = -1 if gv[a] % 2 else 1
         blocks.append((b, a, tilde_ab.scale(qq * outer)))
     return RTensor(
         dims=(alg.dim, alg.dim),

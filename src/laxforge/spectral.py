@@ -49,7 +49,7 @@ from .gradedmat import (
     lane_sides,
     weight_lanes,
 )
-from .laxengine import RTensor, SigmaSet, qh_eps
+from .laxengine import RTensor, SigmaSet
 from .verifier import CheckReport, _Suite
 
 
@@ -67,17 +67,11 @@ def sigma_hat_diag(alg: AlgebraData) -> list[GradedMatrix]:
 
     For the self-barred zero-weight index the two terms cancel exactly.
     """
-    out = []
+    g, bar, out = alg.gradings, alg.bar, []
     for a in range(alg.dim):
         half_norm = Fraction(bilinear(alg.weights[a], alg.weights[a]), 2)
-        entries = {(a, a): q_power(half_norm)}
-        key = (alg.bar[a], alg.bar[a])
-        acc = entries.get(key, ZERO) - q_power(-half_norm)
-        if acc:
-            entries[key] = acc
-        elif key in entries:
-            del entries[key]
-        out.append(GradedMatrix(alg.gradings, entries))
+        lead = GradedMatrix(g, {(a, a): q_power(half_norm)})
+        out.append(lead + GradedMatrix(g, {(bar[a], bar[a]): -q_power(-half_norm)}))
     return out
 
 
@@ -115,10 +109,8 @@ def braces_matrix(alg: AlgebraData, sigma: SigmaSet) -> GradedMatrix:
     for a, diag in enumerate(sigma_hat_diag(alg)):
         sign = -1 if g[a] % 2 else 1
         blocks.append((a, a, ident + diag.scale(sqrt_diff * sign)))
-    qh = qh_eps(sigma.rep)
     qq = q_minus_qinv()
-    for (b, a) in alg.extended_pairs():
-        tilde = qh[a] @ sigma.sigma[(b, a)]
+    for (b, a), tilde in sigma.tilde.items():
         if not tilde.is_zero():
             sign = -1 if g[b] % 2 else 1
             blocks.append((a, b, tilde.scale(qq * sign)))

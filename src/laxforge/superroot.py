@@ -123,6 +123,23 @@ class AlgebraData:
         # alpha_s = delta_k - eps_1 is the only odd simple root
         return 1 if label == "s" else 0
 
+    def simple_pair(self, label: str) -> tuple[int, int]:
+        """The positions (b, a), b above a, with wt(b) - wt(a) = alpha_label:
+        the first such pair in extended_pairs order.  The simple generators
+        and the anchors of the appendix chains sit there."""
+        if label not in self.root_labels():
+            raise KeyError(label)
+        pe, po, l, k = self.pos_even, self.pos_odd, self.l, self.k
+        if label == "s":
+            return po(k), pe(1)
+        if label == "l":
+            if self.m == 2 * l:
+                return pe(l - 1), self.bar[pe(l)]
+            return pe(l), pe(l + 1)
+        if label.startswith("mu"):
+            return po(int(label[2:])), po(int(label[2:]) + 1)
+        return pe(int(label[1:])), pe(int(label[1:]) + 1)
+
     def extended_pairs(self) -> list[tuple[int, int]]:
         """All ordered position pairs (b, a) with eps_b > eps_a.
 
@@ -282,11 +299,11 @@ def _check_invariants(alg: AlgebraData) -> None:
     for lab, alpha in alg.simple_roots:
         a = alpha.eps + alpha.delta
         assert form(two_rho, a) == form(a, a), f"rho pairing fails on alpha_{lab}"
-    # every simple root is positive: realized as eps_b - eps_a with b above a
-    positive = {
-        tuple(map(sub, coords[b], coords[a])) for (b, a) in alg.extended_pairs()
-    }
+    # every simple root is positive: realized as eps_b - eps_a, b above a,
+    # at its simple pair
     for lab, alpha in alg.simple_roots:
-        assert alpha.eps + alpha.delta in positive, (
+        b, a = alg.simple_pair(lab)
+        realized = tuple(map(sub, coords[b], coords[a]))
+        assert b < a and realized == alpha.eps + alpha.delta, (
             f"alpha_{lab} is not positive in the weight order"
         )

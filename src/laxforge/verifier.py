@@ -11,7 +11,8 @@ int, and B is taken from a bound on the coefficients of both sides
 Laurent-polynomial sides are.  No float, sample or tolerance is involved.
 The delta suite's left side (id (x) Delta) R is built by delta_lhs from
 sigma~ = q^(h_a) sigma_ba blocks, on packed ints with B from the a-priori
-bound delta_lhs_bound, or on Laurent polynomials by the same code.
+bound delta_lhs_bound, or on Laurent polynomials: one code path over the
+inputs it is given.
 When a coefficient is not an int, or when the packed sides differ, the
 relation is compared on Laurent-polynomial entries, so a witness always
 shows Laurent polynomials.
@@ -33,6 +34,7 @@ from .gradedmat import (
     kron_blocks,
     kron_gradings,
     pack,
+    pack_entry,
     pack_stats,
     packing_bits,
     tensor_dagger,
@@ -124,35 +126,11 @@ class _Suite:
 # ---------------------------------------------------------------------------
 
 
-def check_ybe(r: RTensor) -> CheckReport:
-    """R12 R13 R23 = R23 R13 R12 on V (x) V (x) V, exactly."""
-    suite = _Suite("ybe")
-    gv = r.gradings_v
-    if r.gradings_w != gv:
-        raise ValueError("check_ybe requires an R-matrix on V (x) V")
-
-    def sides(m: GradedMatrix):
-        r12, r13, r23 = (embed_triple(m, s, gv, gv, gv) for s in ("12", "13", "23"))
-        return r12 @ r13 @ r23, r23 @ r13 @ r12
-
-    def packed():
-        st = pack_stats(r.matrix)
-        if st is None:
-            return None
-        return sides(pack(r.matrix, packing_bits([st] * 3, [st] * 3), st.lo))
-
-    suite.expect_products(
-        "R12 R13 R23 = R23 R13 R12", lambda: sides(r.matrix), packed
-    )
-    return suite.report()
-
-
-def check_lax_ybe(rv: RTensor, rw: RTensor) -> CheckReport:
-    """r12 R13 R23 = R23 R13 r12 on V (x) V (x) W."""
-    suite = _Suite("lax_ybe")
+def _ybe_suite(name: str, rel_id: str, rv: RTensor, rw: RTensor) -> CheckReport:
+    """r12 R13 R23 = R23 R13 r12 on V (x) V (x) W, r = rv on V (x) V and
+    R = rw on V (x) W; the Yang-Baxter equation is the case r = R, W = V."""
+    suite = _Suite(name)
     gv, gw = rv.gradings_v, rw.gradings_w
-    if rv.gradings_w != gv or rw.gradings_v != gv:
-        raise ValueError("slot dimensions do not match: need rv on V(x)V, rw on V(x)W")
 
     def sides(mv: GradedMatrix, mw: GradedMatrix):
         r12 = embed_triple(mv, "12", gv, gv, gw)
@@ -160,17 +138,32 @@ def check_lax_ybe(rv: RTensor, rw: RTensor) -> CheckReport:
         r23 = embed_triple(mw, "23", gv, gv, gw)
         return r12 @ r13 @ r23, r23 @ r13 @ r12
 
-    def packed():
-        sv, sw = pack_stats(rv.matrix), pack_stats(rw.matrix)
+    def packed():  # rw may be rv: it is then measured and packed once
+        sv = pack_stats(rv.matrix)
+        sw = sv if rw is rv else pack_stats(rw.matrix)
         if sv is None or sw is None:
             return None
         bits = packing_bits([sv, sw, sw], [sw, sw, sv])
-        return sides(pack(rv.matrix, bits, sv.lo), pack(rw.matrix, bits, sw.lo))
+        pv = pack(rv.matrix, bits, sv.lo)
+        return sides(pv, pv if rw is rv else pack(rw.matrix, bits, sw.lo))
 
-    suite.expect_products(
-        "r12 R13 R23 = R23 R13 r12", lambda: sides(rv.matrix, rw.matrix), packed
-    )
+    suite.expect_products(rel_id, lambda: sides(rv.matrix, rw.matrix), packed)
     return suite.report()
+
+
+def check_ybe(r: RTensor) -> CheckReport:
+    """R12 R13 R23 = R23 R13 R12 on V (x) V (x) V, exactly."""
+    if r.gradings_w != r.gradings_v:
+        raise ValueError("check_ybe requires an R-matrix on V (x) V")
+    return _ybe_suite("ybe", "R12 R13 R23 = R23 R13 R12", r, r)
+
+
+def check_lax_ybe(rv: RTensor, rw: RTensor) -> CheckReport:
+    """r12 R13 R23 = R23 R13 r12 on V (x) V (x) W."""
+    gv = rv.gradings_v
+    if rv.gradings_w != gv or rw.gradings_v != gv:
+        raise ValueError("slot dimensions do not match: need rv on V(x)V, rw on V(x)W")
+    return _ybe_suite("lax_ybe", "r12 R13 R23 = R23 R13 r12", rv, rw)
 
 
 # ---------------------------------------------------------------------------
@@ -239,7 +232,10 @@ def delta_lhs_bound(norm: int, dim: int) -> int:
 
 
 def delta_lhs(
-    sigma: SigmaSet, qh: list[GradedMatrix], bits: int | None = None, lo: int = 0
+    g: tuple[int, ...],
+    tilde: dict[tuple[int, int], GradedMatrix],
+    hq: list[GradedMatrix],
+    qq: LaurentPoly | int,
 ) -> GradedMatrix:
     """(id (x) Delta) R on V (x) V (x) V, from the displayed coproduct
 
@@ -247,42 +243,29 @@ def delta_lhs(
             + (q - q^-1) sum_{b < c < a} (-1)^[c] q^(h_c - h_a) sigma_bc (x) sigma_ca
 
     and R = sum_a E^a_a (x) q^(h_a) + (q - q^-1) sum (-1)^[b] E^a_b (x)
-    q^(h_a) sigma_ba, with qh[a] = q^(h_a).  q^(h_a) (x) q^(h_a) is even
-    and diagonal, so it moves into each factor of a tensor product; with
+    q^(h_a) sigma_ba.  q^(h_a) (x) q^(h_a) is even and diagonal, so it
+    moves into each factor of a tensor product; with
     sigma~_xy = q^(h_y) sigma_xy the blocks are
 
         (a, a): q^(h_a) (x) q^(h_a)
         (a, b): (q - q^-1)(-1)^[b] [sigma~_ba (x) q^(h_a) + q^(h_b) (x) sigma~_ba
                 + (q - q^-1) sum_{b < c < a} (-1)^[c] sigma~_bc (x) sigma~_ca].
 
-    With bits = None the entries are Laurent polynomials.  Otherwise they
-    are the packed ints of gradedmat.pack with N = 2^bits, and the result
-    is pack(lhs, bits, 4 lo - 4), where lo <= 0 is at most the lowest
-    exponent of s in every qh[a] and sigma_ba: sigma~ comes out at shift
-    2 lo as a product of factors packed at lo, q - q^-1 is packed at -2
-    and the q^(h) factors at 2 lo - 2, so every term of a block has shift
-    4 lo - 4.  That is where R13 R12 comes out for R packed at 2 lo - 2.
+    g are the gradings of V, tilde[(b, a)] = sigma~_ba for every extended
+    pair, hq[a] = q^(h_a) and qq = q - q^-1.  The inputs may be Laurent
+    polynomials, or packed ints (gradedmat.pack) at shifts that put every
+    term of a block at one power of N: with sigma~ packed at lo, hq at
+    lo - 2 and qq at -2, the result is the left side packed at 2 lo - 4.
     """
-    alg = sigma.algebra
-    g, pairs = alg.gradings, alg.extended_pairs()
-    if bits is None:
-        tilde = {(b, a): qh[a] @ sigma.sigma[(b, a)] for (b, a) in pairs}
-        qq, hq = q_minus_qinv(), qh
-    else:
-        ph = [pack(m, bits, lo) for m in qh]
-        tilde = {(b, a): ph[a] @ pack(sigma.sigma[(b, a)], bits, lo) for (b, a) in pairs}
-        qq = (1 << 4 * bits) - 1  # q - q^-1 = s^2 - s^-2 at shift -2: N^4 - 1
-        hq = [pack(m, bits, 2 * lo - 2) for m in qh]
     qq_tilde = {(c, a): t.scale(-qq if g[c] % 2 else qq) for (c, a), t in tilde.items()}
     blocks = [(a, a, graded_kron(h, h)) for a, h in enumerate(hq)]
-    for (b, a) in pairs:
-        t = tilde[(b, a)]
+    for (b, a), t in tilde.items():
         total = graded_kron(t, hq[a]) + graded_kron(hq[b], t)
         for c in range(b + 1, a):
             total = total + graded_kron(tilde[(b, c)], qq_tilde[(c, a)])
         blocks.append((a, b, total.scale(-qq if g[b] % 2 else qq)))
-    gv = sigma.rep.gradings
-    return kron_blocks(g, kron_gradings(gv, gv), blocks)
+    gw = hq[0].gradings
+    return kron_blocks(g, kron_gradings(gw, gw), blocks)
 
 
 def check_delta_property(sigma: SigmaSet, r: RTensor) -> CheckReport:
@@ -293,7 +276,7 @@ def check_delta_property(sigma: SigmaSet, r: RTensor) -> CheckReport:
     `r` is the R-matrix under test, normally the one assembled from `sigma`.
     """
     suite = _Suite("delta_property")
-    gv = sigma.rep.gradings
+    g, gv, tilde = sigma.algebra.gradings, sigma.rep.gradings, sigma.tilde
     qh = qh_eps(sigma.rep)
 
     def r13_r12(m: GradedMatrix) -> GradedMatrix:
@@ -301,20 +284,27 @@ def check_delta_property(sigma: SigmaSet, r: RTensor) -> CheckReport:
 
     def packed():
         sr, sh = pack_stats(r.matrix), [pack_stats(m) for m in qh]
-        ss = [pack_stats(m) for m in sigma.sigma.values()]
-        if sr is None or any(st is None for st in sh + ss):
+        st = [pack_stats(m) for m in tilde.values()]
+        if sr is None or None in sh or None in st:
             return None
-        # q^(h) entries are q^t with coefficient 1, so sigma~ has sigma's norms
-        norm = max((st.norm for st in ss), default=0)
+        norm = max((x.norm for x in st), default=0)
         bound = PackStats(lo=0, norm=delta_lhs_bound(norm, sigma.algebra.dim), row=1)
         bits = packing_bits([bound], [sr, sr])
-        # the left side comes out at shift 4 lo - 4, so R is packed at 2 lo - 2
-        lo = min(0, (sr.lo + 2) // 2, *(st.lo for st in sh + ss))
-        return delta_lhs(sigma, qh, bits, lo), r13_r12(pack(r.matrix, bits, 2 * lo - 2))
+        # sigma~ at lo, q^(h) and R at lo - 2: both sides come out at 2 lo - 4.
+        # R assembled from sigma has lowest exponent min(q^(h), sigma~ - 2),
+        # so R is packed at its own lowest exponent
+        lo = min(sr.lo + 2, *(x.lo for x in st), *(x.lo + 2 for x in sh))
+        lhs = delta_lhs(
+            g,
+            {pair: pack(t, bits, lo) for pair, t in tilde.items()},
+            [pack(h, bits, lo - 2) for h in qh],
+            pack_entry(q_minus_qinv(), bits, -2),
+        )
+        return lhs, r13_r12(pack(r.matrix, bits, lo - 2))
 
     suite.expect_products(
         "(id (x) Delta) R = R13 R12",
-        lambda: (delta_lhs(sigma, qh), r13_r12(r.matrix)),
+        lambda: (delta_lhs(g, tilde, qh, q_minus_qinv()), r13_r12(r.matrix)),
         packed,
     )
     return suite.report()
@@ -381,16 +371,14 @@ def check_extra_serre(sigma: SigmaSet) -> CheckReport:
     if alg.k < 2 or alg.l < 2:
         return suite.report()
     rep = sigma.rep
-    po, pe = alg.pos_odd, alg.pos_even
 
-    def simple(pair: tuple[int, int]):
-        mat = sigma.sigma[pair]
-        root = alg.weights[pair[0]] - alg.weights[pair[1]]
-        return mat, root, sigma.pair_parity(*pair)
+    def simple(label: str):
+        pair = alg.simple_pair(label)
+        return sigma.sigma[pair], alg.root(label), alg.root_parity(label)
 
-    a_op = simple((po(alg.k), pe(1)))
-    b_op = simple((po(alg.k - 1), po(alg.k)))
-    c_op = simple((pe(1), pe(2)))
+    a_op = simple("s")
+    b_op = simple(f"mu{alg.k - 1}")
+    c_op = simple("i1")
     zero = GradedMatrix.zeros(rep.gradings)
 
     for rel_id, mid in (
@@ -411,49 +399,60 @@ def check_extra_serre(sigma: SigmaSet) -> CheckReport:
 # ---------------------------------------------------------------------------
 
 
+def _expect_qcom(
+    suite: _Suite, sigma: SigmaSet, op: GradedMatrix, label: str, prefix: str
+) -> None:
+    """The q-commutation of every sigma_ba with an operator X of weight
+    alpha = wt(x) - wt(y), (x, y) the simple pair of `label`:
+
+        q^((alpha, e_b)) sigma_ba X
+            = (-1)^(([a]+[b])([x]+[y])) q^(-(alpha, e_a)) X sigma_ba
+
+    for each extended pair (b, a) with a not in {x, bar(y)} and b not in
+    {y, bar(x)}, as relation "<prefix>qcom[<label>; b,a]"."""
+    alg = sigma.algebra
+    g, w, bar, lab = alg.gradings, alg.weights, alg.bar, alg.labels
+    x, y = alg.simple_pair(label)
+    alpha, odd = w[x] - w[y], (g[x] + g[y]) % 2
+    for (b, a) in alg.extended_pairs():
+        if a in (x, bar[y]) or b in (y, bar[x]):
+            continue
+        sign = -1 if odd and (g[a] + g[b]) % 2 else 1
+        s_ba = sigma.sigma[(b, a)]
+        suite.expect_equal(
+            f"{prefix}qcom[{label}; {lab[b]},{lab[a]}]",
+            (s_ba @ op).scale(q_power(bilinear(alpha, w[b]))),
+            (op @ s_ba).scale(q_power(-bilinear(alpha, w[a])) * sign),
+        )
+
+
 def check_qcom(sigma: SigmaSet) -> CheckReport:
     """q^((a_c, e_b)) sigma_ba E_c
        = (-1)^(([a]+[b])[c]) q^(-(a_c, e_a)) E_c sigma_ba
-    whenever neither e_a - a_c nor e_b + a_c is a basis weight."""
+    for every simple root a_c, over the pairs _expect_qcom keeps: those
+    where neither e_a - a_c nor e_b + a_c is a basis weight.  The appendix
+    suite checks the same family with sigma of the simple pair in place of
+    E_c, through the same loop."""
     suite = _Suite("qcom")
-    alg = sigma.algebra
-    rep = sigma.rep
-    w = alg.gradings, alg.weights
-    g, weights = w
-    wset = {(x.eps, x.delta) for x in weights}
-    for label in alg.root_labels():
-        alpha = alg.root(label)
-        pc = alg.root_parity(label)
-        ec = rep.big_e(label)
-        for (b, a) in alg.extended_pairs():
-            down = weights[a] - alpha
-            up = weights[b] + alpha
-            if (down.eps, down.delta) in wset or (up.eps, up.delta) in wset:
-                continue
-            sign = -1 if ((g[a] + g[b]) * pc) % 2 else 1
-            lhs = (sigma.sigma[(b, a)] @ ec).scale(q_power(bilinear(alpha, weights[b])))
-            rhs = (ec @ sigma.sigma[(b, a)]).scale(
-                q_power(-bilinear(alpha, weights[a])) * sign
-            )
-            suite.expect_equal(
-                f"qcom[{label}; {alg.labels[b]},{alg.labels[a]}]", lhs, rhs
-            )
+    for label in sigma.algebra.root_labels():
+        _expect_qcom(suite, sigma, sigma.rep.big_e(label), label, "")
     return suite.report()
 
 
 def check_appendix(sigma: SigmaSet) -> CheckReport:
     """Every induction and commutation relation from the three appendix
-    tables, instantiated over its full index range."""
+    tables, instantiated over its full index range.  Each chain is anchored
+    at the simple pair of its root and ends with the q-commutation of every
+    sigma_ba with the anchor, in the loop check_qcom uses (_expect_qcom)."""
     suite = _Suite("appendix")
     alg = sigma.algebra
     S = sigma.sigma
-    pe, po, bar = alg.pos_even, alg.pos_odd, alg.bar
+    po, bar = alg.pos_odd, alg.bar
     w, g = alg.weights, alg.gradings
     dim, l, k = alg.dim, alg.l, alg.k
     lab = alg.labels
 
-    def q(t) -> LaurentPoly:
-        return q_power(t)
+    q = q_power
 
     def two_term(rel, lhs_pair, c1, first, second, c2):
         """lhs = c1 * S[first] S[second] - c2 * S[second] S[first]."""
@@ -462,7 +461,7 @@ def check_appendix(sigma: SigmaSet) -> CheckReport:
 
     # --- common relations (all m) --------------------------------------
     for i in range(1, l):
-        ei, ei1 = pe(i), pe(i + 1)
+        ei, ei1 = alg.simple_pair(f"i{i}")
         ai = alg.root(f"i{i}")
         for b in range(ei):
             two_term(
@@ -495,17 +494,10 @@ def check_appendix(sigma: SigmaSet) -> CheckReport:
             f"= q^-1 [sigma(i{i},i{i+1}), sigma(i{i+1},bar(i{i+1}))]",
             lhs, ((x @ y) - (y @ x)).scale(q(-1)),
         )
-        for (b, a) in alg.extended_pairs():
-            if a in (ei, bar[ei1]) or b in (ei1, bar[ei]):
-                continue
-            suite.expect_equal(
-                f"common qcom[i{i}; {lab[b]},{lab[a]}]",
-                (S[(b, a)] @ S[(ei, ei1)]).scale(q(bilinear(ai, w[b]))),
-                (S[(ei, ei1)] @ S[(b, a)]).scale(q(-bilinear(ai, w[a]))),
-            )
+        _expect_qcom(suite, sigma, S[(ei, ei1)], f"i{i}", "common ")
 
     for mu in range(1, k):
-        om, om1 = po(mu), po(mu + 1)
+        om, om1 = alg.simple_pair(f"mu{mu}")
         am = alg.root(f"mu{mu}")
         for nu in range(1, mu):
             two_term(
@@ -538,17 +530,10 @@ def check_appendix(sigma: SigmaSet) -> CheckReport:
             f"= q [sigma(mu{mu+1},bar(mu{mu+1})), sigma(mu{mu},mu{mu+1})]",
             lhs, ((x @ y) - (y @ x)).scale(q(1)),
         )
-        for (b, a) in alg.extended_pairs():
-            if a in (om, bar[om1]) or b in (om1, bar[om]):
-                continue
-            suite.expect_equal(
-                f"common qcom[mu{mu}; {lab[b]},{lab[a]}]",
-                (S[(b, a)] @ S[(om, om1)]).scale(q(bilinear(am, w[b]))),
-                (S[(om, om1)] @ S[(b, a)]).scale(q(-bilinear(am, w[a]))),
-            )
+        _expect_qcom(suite, sigma, S[(om, om1)], f"mu{mu}", "common ")
 
     if alg.n > 0:
-        ok, e1 = po(k), pe(1)
+        ok, e1 = alg.simple_pair("s")
         a_s = alg.root("s")
         for nu in range(1, k):
             two_term(
@@ -583,20 +568,13 @@ def check_appendix(sigma: SigmaSet) -> CheckReport:
             f"= q^-1 [sigma(mu{k},i1), sigma(i1,bar(i1))]",
             lhs, ((x @ y) - (y @ x)).scale(q(-1)),
         )
-        for (b, a) in alg.extended_pairs():
-            if a in (ok, bar[e1]) or b in (e1, bar[ok]):
-                continue
-            sign = -1 if (g[a] + g[b]) % 2 else 1
-            suite.expect_equal(
-                f"common qcom[s; {lab[b]},{lab[a]}]",
-                (S[(b, a)] @ S[(ok, e1)]).scale(q(bilinear(a_s, w[b]))),
-                (S[(ok, e1)] @ S[(b, a)]).scale(q(-bilinear(a_s, w[a])) * sign),
-            )
+        _expect_qcom(suite, sigma, S[(ok, e1)], "s", "common ")
 
     al = alg.root("l")
     if alg.m == 2 * l:
         # --- relations holding only for even m --------------------------
-        el, el1 = pe(l), pe(l - 1)
+        el1, bar_el = alg.simple_pair("l")
+        el = bar[bar_el]
         for b in range(el):
             two_term(
                 f"even-m: sigma({lab[b]},bar(i{l-1})) via i{l}",
@@ -617,17 +595,10 @@ def check_appendix(sigma: SigmaSet) -> CheckReport:
                 f"even-m: sigma(i{l-1},{lab[a]}) via bar(i{l})",
                 (el1, a), q(-bilinear(al, w[a])), (el1, bar[el]), (bar[el], a), q(-1),
             )
-        for (b, a) in alg.extended_pairs():
-            if a in (el, el1) or b in (bar[el1], bar[el]):
-                continue
-            suite.expect_equal(
-                f"even-m qcom[l; {lab[b]},{lab[a]}]",
-                (S[(b, a)] @ S[(el1, bar[el])]).scale(q(bilinear(al, w[b]))),
-                (S[(el1, bar[el])] @ S[(b, a)]).scale(q(-bilinear(al, w[a]))),
-            )
+        _expect_qcom(suite, sigma, S[(el1, bar_el)], "l", "even-m ")
     else:
         # --- relations holding only for odd m ----------------------------
-        el, mid = pe(l), pe(l + 1)
+        el, mid = alg.simple_pair("l")
         for b in range(el):
             two_term(
                 f"odd-m: sigma({lab[b]},i{l+1}) via i{l}",
@@ -649,14 +620,7 @@ def check_appendix(sigma: SigmaSet) -> CheckReport:
                 f"odd-m: sigma(i{l+1},{lab[a]}) via bar(i{l})",
                 (mid, a), LaurentPoly.one(), (mid, bar[el]), (bar[el], a), q(-1),
             )
-        for (b, a) in alg.extended_pairs():
-            if a in (el, mid) or b in (mid, bar[el]):
-                continue
-            suite.expect_equal(
-                f"odd-m qcom[l; {lab[b]},{lab[a]}]",
-                (S[(b, a)] @ S[(el, mid)]).scale(q(bilinear(al, w[b]))),
-                (S[(el, mid)] @ S[(b, a)]).scale(q(-bilinear(al, w[a]))),
-            )
+        _expect_qcom(suite, sigma, S[(el, mid)], "l", "odd-m ")
     return suite.report()
 
 

@@ -448,3 +448,102 @@ def test_canonical_bytes_refuse_other_types(bad):
             _canonical_bytes(doc)
     with pytest.raises(TypeError):
         _canonical_bytes({1: "int key"})
+
+
+# Digests recorded before qcom and appendix shared one q-commutation loop
+# and the entry lists were written by one function.
+@pytest.mark.parametrize("args, digest", [
+    (["--m", "5", "--n", "4", "--format", "json"],
+     "7102a20c8f06cc5a677bb205e197b8154c1857c9f47553c6014f9141a2d6bc91"),
+    (["--m", "5", "--n", "4", "--format", "text"],
+     "45c0ff9d93365d63613537ecb5ecf2a6063354319463c4dcc498dc3070187859"),
+    (["--m", "6", "--n", "2", "--format", "json"],
+     "f2db08e3d34cfb84c0cd3b84f677c700adfafbb4420a1fdfb380428ef5dd2ff7"),
+    (["--m", "6", "--n", "2", "--format", "text"],
+     "d1447ddd55a3b11e9856d6b5223a07f313eb09b31bf52acf8bf80d10e4ec7c32"),
+])
+def test_verify_all_bytes_are_pinned(capsys, args, digest):
+    assert run(["verify", *args, "--suite", "all"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert hashlib.sha256(captured.out.encode()).hexdigest() == digest
+
+
+def test_generate_bytes_are_pinned(tmp_path):
+    assert run(["generate", "--m", "5", "--n", "4", "--out", str(tmp_path)]) == 0
+    digests = {
+        p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()
+    }
+    assert digests == {
+        "r_vector_5_4.json":
+            "f5dcb965caf27f4731bbf2421f9b7043c778c746c8cb1362953d47c57ebd6b6c",
+        "sigma_5_4_vector.json":
+            "b9b55d65e93ffbd54b6f2aabda73a6ba4fc70c172b14a5ae31eed3c63afa9d18",
+    }
+
+
+@pytest.mark.parametrize("separated, attached", [
+    (["eval", "--m", "3", "--n", "0", "--s", "-5/3"],
+     ["eval", "--m", "3", "--n", "0", "--s=-5/3"]),
+    (["spectral", "--m", "3", "--n", "2", "--kind", "twisted", "--s", "-5/3",
+      "--z", "2/5"],
+     ["spectral", "--m", "3", "--n", "2", "--kind", "twisted", "--s=-5/3",
+      "--z=2/5"]),
+    (["spectral", "--m", "3", "--n", "2", "--kind", "untwisted", "--z", "-2/5",
+      "--s", "-3"],
+     ["spectral", "--m", "3", "--n", "2", "--kind", "untwisted", "--z=-2/5",
+      "--s=-3"]),
+])
+def test_negative_rationals_may_follow_their_option(capsys, separated, attached):
+    results = []
+    for args in (separated, attached):
+        code = run(args)
+        captured = capsys.readouterr()
+        results.append((code, captured.out, captured.err))
+    assert results[0] == results[1]
+    assert results[0][0] == 0 and results[0][1] and results[0][2] == ""
+
+
+GENERIC = "error: --s must avoid 0 and +-1 so that q stays generic\n"
+
+
+@pytest.mark.parametrize("args, message", [
+    (["eval", "--m", "3", "--n", "0", "--s", "1"], GENERIC),
+    (["eval", "--m", "3", "--n", "0", "--s", "0"], GENERIC),
+    (["eval", "--m", "3", "--n", "0", "--s", "-1"], GENERIC),
+    (["spectral", "--m", "3", "--n", "0", "--kind", "twisted", "--s", "1",
+      "--z", "1/3"], GENERIC),
+    (["spectral", "--m", "3", "--n", "0", "--kind", "twisted", "--s", "0",
+      "--z", "1/3"], GENERIC),
+    (["spectral", "--m", "3", "--n", "0", "--kind", "untwisted", "--s", "-1",
+      "--z", "1/3"], GENERIC),
+    (["spectral", "--m", "3", "--n", "0", "--kind", "twisted", "--s", "2"],
+     "error: spectral --s needs --z: it sets s at the point z\n"),
+    (["eval", "--m", "2", "--n", "0", "--s", "1"],
+     "error: m = 2: this root system is only valid for m > 2\n"),
+    (["spectral", "--m", "2", "--n", "0", "--kind", "twisted", "--s", "1",
+      "--z", "1/3"],
+     "error: m = 2: this root system is only valid for m > 2\n"),
+])
+def test_one_rule_for_s_is_pinned(capsys, args, message):
+    # eval and spectral --z share one rule for s, checked after the algebra
+    assert run(args) == 2
+    captured = capsys.readouterr()
+    assert captured.err == message
+    assert captured.out == ""
+
+
+def test_console_reads_a_separated_negative_rational(capsys):
+    # main(None) reads sys.argv: a fresh process takes --s -5/3 as --s=-5/3
+    src = str(Path(laxforge.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    fresh = subprocess.run(
+        [sys.executable, "-m", "laxforge.cli", "eval", "--m", "3", "--n", "0",
+         "--s", "-5/3"],
+        capture_output=True, text=True, env=env,
+    )
+    assert run(["eval", "--m", "3", "--n", "0", "--s=-5/3"]) == 0
+    assert (fresh.returncode, fresh.stdout, fresh.stderr) == (
+        0, capsys.readouterr().out, ""
+    )

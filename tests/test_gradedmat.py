@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 from fractions import Fraction
@@ -463,3 +464,16 @@ def test_lane_width_below_packing_bits_collides():
             assert lane_product([lhs], lanes, w) == lane_product([rhs], lanes, w)
             left, right = lane_sides([lhs], [rhs], blocks, lanes)
             assert left != right
+
+
+# recorded before the entry lists were written by one function and the
+# generators built from simple_pair
+@pytest.mark.parametrize("mn, digest", [
+    ((5, 4), "18a209f3b1af84c79a22a97085c4fa57aa6f01014f3f02e4ae2d62c34f346671"),
+    ((4, 6), "97feecc581fcffcfd62f81bc03855e413a3d69e4066de210838cd29a690499ba"),
+])
+def test_vector_rep_json_bytes_are_pinned(mn, digest):
+    from laxforge.cli import _canonical_bytes
+
+    doc = build_vector_rep(build_algebra(*mn)).to_json()
+    assert hashlib.sha256(_canonical_bytes(doc)).hexdigest() == digest

@@ -126,3 +126,27 @@ def test_invariants_reject_a_corrupted_bar_and_rho(mn, first):
         with pytest.raises(AssertionError) as info:
             _check_invariants(bad)
         assert str(info.value) == message
+
+
+# the seventeen rungs of the construct ladder: 3 <= m <= 11, n <= 10
+LADDER = [
+    (3, 0), (5, 0), (7, 0), (9, 0), (11, 0), (4, 2), (6, 2), (8, 2), (10, 2),
+    (3, 4), (5, 4), (7, 4), (4, 6), (6, 6), (3, 8), (5, 8), (3, 10),
+]
+
+
+@pytest.mark.parametrize("mn", LADDER)
+def test_simple_pair_realises_each_simple_root(mn):
+    alg = build_algebra(*mn)
+    for label in alg.root_labels():
+        b, a = alg.simple_pair(label)
+        assert b < a
+        assert alg.weights[b] - alg.weights[a] == alg.root(label)
+        # and no extended pair before it in order realises the root
+        first = next(
+            p for p in alg.extended_pairs()
+            if alg.weights[p[0]] - alg.weights[p[1]] == alg.root(label)
+        )
+        assert (b, a) == first
+    with pytest.raises(KeyError):
+        alg.simple_pair("s" if alg.n == 0 else "x1")

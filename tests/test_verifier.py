@@ -1,14 +1,16 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
 
-from laxforge.qring import LaurentPoly
-from laxforge.superroot import build_algebra
+from laxforge.qring import LaurentPoly, q_minus_qinv, q_power
+from laxforge.superroot import bilinear, build_algebra
 from laxforge.gradedmat import (
     GradedMatrix,
     build_vector_rep,
     load_representation,
     pack,
+    pack_entry,
     pack_stats,
     trivial_rep,
 )
@@ -157,15 +159,42 @@ def test_delta_property_multiplies_packed_ints(monkeypatch):
 def test_packed_delta_lhs_is_the_packed_symbolic_lhs(mn):
     rep, ss = build(*mn)
     qh = qh_eps(rep)
-    lhs = delta_lhs(ss, qh)
-    lo = min(0, *(pack_stats(m).lo for m in (*qh, *ss.sigma.values())))
+    g, qq = ss.algebra.gradings, q_minus_qinv()
+    lhs = delta_lhs(g, ss.tilde, qh, qq)
+    lo = min(*(pack_stats(m).lo for m in ss.tilde.values()),
+             *(pack_stats(m).lo + 2 for m in qh))
     # pack is a ring map for any B, so the packed build is exactly pack(lhs)
     for bits in (3, 12):
-        assert delta_lhs(ss, qh, bits, lo) == pack(lhs, bits, 4 * lo - 4)
+        tilde = {pair: pack(t, bits, lo) for pair, t in ss.tilde.items()}
+        hq = [pack(h, bits, lo - 2) for h in qh]
+        packed = delta_lhs(g, tilde, hq, pack_entry(qq, bits, -2))
+        assert packed == pack(lhs, bits, 2 * lo - 4)
     # the a-priori bound the suite packs with covers the exact largest norm
     norm = max(pack_stats(m).norm for m in ss.sigma.values())
     exact = max(sum(map(abs, v.terms.values())) for v in lhs.entries.values())
     assert delta_lhs_bound(norm, rep.dim) >= exact
+
+
+def test_delta_packs_each_input_at_its_own_lowest_exponent(monkeypatch):
+    # sigma~ at its lowest exponent lo, q^(h) and R at lo - 2, which on
+    # osp(5|4) is R's own lowest exponent
+    from laxforge import verifier
+
+    _, ss = build(5, 4)
+    r = assemble_R(ss)
+    shifts = {"sigma~": set(), "q^(h)": set(), "R": set()}
+    kinds = {id(r.matrix): "R", **{id(t): "sigma~" for t in ss.tilde.values()}}
+    pack_real = verifier.pack
+
+    def spy(m, bits, lo):
+        shifts[kinds.get(id(m), "q^(h)")].add(lo)
+        return pack_real(m, bits, lo)
+
+    monkeypatch.setattr(verifier, "pack", spy)
+    assert check_delta_property(ss, r).status == "pass"
+    assert pack_stats(r.matrix).lo == -8
+    assert min(pack_stats(t).lo for t in ss.tilde.values()) == -6
+    assert shifts == {"sigma~": {-6}, "q^(h)": {-8}, "R": {-8}}
 
 
 def test_lax_ybe_rejects_dimension_mismatch():
@@ -304,3 +333,138 @@ def test_report_json_shape():
     assert doc["status"] == "pass"
     assert doc["relations_checked"] > 0
     assert "witness" not in doc
+
+
+# (count, sha256 of the ids joined by newlines) of the relations qcom and
+# appendix compare, in order; recorded before the q-commutation loops of
+# both suites became one helper
+RELATION_IDS = {
+    (3, 0): {
+        "qcom": (1, "b4b1ce07adaf89d4274f9e6d0fa0cc0aa5b673accb1e4c60c82c8291c0f93c26"),
+        "appendix": (3, "c610989b8c8fb117072d41518ce29c59b7f88f3f874d6e9eab52b0dfa47cd7b3"),
+    },
+    (4, 0): {
+        "qcom": (7, "85bdcf46ed3e8d006c48bf11b9650715f9cc9aca0c5cfb42ff28cb90b71a8912"),
+        "appendix": (12, "5c55234ff75631b8121b3f784d3d0f811a0a25db3c683bffdd3cb153a4cca33e"),
+    },
+    (3, 2): {
+        "qcom": (9, "2fb2d3b355dbfe1dbf71b0e7fd534cf7e85bf402bfd34a6a64f5e15d09d8bf51"),
+        "appendix": (20, "9b450a3b93fb951de5a890c18ed298110a246f4abcae4899d61d463f2b821f71"),
+    },
+    (4, 2): {
+        "qcom": (25, "fd3186265d8fdffbe3f3be0af6fd4a5c39edc86d5df56d76937c88175910fddb"),
+        "appendix": (45, "6a7404ca0231767edd1626da352db46ea00baf7aa181a791228d856aed5038ba"),
+    },
+    (5, 4): {
+        "qcom": (91, "1602fc65829926adc3af2a268f9d7ef47aa2f6dd141f474f3295431c16912c8a"),
+        "appendix": (144, "d3586d9e7af090016a1bdbb4edc654746b058475dae30dfc8b56d24867d20661"),
+    },
+    (6, 2): {
+        "qcom": (69, "cbdfbcbb6c70ee22134f6cb55e87f99d5971cbe538dfd4fd2a476d5fad5c79b9"),
+        "appendix": (112, "00555bb52a024791e6fe331f54e8b5d1f154c416c090b57d1746df5eb1d5d02a"),
+    },
+    (4, 6): {
+        "qcom": (151, "b2092b6d933a8dada07204160ca09c1003287676a4b344280cec2e648d8c912c"),
+        "appendix": (225, "b98fed3427edda38a95c14893434553ca367d5eea03454a2732a1a3afaff5334"),
+    },
+    (7, 4): {
+        "qcom": (189, "df04be236a3b973f115b15319e961617c6fd2f603fddeebe877d22b038e22e31"),
+        "appendix": (275, "a364e2cea44c67cc6bdc6502a6a599a4aae4a1b18aebe5dce5deb3c4339e8cf3"),
+    },
+}
+
+
+@pytest.mark.parametrize("mn", sorted(RELATION_IDS))
+def test_qcom_and_appendix_relation_ids_are_pinned(monkeypatch, mn):
+    from laxforge import verifier
+
+    _, ss = build(*mn)
+    seen = []
+    compare = verifier._Suite.expect_equal
+
+    def spy(self, rel_id, lhs, rhs):
+        seen.append(rel_id)
+        compare(self, rel_id, lhs, rhs)
+
+    monkeypatch.setattr(verifier._Suite, "expect_equal", spy)
+    for name, check in (("qcom", check_qcom), ("appendix", check_appendix)):
+        seen.clear()
+        report = check(ss)
+        assert report.status == "pass"
+        digest = hashlib.sha256("\n".join(seen).encode()).hexdigest()
+        assert (len(seen), digest) == RELATION_IDS[mn][name]
+        assert report.relations_checked == len(seen)
+
+
+def anchor_pair(alg, kind):
+    """The simple pair each appendix chain is anchored at, written out from
+    the layout: i1, mu1, s and the last even root l."""
+    pe, po, bar, l = alg.pos_even, alg.pos_odd, alg.bar, alg.l
+    if kind == "i":
+        return pe(1), pe(2)
+    if kind == "mu":
+        return po(1), po(2)
+    if kind == "s":
+        return po(alg.k), pe(1)
+    return (pe(l - 1), bar[pe(l)]) if alg.m == 2 * l else (pe(l), pe(l + 1))
+
+
+# the appendix witness when the first entry of one chain's anchor sigma is
+# negated, recorded before the chains took their anchors from simple_pair
+@pytest.mark.parametrize("mn, kind, want", [
+    ((5, 4), "i", witness("common: sigma(mu1,i2) via i1", 1, 4, "1", "-1")),
+    ((5, 4), "mu", witness("common: sigma(mu1,i1) via mu2", 1, 3, "1", "-1")),
+    ((5, 4), "s", witness("common: sigma(mu2,i2) via i1", 2, 4, "1", "-1")),
+    ((5, 4), "l", witness("common: sigma(i1,i3) via i2", 3, 5, "1", "-1")),
+    ((6, 2), "i", witness("common: sigma(mu1,i2) via i1", 1, 3, "1", "-1")),
+    ((6, 2), "s", witness("common: sigma(mu1,i2) via i1", 1, 3, "1", "-1")),
+    ((6, 2), "l", witness("common: sigma(i1,i4) via i2", 2, 5, "1", "-1")),
+    ((4, 6), "i", witness("common: sigma(mu1,i2) via i1", 1, 5, "1", "-1")),
+    ((4, 6), "mu", witness("common: sigma(mu1,mu3) via mu2", 1, 3, "1", "-1")),
+    ((4, 6), "s", witness("common: sigma(mu3,i2) via i1", 3, 5, "1", "-1")),
+    ((4, 6), "l", witness(
+        "common: sigma(i1,bar(i1)) via bar(i2)", 4, 7,
+        "-1*s^-2 + 1*s^2", "-1*s^-2 + -1*s^2",
+    )),
+    ((3, 2), "s", witness("common: sigma(mu1,i2) via i1", 1, 3, "1", "-1")),
+    ((3, 2), "l", witness("common: sigma(mu1,i2) via i1", 1, 3, "1", "-1")),
+])
+def test_appendix_witness_of_a_flipped_anchor_is_pinned(mn, kind, want):
+    _, ss = build(*mn)
+    pair = anchor_pair(ss.algebra, kind)
+    sigma = dict(ss.sigma)
+    entries = dict(sigma[pair].entries)
+    key = min(entries)
+    entries[key] = -entries[key]
+    sigma[pair] = GradedMatrix(sigma[pair].gradings, entries)
+    report = check_appendix(SigmaSet(ss.rep, sigma, dict(ss.provenance)))
+    assert report.status == "fail"
+    assert report.relations_checked == RELATION_IDS[mn]["appendix"][0]
+    assert report.witness == want
+
+
+@pytest.mark.parametrize("label", ["s", "l", "mu1", "i1"])
+def test_qcom_loop_scales_each_side_by_the_rule_of_its_simple_pair(label):
+    # on the vector representation every q-commutation holds as 0 = 0, so
+    # the sign (-1)^(([a]+[b])[alpha]) and the q-powers are seen only with
+    # an operator whose products with sigma_ba do not vanish: with X = I the
+    # sides are q^((alpha, e_b)) sigma_ba and +-q^(-(alpha, e_a)) sigma_ba
+    from laxforge import verifier
+
+    _, ss = build(5, 4)
+    alg = ss.algebra
+    g, w, alpha = alg.gradings, alg.weights, alg.root(label)
+    seen = []
+
+    class Spy(verifier._Suite):
+        def expect_equal(self, rel_id, lhs, rhs):
+            seen.append((rel_id, lhs, rhs))
+
+    verifier._expect_qcom(Spy("spy"), ss, GradedMatrix.identity(g), label, "")
+    assert len(seen) > 10
+    for rel_id, lhs, rhs in seen:
+        b, a = (alg.labels.index(x) for x in rel_id[:-1].split("; ")[1].split(","))
+        odd = (g[a] + g[b]) * alg.root_parity(label) % 2
+        shift = q_power(-bilinear(alpha, w[a]) - bilinear(alpha, w[b]))
+        assert not lhs.is_zero()
+        assert rhs == lhs.scale(-shift if odd else shift), rel_id
