@@ -14,12 +14,12 @@ substitution, s = 2^B; `packing_bits` picks a B for which two packed
 products are equal exactly when the Laurent-polynomial products are.
 
 The same substitution packs a row of a matrix on U1 (x) U2 (x) U3 into one
-int.  `weight_lanes` gives each index a block, its total weight, and a lane,
-its position inside that block; `lane_product` returns each row of a product
-as sum_c x_c 2^(B lane(c)).  When every factor keeps each column in its
-row's block, a row of the product lies in one block, where lanes are
-distinct, and `lane_sides` compares two products row by row with B from
-the same `packing_bits`.
+int.  `weight_lanes` gives each index a lane, its position among the
+indices of its total weight; `lane_product` returns each row of a product
+as sum_c x_c 2^(B lane(c)).  When every factor keeps total weight, a row of
+the product has entries only at indices of its row's weight, where lanes
+are distinct, so with B from the same `packing_bits` two products are equal
+exactly when their packed rows are.
 """
 
 from __future__ import annotations
@@ -299,8 +299,8 @@ class PackStats:
 def pack_stats(m: GradedMatrix) -> PackStats | None:
     """The PackStats of a matrix over Z[s, s^-1], or of a matrix of ints
     (each entry v a constant: lo = 0, norm = |v|); None when some entry or
-    coefficient is not an int, so that neither `pack` nor the lane
-    comparison applies.  embed_triple only re-indexes and signs entries, so
+    coefficient is not an int, so that neither `pack` nor `lane_product`
+    applies.  embed_triple only re-indexes and signs entries, so
     an embedded matrix has the stats of the matrix it embeds."""
     values = m.entries.values()
     if all(type(v) is int for v in values):
@@ -352,29 +352,21 @@ def pack(m: GradedMatrix, bits: int, lo: int) -> GradedMatrix:
     )
 
 
-def weight_lanes(
-    c1: list[tuple], c2: list[tuple], c3: list[tuple]
-) -> tuple[list[int], list[int]]:
-    """The block and the lane of each index of U1 (x) U2 (x) U3, from the
-    weight coordinate tuples of the basis of each factor.  The block of
-    (x, y, z) is its total weight c1[x] + c2[y] + c3[z], numbered in order
-    of first appearance; its lane is the number of earlier indices in the
-    same block, so lanes are distinct inside a block and repeat across
-    blocks."""
-    seen: dict[tuple, list[int]] = {}  # total weight -> [block, next lane]
-    blocks, lanes = [], []
+def weight_lanes(c1: list[tuple], c2: list[tuple], c3: list[tuple]) -> list[int]:
+    """The lane of each index of U1 (x) U2 (x) U3, from the weight
+    coordinate tuples of the basis of each factor: the number of earlier
+    indices with the same total weight c1[x] + c2[y] + c3[z], so lanes are
+    distinct inside a weight and repeat across weights."""
+    seen: Counter = Counter()  # total weight -> lanes handed out
+    lanes = []
     for x in c1:
         for y in c2:
             xy = tuple(map(add, x, y))
             for z in c3:
                 total = tuple(map(add, xy, z))
-                at = seen.get(total)
-                if at is None:
-                    at = seen[total] = [len(seen), 0]
-                blocks.append(at[0])
-                lanes.append(at[1])
-                at[1] += 1
-    return blocks, lanes
+                lanes.append(seen[total])
+                seen[total] += 1
+    return lanes
 
 
 def lane_product(factors: list[GradedMatrix], lanes: list[int], bits: int) -> dict:
@@ -401,34 +393,6 @@ def lane_product(factors: list[GradedMatrix], lanes: list[int], bits: int) -> di
                 out[r] = v * x if acc is None else acc + v * x
         rows = out
     return {r: x for r, x in rows.items() if x}
-
-
-def lane_sides(
-    lhs: list[GradedMatrix],
-    rhs: list[GradedMatrix],
-    blocks: list[int],
-    lanes: list[int],
-) -> tuple[dict, dict] | None:
-    """The rows of the products of two factor lists as lane_product gives
-    them, with one lane width from packing_bits for both, or None when the
-    lanes cannot tell the products apart: some entry is not an int (or a
-    Laurent polynomial with int coefficients), or some factor maps a column
-    outside its row's block.
-
-    When every factor keeps blocks, a row of either product lies in its
-    row's block, where lanes are distinct.  The two packed rows then differ
-    by sum_c d_c 2^(bits lane(c)) with every |d_c| below 2^bits, which is 0
-    only when every d_c is: the rows are equal exactly when the products'
-    rows are."""
-    factors = {id(f): f for f in (*lhs, *rhs)}
-    for f in factors.values():
-        if any(blocks[r] != blocks[c] for r, c in f.entries):
-            return None
-    stats = {key: pack_stats(f) for key, f in factors.items()}
-    if None in stats.values():
-        return None
-    bits = packing_bits(*([stats[id(f)] for f in side] for side in (lhs, rhs)))
-    return lane_product(lhs, lanes, bits), lane_product(rhs, lanes, bits)
 
 
 def graded_dagger(x: GradedMatrix) -> GradedMatrix:
@@ -533,14 +497,20 @@ def entry_triples(entries: Mapping[tuple[int, int], object]) -> list:
 
 
 def matrix_from_entries(entries: list, gradings: tuple[int, ...]) -> GradedMatrix:
+    if not isinstance(entries, list):
+        raise SchemaError(f"bad matrix entries {entries!r}: not a list of [row, col, value]")
     out: dict[tuple[int, int], LaurentPoly] = {}
     for item in entries:
         try:
             r, c, text = item
-            val = LaurentPoly.parse(text)
+            key, val = (int(r) - 1, int(c) - 1), LaurentPoly.parse(text)
         except (TypeError, ValueError) as exc:
             raise SchemaError(f"bad matrix entry {item!r}: {exc}") from exc
-        out[(int(r) - 1, int(c) - 1)] = val
+        if not all(0 <= i < len(gradings) for i in key):
+            raise SchemaError(f"bad matrix entry {item!r}: index outside 1..{len(gradings)}")
+        if key in out:
+            raise SchemaError(f"bad matrix entry {item!r}: its position is already set")
+        out[key] = val
     return GradedMatrix(gradings, out)
 
 
@@ -673,6 +643,19 @@ def load_representation(doc: dict, alg: AlgebraData | None = None) -> Representa
         raise SchemaError(f"document is for osp({m}|{n}), expected osp({alg.m}|{alg.n})")
     if len(gradings) != dim or len(weights) != dim:
         raise SchemaError("gradings/weights length does not match dim")
+    for g in gradings:
+        if g not in (0, 1):
+            raise SchemaError(f"grading {g} is not 0 or 1")
+    for i, w in enumerate(weights):
+        if (len(w.eps), len(w.delta)) != (alg.l, alg.k):
+            raise SchemaError(
+                f"weight {i + 1} has {len(w.eps)} eps and {len(w.delta)} delta "
+                f"coordinates; osp({m}|{n}) needs {alg.l} and {alg.k}"
+            )
+    if not (isinstance(e_doc, dict) and isinstance(f_doc, dict)):
+        raise SchemaError(
+            "malformed representation document: e and f must map labels to entry lists"
+        )
     e = {lab: matrix_from_entries(ent, gradings) for lab, ent in e_doc.items()}
     f = {lab: matrix_from_entries(ent, gradings) for lab, ent in f_doc.items()}
     rep = Representation(alg, name, gradings, weights, e, f)

@@ -13,7 +13,7 @@ in s = q^(1/2), over the one shared denominator (q - q^-1 z) D.  The
 spectral Yang-Baxter equation is verified by exact rational sampling:
 SpectralAtS substitutes s = s0 once and gives r(z0) as ints times one
 constant, and the two triple products are compared row by row, each row
-one int inside its weight block (gradedmat.lane_sides).
+one int inside its weight block (gradedmat.lane_product).
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 
 from .qring import (
     LaurentPoly,
@@ -46,7 +47,9 @@ from .gradedmat import (
     embed_triple,
     graded_permutation,
     kron_blocks,
-    lane_sides,
+    lane_product,
+    pack_stats,
+    packing_bits,
     weight_lanes,
 )
 from .laxengine import RTensor, SigmaSet
@@ -343,33 +346,46 @@ def check_spectral_ybe(
     z0, z0 w0 and w0.  Both sides are linear in each of r(z), r(zw) and
     r(w), so each sampled matrix is taken as ints times one nonzero
     constant (SpectralAtS.int_values), and the two products are compared
-    row by row, each row one int in its weight block (gradedmat.lane_sides):
-    r(z) keeps total weight, so every row of either side lies in one block.
-    A failing sample, or a matrix that does not keep weight, is recomputed
-    with `@` on the unscaled values, so the witness reports the entries of
-    the unscaled products.  Raises SamplingError if 50 * samples draws do
-    not yield enough pole-free points."""
+    row by row, each row one int in its weight block (gradedmat.lane_product).
+    That needs every factor to keep total weight, which holds when the
+    pieces P, E and r do: this is checked once on V (x) V, since a sample's
+    entries sit where the pieces' do and embedding keeps weight.  Embedding
+    keeps norms and row counts too, so the lane width comes from the
+    samples on V (x) V.  A failing sample, or a sample of pieces that do not
+    keep weight, is recomputed with `@` on the unscaled values, so the
+    witness reports the entries of the unscaled products.  Raises
+    SamplingError if 50 * samples draws do not yield enough pole-free
+    points."""
     if samples < 1:
         raise ValueError("need at least one sample")
     suite = _Suite(f"spectral_ybe_{spec.kind}")
     rng = random.Random(seed)
     gv = spec.algebra.gradings
     coords = [w.eps + w.delta for w in spec.algebra.weights]
-    blocks, lanes = weight_lanes(coords, coords, coords)
+    lanes = weight_lanes(coords, coords, coords)
+    totals = [tuple(map(add, x, y)) for x in coords for y in coords]
+    keeps_weight = all(
+        totals[r] == totals[c] for _, mat in spec.pieces for r, c in mat.entries
+    )
 
-    def embedded(vz, vzw, vw):
-        return [
-            embed_triple(GradedMatrix(spec.gradings, vals), slots, gv, gv, gv)
-            for vals, slots in ((vz, "12"), (vzw, "13"), (vw, "23"))
-        ]
+    def embedded(mats):
+        return [embed_triple(m, at, gv, gv, gv) for m, at in zip(mats, ("12", "13", "23"))]
 
     def symbolic(fixed, points):
-        r12, r13, r23 = embedded(*(fixed.values(x) for x in points))
+        r12, r13, r23 = embedded(
+            [GradedMatrix(spec.gradings, fixed.values(x)) for x in points]
+        )
         return r12 @ r13 @ r23, r23 @ r13 @ r12
 
     def packed(ints):
-        r12, r13, r23 = embedded(*ints)
-        return lane_sides([r12, r13, r23], [r23, r13, r12], blocks, lanes)
+        if not keeps_weight:
+            return None
+        mats = [GradedMatrix(spec.gradings, vals) for vals in ints]
+        sz, szw, sw = map(pack_stats, mats)
+        bits = packing_bits([sz, szw, sw], [sw, szw, sz])
+        r12, r13, r23 = embedded(mats)
+        lhs, rhs = [r12, r13, r23], [r23, r13, r12]
+        return lane_product(lhs, lanes, bits), lane_product(rhs, lanes, bits)
 
     done = 0
     attempts = 0

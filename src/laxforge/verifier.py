@@ -106,7 +106,7 @@ class _Suite:
     def expect_products(self, rel_id: str, symbolic, packed) -> None:
         """expect_equal on two sides given by thunks.  `packed` gives them in
         a form that is equal exactly when the matrices are (packed ints, or
-        the lane-packed rows of gradedmat.lane_sides), or None when that
+        the lane-packed rows of gradedmat.lane_product), or None when that
         form does not apply; `symbolic` gives them as matrices and is used
         when `packed` gives None or two different sides, so a witness
         always shows matrix entries."""
@@ -441,192 +441,99 @@ def check_qcom(sigma: SigmaSet) -> CheckReport:
 
 def check_appendix(sigma: SigmaSet) -> CheckReport:
     """Every induction and commutation relation from the three appendix
-    tables, instantiated over its full index range.  Each chain is anchored
-    at the simple pair of its root and ends with the q-commutation of every
-    sigma_ba with the anchor, in the loop check_qcom uses (_expect_qcom)."""
+    tables, instantiated over its full index range.
+
+    Each chain is anchored at the simple pair (x, y) of its root, and its
+    induction rows are the construction's two-term relation (induction_step)
+    at the anchor's four positions, with bx = bar(x) and by = bar(y):
+
+        1: sigma(b, y) via x for b < x
+        2: sigma(by, a) via bx for a > bx
+        3: sigma(b, bx) via by for b < by, b != y
+        4: sigma(x, a) via y for a > y, a != by
+
+    in the order of the tables; in the odd chains (mu and s, x odd) each
+    row-1 b is followed by the row-2 a = bar(b).  Every such row is also a
+    path-independence row: over osp(m|n), 3 <= m <= 11, n <= 10, 3800 of
+    the 6612 are the construction's own step for their pair.  The i, mu and
+    s chains then state one commutator relation, and every chain ends with
+    the q-commutation of every sigma_ba with the anchor, in the loop
+    check_qcom uses (_expect_qcom)."""
     suite = _Suite("appendix")
-    alg = sigma.algebra
-    S = sigma.sigma
-    po, bar = alg.pos_odd, alg.bar
-    w, g = alg.weights, alg.gradings
-    dim, l, k = alg.dim, alg.l, alg.k
-    lab = alg.labels
+    alg, S = sigma.algebra, sigma.sigma
+    bar, lab, dim, l, k = alg.bar, alg.labels, alg.dim, alg.l, alg.k
 
-    q = q_power
+    def name(p: int) -> str:
+        return lab[p] if p <= bar[p] else f"bar({lab[bar[p]]})"
 
-    def two_term(rel, lhs_pair, c1, first, second, c2):
-        """lhs = c1 * S[first] S[second] - c2 * S[second] S[first]."""
-        rhs = (S[first] @ S[second]).scale(c1) - (S[second] @ S[first]).scale(c2)
-        suite.expect_equal(rel, S[lhs_pair], rhs)
+    def chain(label: str, prefix: str, order: tuple[int, ...], *commutator) -> None:
+        """The rows of `label`'s chain in `order`, then the commutator
+        relation (id, lhs, rhs) when given, then the q-commutations."""
+        x, y = alg.simple_pair(label)
+        bx, by, odd = bar[x], bar[y], alg.gradings[x]
+        # (b, c, a, name of b, name of a): fixed positions by name(), the
+        # free one by its label, but by name() in the odd chains' row 2
+        rows = {
+            1: [(b, x, y, lab[b], name(y)) for b in range(x)],
+            2: [(by, bx, a, name(by), name(a) if odd else lab[a])
+                for a in range(bx + 1, dim)],
+            3: [(b, by, bx, lab[b], name(bx)) for b in range(by) if b != y],
+            4: [(x, y, a, name(x), lab[a]) for a in range(y + 1, dim) if a != by],
+        }
+        if odd:
+            rows[1] = [row for pair in zip(rows[1], rows[2][::-1]) for row in pair]
+            rows[2] = []
+        for b, c, a, nb, na in (row for i in order for row in rows[i]):
+            suite.expect_equal(
+                f"{prefix}: sigma({nb},{na}) via {name(c)}",
+                S[(b, a)],
+                induction_step(S[(b, c)], S[(c, a)], alg, b, c, a),
+            )
+        if commutator:
+            suite.expect_equal(*commutator)
+        _expect_qcom(suite, sigma, S[(x, y)], label, f"{prefix} ")
 
-    # --- common relations (all m) --------------------------------------
+    # each commutator below has an even factor, so it is the plain u v - v u
     for i in range(1, l):
         ei, ei1 = alg.simple_pair(f"i{i}")
-        ai = alg.root(f"i{i}")
-        for b in range(ei):
-            two_term(
-                f"common: sigma({lab[b]},i{i+1}) via i{i}",
-                (b, ei1), LaurentPoly.one(), (b, ei), (ei, ei1), q(-1),
-            )
-        for a in range(bar[ei] + 1, dim):
-            two_term(
-                f"common: sigma(bar(i{i+1}),{lab[a]}) via bar(i{i})",
-                (bar[ei1], a), LaurentPoly.one(), (bar[ei1], bar[ei]), (bar[ei], a), q(-1),
-            )
-        for b in range(bar[ei1]):
-            if b == ei1:
-                continue
-            two_term(
-                f"common: sigma({lab[b]},bar(i{i})) via bar(i{i+1})",
-                (b, bar[ei]), q(bilinear(ai, w[b])), (b, bar[ei1]), (bar[ei1], bar[ei]), q(-1),
-            )
-        for a in range(ei1 + 1, dim):
-            if a == bar[ei1]:
-                continue
-            two_term(
-                f"common: sigma(i{i},{lab[a]}) via i{i+1}",
-                (ei, a), q(-bilinear(ai, w[a])), (ei, ei1), (ei1, a), q(-1),
-            )
-        lhs = S[(ei1, bar[ei])] + S[(ei, bar[ei1])]
-        x, y = S[(ei, ei1)], S[(ei1, bar[ei1])]
-        suite.expect_equal(
+        chain(
+            f"i{i}", "common", (1, 2, 3, 4),
             f"common: sigma(i{i+1},bar(i{i})) + sigma(i{i},bar(i{i+1})) "
             f"= q^-1 [sigma(i{i},i{i+1}), sigma(i{i+1},bar(i{i+1}))]",
-            lhs, ((x @ y) - (y @ x)).scale(q(-1)),
+            S[(ei1, bar[ei])] + S[(ei, bar[ei1])],
+            S[(ei, ei1)].bracket(S[(ei1, bar[ei1])], 0, 0).scale(q_power(-1)),
         )
-        _expect_qcom(suite, sigma, S[(ei, ei1)], f"i{i}", "common ")
-
     for mu in range(1, k):
         om, om1 = alg.simple_pair(f"mu{mu}")
-        am = alg.root(f"mu{mu}")
-        for nu in range(1, mu):
-            two_term(
-                f"common: sigma(mu{nu},mu{mu+1}) via mu{mu}",
-                (po(nu), om1), LaurentPoly.one(), (po(nu), om), (om, om1), q(1),
-            )
-            two_term(
-                f"common: sigma(bar(mu{mu+1}),bar(mu{nu})) via bar(mu{mu})",
-                (bar[om1], bar[po(nu)]), LaurentPoly.one(),
-                (bar[om1], bar[om]), (bar[om], bar[po(nu)]), q(1),
-            )
-        for b in range(bar[om1]):
-            if b == om1:
-                continue
-            two_term(
-                f"common: sigma({lab[b]},bar(mu{mu})) via bar(mu{mu+1})",
-                (b, bar[om]), q(bilinear(am, w[b])), (b, bar[om1]), (bar[om1], bar[om]), q(1),
-            )
-        for a in range(om1 + 1, dim):
-            if a == bar[om1]:
-                continue
-            two_term(
-                f"common: sigma(mu{mu},{lab[a]}) via mu{mu+1}",
-                (om, a), q(-bilinear(am, w[a])), (om, om1), (om1, a), q(1),
-            )
-        lhs = S[(om1, bar[om])] - S[(om, bar[om1])]
-        x, y = S[(om1, bar[om1])], S[(om, om1)]
-        suite.expect_equal(
+        chain(
+            f"mu{mu}", "common", (1, 2, 3, 4),
             f"common: sigma(mu{mu+1},bar(mu{mu})) - sigma(mu{mu},bar(mu{mu+1})) "
             f"= q [sigma(mu{mu+1},bar(mu{mu+1})), sigma(mu{mu},mu{mu+1})]",
-            lhs, ((x @ y) - (y @ x)).scale(q(1)),
+            S[(om1, bar[om])] - S[(om, bar[om1])],
+            S[(om1, bar[om1])].bracket(S[(om, om1)], 0, 0).scale(q_power(1)),
         )
-        _expect_qcom(suite, sigma, S[(om, om1)], f"mu{mu}", "common ")
-
     if alg.n > 0:
         ok, e1 = alg.simple_pair("s")
-        a_s = alg.root("s")
-        for nu in range(1, k):
-            two_term(
-                f"common: sigma(mu{nu},i1) via mu{k}",
-                (po(nu), e1), LaurentPoly.one(), (po(nu), ok), (ok, e1), q(1),
-            )
-            two_term(
-                f"common: sigma(bar(i1),bar(mu{nu})) via bar(mu{k})",
-                (bar[e1], bar[po(nu)]), LaurentPoly.one(),
-                (bar[e1], bar[ok]), (bar[ok], bar[po(nu)]), q(1),
-            )
-        for a in range(e1 + 1, dim):
-            if a == bar[e1]:
-                continue
-            sign = -1 if g[a] % 2 else 1
-            two_term(
-                f"common: sigma(mu{k},{lab[a]}) via i1",
-                (ok, a), q(-bilinear(a_s, w[a])), (ok, e1), (e1, a), q(-1) * sign,
-            )
-        for b in range(bar[e1]):
-            if b == e1:
-                continue
-            sign = -1 if g[b] % 2 else 1
-            two_term(
-                f"common: sigma({lab[b]},bar(mu{k})) via bar(i1)",
-                (b, bar[ok]), q(bilinear(a_s, w[b])), (b, bar[e1]), (bar[e1], bar[ok]), q(-1) * sign,
-            )
-        lhs = S[(ok, bar[e1])] - S[(e1, bar[ok])].scale(q(1) * ((-1) ** k))
-        x, y = S[(ok, e1)], S[(e1, bar[e1])]
-        suite.expect_equal(
+        chain(
+            "s", "common", (1, 2, 4, 3),
             f"common: sigma(mu{k},bar(i1)) - (-1)^k q sigma(i1,bar(mu{k})) "
             f"= q^-1 [sigma(mu{k},i1), sigma(i1,bar(i1))]",
-            lhs, ((x @ y) - (y @ x)).scale(q(-1)),
+            S[(ok, bar[e1])] - S[(e1, bar[ok])].scale(q_power(1) * (-1) ** k),
+            S[(ok, e1)].bracket(S[(e1, bar[e1])], 0, 0).scale(q_power(-1)),
         )
-        _expect_qcom(suite, sigma, S[(ok, e1)], "s", "common ")
-
-    al = alg.root("l")
     if alg.m == 2 * l:
-        # --- relations holding only for even m --------------------------
-        el1, bar_el = alg.simple_pair("l")
-        el = bar[bar_el]
-        for b in range(el):
-            two_term(
-                f"even-m: sigma({lab[b]},bar(i{l-1})) via i{l}",
-                (b, bar[el1]), q(bilinear(al, w[b])), (b, el), (el, bar[el1]), q(-1),
-            )
-        for b in range(el1):
-            two_term(
-                f"even-m: sigma({lab[b]},bar(i{l})) via i{l-1}",
-                (b, bar[el]), LaurentPoly.one(), (b, el1), (el1, bar[el]), q(-1),
-            )
-        for a in range(bar[el1] + 1, dim):
-            two_term(
-                f"even-m: sigma(i{l},{lab[a]}) via bar(i{l-1})",
-                (el, a), LaurentPoly.one(), (el, bar[el1]), (bar[el1], a), q(-1),
-            )
-        for a in range(bar[el] + 1, dim):
-            two_term(
-                f"even-m: sigma(i{l-1},{lab[a]}) via bar(i{l})",
-                (el1, a), q(-bilinear(al, w[a])), (el1, bar[el]), (bar[el], a), q(-1),
-            )
-        _expect_qcom(suite, sigma, S[(el1, bar_el)], "l", "even-m ")
+        chain("l", "even-m", (3, 1, 2, 4))
     else:
-        # --- relations holding only for odd m ----------------------------
-        el, mid = alg.simple_pair("l")
-        for b in range(el):
-            two_term(
-                f"odd-m: sigma({lab[b]},i{l+1}) via i{l}",
-                (b, mid), LaurentPoly.one(), (b, el), (el, mid), q(-1),
-            )
-        for b in range(mid):
-            two_term(
-                f"odd-m: sigma({lab[b]},bar(i{l})) via i{l+1}",
-                (b, bar[el]), q(bilinear(al, w[b])), (b, mid), (mid, bar[el]),
-                LaurentPoly.one(),
-            )
-        for a in range(mid + 1, dim):
-            two_term(
-                f"odd-m: sigma(i{l},{lab[a]}) via i{l+1}",
-                (el, a), q(-bilinear(al, w[a])), (el, mid), (mid, a), LaurentPoly.one(),
-            )
-        for a in range(bar[el] + 1, dim):
-            two_term(
-                f"odd-m: sigma(i{l+1},{lab[a]}) via bar(i{l})",
-                (mid, a), LaurentPoly.one(), (mid, bar[el]), (bar[el], a), q(-1),
-            )
-        _expect_qcom(suite, sigma, S[(el, mid)], "l", "odd-m ")
+        chain("l", "odd-m", (1, 3, 4, 2))
     return suite.report()
 
 
 def check_path_independence(sigma: SigmaSet) -> CheckReport:
     """Every admissible intermediate for every recursed pair yields the
-    same operator as the stored one."""
+    same operator as the stored one.  The appendix's induction rows are
+    rows of this suite: over osp(m|n), 3 <= m <= 11, n <= 10, 3417 of its
+    15615 rows are the construction's own step, against 3800 of the 6612
+    appendix rows."""
     suite = _Suite("path_independence")
     alg = sigma.algebra
     for (b, a) in alg.extended_pairs():

@@ -99,6 +99,35 @@ def test_verify_corrupted_rep_file_fails(tmp_path, capsys):
     assert code == 1  # the defining-relation assertions reject the matrices
 
 
+@pytest.mark.parametrize("edit, line", [
+    (lambda doc: doc["e"]["l"][0].__setitem__(0, 99),
+     "error: bad matrix entry [99, 2, '1']: index outside 1..3"),
+    (lambda doc: doc["e"]["l"][0].__setitem__(0, 0),
+     "error: bad matrix entry [0, 2, '1']: index outside 1..3"),
+    (lambda doc: doc["e"]["l"].append([1, 2, "5"]),
+     "error: bad matrix entry [1, 2, '5']: its position is already set"),
+    (lambda doc: doc.update(e=[1, 2]),
+     "error: malformed representation document: e and f must map labels to entry lists"),
+    (lambda doc: doc.update(e={"l": 5}),
+     "error: bad matrix entries 5: not a list of [row, col, value]"),
+    (lambda doc: doc["gradings"].__setitem__(1, 2), "error: grading 2 is not 0 or 1"),
+    (lambda doc: doc["weights"][0]["eps"].append("0"),
+     "error: weight 1 has 2 eps and 0 delta coordinates; osp(3|0) needs 1 and 0"),
+    (lambda doc: doc["weights"][2]["eps"].clear(),
+     "error: weight 3 has 0 eps and 0 delta coordinates; osp(3|0) needs 1 and 0"),
+])
+def test_malformed_rep_file_is_a_usage_error(tmp_path, capsys, edit, line):
+    from laxforge.superroot import build_algebra
+    from laxforge.gradedmat import build_vector_rep
+
+    doc = build_vector_rep(build_algebra(3, 0)).to_json()
+    edit(doc)
+    path = tmp_path / "rep.json"
+    path.write_text(json.dumps(doc))
+    code = run(["verify", "--m", "3", "--n", "0", "--rep", str(path), "--suite", "qcom"])
+    assert (code, capsys.readouterr().err) == (2, line + "\n")
+
+
 def test_verify_with_rep_file_round_trip(tmp_path):
     from laxforge.superroot import build_algebra
     from laxforge.gradedmat import build_vector_rep

@@ -24,7 +24,6 @@ from laxforge.gradedmat import (
     graded_permutation,
     kron_blocks,
     lane_product,
-    lane_sides,
     load_representation,
     pack,
     pack_stats,
@@ -33,7 +32,6 @@ from laxforge.gradedmat import (
     trivial_rep,
     weight_lanes,
 )
-from laxforge.verifier import _Suite
 
 G2 = (0, 1)  # one even, one odd position
 
@@ -404,20 +402,20 @@ def test_lane_product_equals_the_rows_of_the_product(seed):
     a = embed_triple(weight_preserving(rng, cv, cv, gv, gv), "12", gv, gv, gw)
     b = embed_triple(weight_preserving(rng, cv, cw, gv, gw), "13", gv, gv, gw)
     c = embed_triple(weight_preserving(rng, cv, cw, gv, gw), "23", gv, gv, gw)
-    blocks, lanes = weight_lanes(cv, cv, cw)
-    assert len(blocks) == len(lanes) == a.dim
-    for block in set(blocks):
-        assert sorted(l for b_, l in zip(blocks, lanes) if b_ == block) == list(
-            range(blocks.count(block))
+    lanes = weight_lanes(cv, cv, cw)
+    totals = [tuple(map(sum, zip(x, y, z))) for x in cv for y in cv for z in cw]
+    assert len(lanes) == a.dim
+    for total in set(totals):
+        assert sorted(l for t, l in zip(totals, lanes) if t == total) == list(
+            range(totals.count(total))
         )
     stats = [pack_stats(m) for m in (a, b, c)]
     assert all(st.lo == 0 for st in stats)
     bits = packing_bits(stats, stats[::-1])
     assert lane_product([a, b, c], lanes, bits) == lane_rows(a @ b @ c, lanes, bits)
     assert lane_product([c], lanes, bits) == lane_rows(c, lanes, bits)
-    sides = lane_sides([a, b, c], [c, b, a], blocks, lanes)
-    assert (sides[0] == sides[1]) == (a @ b @ c == c @ b @ a)
-    assert lane_sides([a, b, c], [a, b, c], blocks, lanes)[0] == sides[0]
+    left, right = (lane_product(side, lanes, bits) for side in ([a, b, c], [c, b, a]))
+    assert (left == right) == (a @ b @ c == c @ b @ a)
 
 
 def test_pack_stats_of_int_matrices():
@@ -427,33 +425,12 @@ def test_pack_stats_of_int_matrices():
     assert pack_stats(GradedMatrix(G3, {(0, 1): Fraction(1, 2)})) is None
 
 
-def test_lane_sides_refuse_a_factor_that_crosses_blocks():
-    # index 0 has weight 1 and index 1 weight 0: two blocks, both indices in
-    # lane 0.  Row 0 of `a` reaches both, with entries that cancel once
-    # packed, so without the block check a != 0 would compare equal.
-    blocks, lanes = weight_lanes([(1,), (0,)], [(0,)], [(0,)])
-    assert (blocks, lanes) == ([0, 1], [0, 0])
-    g = (0, 1)
-    a = GradedMatrix(g, {(0, 0): 1, (0, 1): -1})
-    zero = GradedMatrix.zeros(g)
-    assert lane_product([a], lanes, 4) == lane_product([zero], lanes, 4) == {}
-    assert lane_sides([a], [zero], blocks, lanes) is None
-    suite = _Suite("crossing")
-    suite.expect_products(
-        "a = 0",
-        lambda: (a, zero),
-        lambda: lane_sides([a], [zero], blocks, lanes),
-    )
-    report = suite.report()
-    assert report.status == "fail" and report.witness["col"] == 1
-
-
 def test_lane_width_below_packing_bits_collides():
     # one block of three lanes.  Row 0 is 2^w in lane 0 on the left and 1 in
     # lane 1 on the right: equal at lane width w.  Row 1 holds 2^(P-2) on
     # both sides, which raises packing_bits to P.  So for every P and every
     # width w below it there are sides that only packing_bits tells apart.
-    blocks, lanes = weight_lanes([(0,)] * 3, [(0,)], [(0,)])
+    lanes = weight_lanes([(0,)] * 3, [(0,)], [(0,)])
     g = (0, 1, 0)
     for top in range(2, 14):
         for w in range(1, top):
@@ -462,8 +439,7 @@ def test_lane_width_below_packing_bits_collides():
             rhs = GradedMatrix(g, {(0, 1): 1, **extra})
             assert packing_bits([pack_stats(lhs)], [pack_stats(rhs)]) == top
             assert lane_product([lhs], lanes, w) == lane_product([rhs], lanes, w)
-            left, right = lane_sides([lhs], [rhs], blocks, lanes)
-            assert left != right
+            assert lane_product([lhs], lanes, top) != lane_product([rhs], lanes, top)
 
 
 # recorded before the entry lists were written by one function and the

@@ -10,6 +10,8 @@ from laxforge.gradedmat import (
     build_vector_rep,
     graded_kron,
     graded_permutation,
+    lane_product,
+    weight_lanes,
 )
 from laxforge.laxengine import assemble_R, extend_sigma, init_simple_sigma
 from laxforge import spectral
@@ -336,17 +338,40 @@ def test_spectral_ybe_runs_no_matrix_product(monkeypatch):
         assert (report.status, report.relations_checked) == ("pass", 5)
 
 
-def test_spectral_ybe_fails_on_an_entry_off_its_weight_block():
-    # an extra entry that moves total weight: lanes cannot compare it, so
-    # the sample goes to the products on the unscaled values and fails
+def off_weight_spectral():
+    """r(z) of osp(3|0) with one extra piece whose entry moves total weight."""
     spec = Context(3, 0).spectral("untwisted")
     d = spec.algebra.dim
     key = (0 * d + 0, 0 * d + 1)  # v_1 (x) v_2 -> v_1 (x) v_1
     assert key not in spec.pieces[0][1].entries
     weight, _ = spec.pieces[2]
     extra = GradedMatrix(spec.gradings, {key: LaurentPoly.one()})
-    bad = SpectralRMatrix(
+    return SpectralRMatrix(
         spec.algebra, spec.kind, spec.gradings, spec.den, spec.pieces + ((weight, extra),)
     )
-    report = check_spectral_ybe(bad, samples=2, seed=0)
+
+
+def test_spectral_ybe_fails_on_an_entry_off_its_weight_block():
+    # an extra entry that moves total weight: lanes cannot compare it, so
+    # the sample goes to the products on the unscaled values and fails
+    report = check_spectral_ybe(off_weight_spectral(), samples=2, seed=0)
     assert report.status == "fail" and report.witness
+
+
+def test_spectral_ybe_refuses_lanes_when_a_piece_crosses_weights(monkeypatch):
+    # lanes repeat across weights: index 0 has weight 1 and index 1 weight
+    # 0, both in lane 0, and a row of `a` reaching both packs to 0, so a
+    # factor that moves weight could compare equal to zero
+    lanes = weight_lanes([(1,), (0,)], [(0,)], [(0,)])
+    assert lanes == [0, 0]
+    a = GradedMatrix((0, 1), {(0, 0): 1, (0, 1): -1})
+    zero = GradedMatrix.zeros((0, 1))
+    assert lane_product([a], lanes, 4) == lane_product([zero], lanes, 4) == {}
+    # the suite checks the pieces on V (x) V once and then never packs lanes
+    calls = []
+    monkeypatch.setattr(spectral, "lane_product", lambda *args: calls.append(args))
+    report = check_spectral_ybe(off_weight_spectral(), samples=2, seed=0)
+    assert calls == []
+    assert report.status == "fail" and report.witness["relation"].startswith(
+        "spectral YBE at"
+    )

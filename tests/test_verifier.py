@@ -396,6 +396,43 @@ def test_qcom_and_appendix_relation_ids_are_pinned(monkeypatch, mn):
         assert report.relations_checked == len(seen)
 
 
+# sha256 of the lines "<id>\t<str(lhs)>\t<str(rhs)>" the appendix suite
+# compares, in order; recorded while every induction row still had its own
+# hand-written q-power coefficients
+APPENDIX_SIDES = {
+    ((3, 0), "vector"): "e09e28fcf048e286306ee8d64aac6429953cd0eb32e064dc5334a47da6726a6f",
+    ((4, 0), "vector"): "1a807b83d61b2d368baaaedd8d027a48a4855f1ac37e3b7cef6e2f3828b0f9fb",
+    ((3, 2), "vector"): "1bf9307ce5c9d9595683324bfb2e806d38a44a0dd83d335813a99481c6be9eff",
+    ((4, 2), "vector"): "6922557414e22d9c0397171098c7e643b8bb71840e58c378ea207a65553a7f27",
+    ((5, 4), "vector"): "d3b5c1688b4649a1384ad7e55bc99bdcc2c01fb164cd99da107837a3787525a8",
+    ((6, 2), "vector"): "8c6a7dab5f6663d05e20d6874249fe7fcd3ed7ee3c65b17fe60639393dfc3402",
+    ((4, 6), "vector"): "2e7804ae408441269f21607c12120883f0ec3c3f4ed05a48abfe6ae1f7620830",
+    ((7, 4), "vector"): "f59ebe0a2d37f85933bf663a82d4a1bda4b39496e0cde2724a56953ebd2b4d1c",
+    ((4, 2), "trivial"): "034064cb3e237994ce43da00fd79b771c26632a79369721f49f0a4328a490bb8",
+    ((7, 4), "trivial"): "fb1eaee0431dbf04efd2b73c2b1aeba0e49e717d71741e99fdcd438b996cac1c",
+}
+
+
+@pytest.mark.parametrize("mn, rep", sorted(APPENDIX_SIDES))
+def test_appendix_compared_sides_are_pinned(monkeypatch, mn, rep):
+    from laxforge import verifier
+
+    alg = build_algebra(*mn)
+    module = build_vector_rep(alg) if rep == "vector" else trivial_rep(alg)
+    ss = extend_sigma(init_simple_sigma(module))
+    seen = []
+    compare = verifier._Suite.expect_equal
+
+    def spy(self, rel_id, lhs, rhs):
+        seen.append("\t".join((rel_id, str(lhs), str(rhs))))
+        compare(self, rel_id, lhs, rhs)
+
+    monkeypatch.setattr(verifier._Suite, "expect_equal", spy)
+    assert check_appendix(ss).status == "pass"
+    digest = hashlib.sha256("\n".join(seen).encode()).hexdigest()
+    assert digest == APPENDIX_SIDES[(mn, rep)]
+
+
 def anchor_pair(alg, kind):
     """The simple pair each appendix chain is anchored at, written out from
     the layout: i1, mu1, s and the last even root l."""
