@@ -129,6 +129,17 @@ def _atomic_write(path: Path, data: bytes) -> None:
         raise
 
 
+def _write_if_changed(path: Path, data: bytes) -> None:
+    """_atomic_write, unless `path` already holds exactly `data` (same size,
+    then same bytes): an unchanged file is left alone, mtime and all."""
+    try:
+        if path.stat().st_size == len(data) and path.read_bytes() == data:
+            return
+    except OSError:
+        pass
+    _atomic_write(path, data)
+
+
 def _cache_dir(cfg: JobConfig) -> Path | None:
     where = cfg.cache_dir or os.environ.get("LAXFORGE_CACHE")
     return Path(where) if where else None
@@ -304,7 +315,7 @@ def cmd_generate(cfg: JobConfig) -> int:
             payloads[name] = _canonical_bytes(build())
             _cache_store(cfg, key, payloads[name])
     for name, data in payloads.items():
-        _atomic_write(out_dir / name, data)
+        _write_if_changed(out_dir / name, data)
         print(out_dir / name)
     return 0
 
@@ -385,18 +396,18 @@ def cmd_eval(cfg: JobConfig) -> int:
         raise SchemaError("eval requires --s")
     _check_generic(cfg.s)
     r = ctx.r
-    # s^k for each exponent k of R, computed once rather than once per term
-    exponents = {k for v in r.matrix.entries.values() for k in v.terms}
-    powers = {k: cfg.s ** k for k in exponents}
+    # each distinct entry value is evaluated and written out once, from
+    # s^k for each of its exponents k, each power computed once
+    texts: dict = dict.fromkeys(r.matrix.entries.values())
+    powers = {k: cfg.s ** k for v in texts for k in v.terms}
+    for v in texts:
+        texts[v] = str(sum((c * powers[k] for k, c in v.terms.items()), Fraction(0)))
     doc = {
         "algebra": {"m": cfg.m, "n": cfg.n},
         "rep_name": ctx.rep.name,
         "s": str(cfg.s),
         "dims": list(r.dims),
-        "entries": entry_triples({
-            key: sum((c * powers[k] for k, c in v.terms.items()), Fraction(0))
-            for key, v in r.matrix.entries.items()
-        }),
+        "entries": entry_triples({key: texts[v] for key, v in r.matrix.entries.items()}),
     }
     _emit(cfg, _canonical_bytes(doc))
     return 0

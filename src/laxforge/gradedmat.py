@@ -9,6 +9,15 @@ All Koszul signs live in graded_kron, graded_permutation, embed_triple
 (a matrix on two slots of a triple tensor space) and the two daggers.
 Ordinary matrix composition is ungraded.
 
+On Laurent entries, a q-power is an exponent shift: `shifted` multiplies
+by sign s^k and by diagonals of monomials on either side in one pass, and
+`commutator` forms s^k1 xy - sign s^k2 yx, the graded bracket and the
+induction step, in one pass with no product matrices.  A Representation
+pairs its weights with a weight through the coordinate columns of
+superroot.form_columns, keeps q^(h_eps_a) for every index a of V
+(`qh_eps`) and their exponent table (`pair2`), and writes each diagonal
+with the shared monomials of qring.monomial.
+
 `pack` turns a matrix over Z[s, s^-1] into a matrix of ints by Kronecker
 substitution, s = 2^B; `packing_bits` picks a B for which two packed
 products are equal exactly when the Laurent-polynomial products are.
@@ -31,8 +40,10 @@ from functools import cached_property
 from operator import add, sub
 from typing import Mapping
 
-from .qring import LaurentPoly, ONE, Scalar, q_int
-from .superroot import AlgebraData, Weight, bilinear
+from .qring import LaurentPoly, ONE, Scalar, _canonical, monomial, q_int
+from .superroot import AlgebraData, Weight, form_columns, pair_with
+
+HALF = Fraction(1, 2)
 
 
 class RelationError(AssertionError):
@@ -174,8 +185,58 @@ class GradedMatrix:
     def bracket(self, other: "GradedMatrix", parity_self: int, parity_other: int
                 ) -> "GradedMatrix":
         """Graded commutator [x, y] = xy - (-1)^([x][y]) yx."""
-        sign = -1 if (parity_self * parity_other) % 2 else 1
-        return (self @ other) - (other @ self).scale(sign)
+        return self.commutator(other, -1 if (parity_self * parity_other) % 2 else 1)
+
+    # -- over Q[s, s^-1]: q-powers as exponent shifts ------------------------
+
+    def shifted(
+        self,
+        k: int = 0,
+        sign: int = 1,
+        rows: list[int] | None = None,
+        cols: list[int] | None = None,
+    ) -> "GradedMatrix":
+        """sign s^k diag(s^rows) self diag(s^cols) for Laurent entries and
+        sign = +-1: entry (r, c) has its exponents moved by
+        k + rows[r] + cols[c] (an absent list counts as zeros)."""
+        out = {}
+        for (r, c), v in self.entries.items():
+            e = k + (rows[r] if rows else 0) + (cols[c] if cols else 0)
+            out[(r, c)] = v.shift(e, sign)
+        return self._of(self.gradings, out)
+
+    def commutator(
+        self, other: "GradedMatrix", sign: int = 1, k1: int = 0, k2: int = 0
+    ) -> "GradedMatrix":
+        """s^k1 xy - sign s^k2 yx for x = self and y = other with Laurent
+        entries, sign = +-1, in one pass: every term of both products is
+        added at its shifted exponent into one coefficient dict per entry,
+        so no product, scaled or difference matrix is built."""
+        self._same_space(other)
+        acc: dict[tuple[int, int], dict[int, Scalar]] = {}
+        for x, y, k, sx in ((self, other, k1, 1), (other, self, k2, -sign)):
+            by_row: dict[int, list] = {}
+            for (r, c), v in y.entries.items():
+                by_row.setdefault(r, []).append((c, v.terms.items()))
+            for (r, c), v in x.entries.items():
+                right = by_row.get(c)
+                if right is None:
+                    continue
+                # the left factor's terms, shifted by k and signed once
+                left = [(e + k, a if sx > 0 else -a) for e, a in v.terms.items()]
+                for c2, terms in right:
+                    out = acc.get((r, c2))
+                    if out is None:
+                        out = acc[(r, c2)] = {}
+                    for ea, a in left:
+                        for eb, b in terms:
+                            out[ea + eb] = out.get(ea + eb, 0) + a * b
+        entries = {}
+        for key, out in acc.items():
+            p = LaurentPoly.from_sums(out)
+            if p:
+                entries[key] = p
+        return self._of(self.gradings, entries)
 
 
 # kron_gradings' memo: immutable tuples, one per pair of factor gradings a
@@ -239,8 +300,8 @@ def graded_permutation(gradings: tuple[int, ...]) -> GradedMatrix:
     for a in range(d):
         for b in range(d):
             sign = -1 if (gradings[a] * gradings[b]) % 2 else 1
-            entries[(b * d + a, a * d + b)] = LaurentPoly.const(sign)
-    return GradedMatrix(kron_gradings(gradings, gradings), entries)
+            entries[(b * d + a, a * d + b)] = monomial(0, sign)
+    return GradedMatrix._of(kron_gradings(gradings, gradings), entries)
 
 
 def embed_triple(
@@ -453,29 +514,64 @@ class Representation:
     def _weight_coords(self) -> list[tuple[Scalar, ...]]:
         return [w.eps + w.delta for w in self.weights]
 
-    def off_weight_entry(self, mat: GradedMatrix, shift: Weight) -> tuple[int, int] | None:
+    @cached_property
+    def _columns(self) -> list[list[Scalar]]:
+        return form_columns(self.weights, self.algebra.l, self.algebra.k)
+
+    def off_weight_entry(
+        self, mat: GradedMatrix, shift: tuple[Scalar, ...]
+    ) -> tuple[int, int] | None:
         """The first nonzero entry (r, c) of `mat` with wt_r - wt_c != shift,
-        or None when `mat` shifts every weight by `shift`.  The weights are
-        compared as coordinate tuples, so no Weight is built per entry."""
+        or None when `mat` shifts every weight by `shift`.  Weights and the
+        shift are compared as coordinate tuples (eps, then delta)."""
         coords = self._weight_coords
-        want = shift.eps + shift.delta
         for (r, c) in mat.entries:
-            if tuple(map(sub, coords[r], coords[c])) != want:
+            if tuple(map(sub, coords[r], coords[c])) != shift:
                 return r, c
         return None
 
+    def pairings(self, w: Weight) -> list[Scalar]:
+        """(w, wt_b) for every index b."""
+        return pair_with(w, self._columns)
+
+    def q_exponents(self, w: Weight, t: Scalar) -> list[int]:
+        """2t (w, wt_b) for every index b: the s-exponents of q^(t h_w).
+        ValueError when some t (w, wt_b) is not a half-integer."""
+        two_t = _canonical(2 * t)
+        out = []
+        for x in self.pairings(w):
+            e = two_t * x
+            if type(e) is not int:
+                if e.denominator != 1:
+                    raise ValueError(f"q^t needs a half-integer t, got {_canonical(t * x)}")
+                e = e.numerator
+            out.append(e)
+        return out
+
     def qh_diag(self, w: Weight, t: Scalar) -> GradedMatrix:
-        """Diagonal q^(t h_w): entry q^(t (w, wt_b)) at position b."""
-        if type(t) is not int:
-            t = Fraction(t)
-        diag = [
-            LaurentPoly.from_qpower(t * bilinear(w, wb)) for wb in self.weights
-        ]
-        return GradedMatrix.diagonal(self.gradings, diag)
+        """Diagonal q^(t h_w): the monomial s^(2t (w, wt_b)) at position b."""
+        return self._q_diagonal(self.q_exponents(w, t))
+
+    def _q_diagonal(self, exponents: list[int]) -> GradedMatrix:
+        return GradedMatrix._of(
+            self.gradings, {(b, b): monomial(e) for b, e in enumerate(exponents)}
+        )
+
+    @cached_property
+    def pair2(self) -> list[list[int]]:
+        """2 (wt_a, wt_b) for every index a of V and b of this module: row a
+        holds the s-exponents of q^(h_eps_a)."""
+        return [self.q_exponents(w, 1) for w in self.algebra.weights]
+
+    @cached_property
+    def qh_eps(self) -> list[GradedMatrix]:
+        """q^(h_eps_a) for every index a of V, in position order: R's
+        diagonal blocks, and the factors that make sigma~ from sigma."""
+        return [self._q_diagonal(row) for row in self.pair2]
 
     def big_e(self, label: str) -> GradedMatrix:
         """E_a = e_a q^(h_a / 2), the adjoint-friendly raising combination."""
-        return self.e[label] @ self.qh_diag(self.algebra.root(label), Fraction(1, 2))
+        return self.e[label] @ self.qh_diag(self.algebra.root(label), HALF)
 
     def to_json(self) -> dict:
         return {
@@ -530,7 +626,9 @@ def check_representation(rep: Representation) -> None:
         )
     for lab in labels:
         alpha = alg.root(lab)
-        for mat, shift, kind in ((rep.e[lab], alpha, "e"), (rep.f[lab], -alpha, "f")):
+        up = alpha.eps + alpha.delta
+        down = tuple(-x for x in up)
+        for mat, shift, kind in ((rep.e[lab], up, "e"), (rep.f[lab], down, "f")):
             bad = rep.off_weight_entry(mat, shift)
             if bad is not None:
                 r, c = bad
@@ -538,16 +636,14 @@ def check_representation(rep: Representation) -> None:
                     f"[h, {kind}_{lab}] relation: entry ({r + 1},{c + 1}) does not "
                     f"shift weight by {'+' if kind == 'e' else '-'}alpha_{lab}"
                 )
-    for lab_a in labels:
+    for i, lab_a in enumerate(labels):
         pa = alg.root_parity(lab_a)
         for lab_b in labels:
             pb = alg.root_parity(lab_b)
             lhs = rep.e[lab_a].bracket(rep.f[lab_b], pa, pb)
             if lab_a == lab_b:
-                alpha = alg.root(lab_a)
                 diag = []
-                for wb in rep.weights:
-                    x = bilinear(alpha, wb)
+                for x in rep.pairings(alg.root(lab_a)):
                     if x.denominator != 1:
                         raise RelationError(
                             f"[e_{lab_a}, f_{lab_a}]: non-integer pairing {x}"
@@ -558,8 +654,7 @@ def check_representation(rep: Representation) -> None:
                 rhs = GradedMatrix.zeros(rep.gradings)
             if lhs != rhs:
                 raise RelationError(f"[e_{lab_a}, f_{lab_b}] relation fails")
-        alpha = alg.root(lab_a)
-        if bilinear(alpha, alpha) == 0:
+        if alg.cartan[i][i] == 0:  # (alpha, alpha) = 0
             if not (rep.e[lab_a] @ rep.e[lab_a]).is_zero():
                 raise RelationError(f"[e_{lab_a}, e_{lab_a}] = 0 fails")
             if not (rep.f[lab_a] @ rep.f[lab_a]).is_zero():

@@ -11,16 +11,25 @@ through any intermediate c strictly between a and b with c not barred to
 either endpoint.  Pairs are processed by increasing position gap, so both
 factors always exist; the choice of intermediate is immaterial (verified
 separately as path independence).
+
+Every q-power here is a monomial s^k with k read from an int table:
+AlgebraData.pair2 and rho2 for weights of V, Representation.pair2 for a
+weight of V against one of W.  The induction step is one fused pass
+(GradedMatrix.commutator) with the shifts -pair2[b][a] and -pair2[c][c];
+the seeds, sigma~ = q^(h_eps_a) sigma and R's diagonal blocks are shifts
+and shared monomials.  R's off-diagonal blocks have one home,
+SigmaSet.r_blocks, which the spectral braced factor shares.  The weight
+checks of sigma and R compare the pair2 rows at the unit weights.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
+from operator import add, sub
 
-from .qring import q_minus_qinv, q_power
-from .superroot import AlgebraData, Weight, bilinear
+from .qring import monomial, q_minus_qinv
+from .superroot import AlgebraData
 from .gradedmat import (
     GradedMatrix,
     Representation,
@@ -29,8 +38,6 @@ from .gradedmat import (
     kron_blocks,
     pi_sigma,
 )
-
-HALF = Fraction(1, 2)
 
 
 class ConstructionError(RuntimeError):
@@ -55,10 +62,27 @@ class SigmaSet:
     @cached_property
     def tilde(self) -> dict[tuple[int, int], GradedMatrix]:
         """sigma~_ba = q^(h_eps_a) sigma_ba for every extended pair, built
-        once per complete set: R's off-diagonal blocks, the spectral braced
-        factor and the delta suite's coproduct are all made of them."""
-        qh, pairs = qh_eps(self.rep), self.algebra.extended_pairs()
-        return {(b, a): qh[a] @ self.sigma[(b, a)] for (b, a) in pairs}
+        once per complete set, each row r of sigma_ba shifted by
+        2 (wt_a, wt_r): R's off-diagonal blocks, the spectral braced factor
+        and the delta suite's coproduct are all made of them."""
+        pair2, sigma = self.rep.pair2, self.sigma
+        return {
+            (b, a): sigma[(b, a)].shifted(rows=pair2[a])
+            for (b, a) in self.algebra.extended_pairs()
+        }
+
+    @cached_property
+    def r_blocks(self) -> list[tuple[int, int, GradedMatrix]]:
+        """The off-diagonal blocks (a, b, (q - q^-1)(-1)^[b] sigma~_ba) of R,
+        one per nonzero sigma~_ba: assemble_R and the spectral braced factor
+        both take these."""
+        g = self.algebra.gradings
+        qq = q_minus_qinv()
+        neg = -qq
+        return [
+            (a, b, t.scale(neg if g[b] % 2 else qq))
+            for (b, a), t in self.tilde.items() if not t.is_zero()
+        ]
 
     def to_json(self) -> dict:
         alg = self.algebra
@@ -103,15 +127,12 @@ def induction_step(
     c: int,
     a: int,
 ) -> GradedMatrix:
-    """One application of the two-term induction relation through c."""
-    w = alg.weights
-    g = alg.gradings
-    coeff1 = q_power(-bilinear(w[b], w[a]))
-    coeff2 = q_power(-bilinear(w[c], w[c]))
+    """One application of the two-term induction relation through c, as
+    one fused pass: q^-(eps_b,eps_a) and q^-(eps_c,eps_c) are the shifts
+    -pair2[b][a] and -pair2[c][c]."""
+    g, pair2 = alg.gradings, alg.pair2
     sign = -1 if ((g[b] + g[c]) * (g[a] + g[c])) % 2 else 1
-    first = (sigma_bc @ sigma_ca).scale(coeff1)
-    second = (sigma_ca @ sigma_bc).scale(coeff2 * sign)
-    return first - second
+    return sigma_bc.commutator(sigma_ca, sign, -pair2[b][a], -pair2[c][c])
 
 
 def init_simple_sigma(rep: Representation) -> SigmaSet:
@@ -122,21 +143,23 @@ def init_simple_sigma(rep: Representation) -> SigmaSet:
         i and even-m l: t = 1/2, c = -1;   odd-m l: t = 0, c = -q^(1/2);
         mu: t = -1/2, c = 1;               s: t = 1/2, c = (-1)^k q^-1.
 
+    Each is a shift: q^t by 2t, and c = +-s^j by j with its sign.
     For even m the pair (i_l, bar(i_l)) is zero."""
     alg, bar = rep.algebra, rep.algebra.bar
     sigma: dict[tuple[int, int], GradedMatrix] = {}
     for label in alg.root_labels():
+        # (2t, the exponent j of c, the sign of c)
         if label == "s":
-            prefactor, mirror = HALF, q_power(-1) * (-1) ** alg.k
+            two_t, j, sign = 1, -2, (-1) ** alg.k
         elif label.startswith("mu"):
-            prefactor, mirror = -HALF, 1
+            two_t, j, sign = -1, 0, 1
         elif label == "l" and alg.m % 2:
-            prefactor, mirror = Fraction(0), -q_power(HALF)
+            two_t, j, sign = 0, 1, -1
         else:
-            prefactor, mirror = HALF, -1
+            two_t, j, sign = 1, 0, -1
         b, a = alg.simple_pair(label)
-        val = rep.big_e(label).scale(q_power(prefactor))
-        sigma[(b, a)], sigma[(bar[a], bar[b])] = val, val.scale(mirror)
+        val = rep.big_e(label).shifted(two_t)
+        sigma[(b, a)], sigma[(bar[a], bar[b])] = val, val.shifted(j, sign)
     prov = dict.fromkeys(sigma, "simple")
     if alg.m == 2 * alg.l:
         _, a = alg.simple_pair("l")
@@ -170,16 +193,32 @@ def extend_sigma(partial: SigmaSet) -> SigmaSet:
     return out
 
 
+def _unit_exponents(ss: SigmaSet) -> tuple[list[int], list[tuple], list[tuple]]:
+    """The positions p_j of V that carry the unit weights eps_1, ...,
+    eps_l, delta_1, ..., delta_k, and for each index of V and of W the
+    tuple over j of 2 (wt_(p_j), wt): the pair2 rows at those positions,
+    so that two weights are equal exactly when their tuples are."""
+    alg = ss.algebra
+    units = [alg.pos_even(i) for i in range(1, alg.l + 1)]
+    units += [alg.pos_odd(mu) for mu in range(1, alg.k + 1)]
+    on_v = list(zip(*(alg.pair2[p] for p in units)))
+    on_w = list(zip(*(ss.rep.pair2[p] for p in units)))
+    return units, on_v, on_w
+
+
 def _check_weight_homogeneity(ss: SigmaSet) -> None:
-    w = ss.algebra.weights
+    """Every sigma_ba shifts weights by eps_b - eps_a, compared on the
+    tuples of _unit_exponents."""
+    alg = ss.algebra
+    _, on_v, on_w = _unit_exponents(ss)
     for (b, a), mat in ss.sigma.items():
-        bad = ss.rep.off_weight_entry(mat, w[b] - w[a])
-        if bad is not None:
-            r, c = bad
-            raise AssertionError(
-                f"sigma({ss.algebra.labels[b]},{ss.algebra.labels[a]}) is not "
-                f"weight-homogeneous at entry ({r + 1},{c + 1})"
-            )
+        want = tuple(map(sub, on_v[b], on_v[a]))
+        for (r, c) in mat.entries:
+            if tuple(map(sub, on_w[r], on_w[c])) != want:
+                raise AssertionError(
+                    f"sigma({alg.labels[b]},{alg.labels[a]}) is not "
+                    f"weight-homogeneous at entry ({r + 1},{c + 1})"
+                )
 
 
 def closed_form_sigma(alg: AlgebraData) -> SigmaSet:
@@ -189,12 +228,12 @@ def closed_form_sigma(alg: AlgebraData) -> SigmaSet:
                    - (-1)^([b]([a]+[b])) xi_a xi_b q^(eps_a,eps_a)
                      q^(rho, eps_a - eps_b) E^bar(a)_bar(b)
     """
-    w = alg.weights
+    pair2, rho2 = alg.pair2, alg.rho2
     sigma = {
         (b, a): pi_sigma(
             alg, b, a,
-            lead=q_power(-bilinear(w[a], w[b])),
-            tail=q_power(bilinear(w[a], w[a]) + bilinear(alg.rho, w[a] - w[b])),
+            lead=monomial(-pair2[a][b]),
+            tail=monomial(pair2[a][a] + rho2[a] - rho2[b]),
         )
         for (b, a) in alg.extended_pairs()
     }
@@ -202,11 +241,6 @@ def closed_form_sigma(alg: AlgebraData) -> SigmaSet:
     out = SigmaSet(rep=build_vector_rep(alg), sigma=sigma, provenance=prov)
     _check_weight_homogeneity(out)
     return out
-
-
-def qh_eps(rep: Representation) -> list[GradedMatrix]:
-    """q^(h_eps_a) on `rep` for every index a of V, in position order."""
-    return [rep.qh_diag(w, 1) for w in rep.algebra.weights]
 
 
 def assemble_R(sigma: SigmaSet) -> RTensor:
@@ -219,12 +253,7 @@ def assemble_R(sigma: SigmaSet) -> RTensor:
         raise ValueError("incomplete sigma set")
     alg = sigma.algebra
     gv = alg.gradings
-    blocks = [(a, a, qh) for a, qh in enumerate(qh_eps(sigma.rep))]
-    qq = q_minus_qinv()
-    for (b, a), mat in sigma.tilde.items():
-        if not mat.is_zero():
-            sign = -1 if gv[b] % 2 else 1
-            blocks.append((a, b, mat.scale(qq * sign)))
+    blocks = [(a, a, qh) for a, qh in enumerate(sigma.rep.qh_eps)] + sigma.r_blocks
     kind = "vector" if sigma.rep.name == "vector" else "lax"
     out = RTensor(
         dims=(alg.dim, sigma.rep.dim),
@@ -240,20 +269,22 @@ def assemble_R(sigma: SigmaSet) -> RTensor:
 def _check_weightless(r: RTensor, sigma: SigmaSet) -> None:
     """R commutes with q^(h_w) (x) q^(h_w) for every Cartan weight w.
 
-    That operator is diagonal with entry q^((w, wt_a) + (w, wt_b)) at
+    That operator is diagonal with entry s^(2 (w, wt_a) + 2 (w, wt_b)) at
     composite index (a, b), and q-powers never vanish, so it commutes with
     R exactly when the exponents at the row and at the column of every
-    nonzero entry of R agree."""
+    nonzero entry of R agree.  For the unit weights w, the exponents at
+    (a, b) are the sums of the _unit_exponents tuples of a and of b, taken
+    for all units at once; the first unit weight that fails is named."""
     alg = sigma.algebra
-    basis = [Weight.eps_unit(i, alg.l, alg.k) for i in range(1, alg.l + 1)]
-    basis += [Weight.delta_unit(mu, alg.l, alg.k) for mu in range(1, alg.k + 1)]
-    for w in basis:
-        exp_v = [bilinear(w, wa) for wa in alg.weights]
-        exp_w = [bilinear(w, wb) for wb in sigma.rep.weights]
-        exps = [a + b for a in exp_v for b in exp_w]
-        for (i, j) in r.matrix.entries:
-            if exps[i] != exps[j]:
-                raise AssertionError(f"R is not weightless against weight {w}")
+    units, on_v, on_w = _unit_exponents(sigma)
+    totals = [tuple(map(add, x, y)) for x in on_v for y in on_w]
+    failing = [
+        next(j for j, (x, y) in enumerate(zip(totals[i], totals[c])) if x != y)
+        for (i, c) in r.matrix.entries if totals[i] != totals[c]
+    ]
+    if failing:
+        w = alg.weights[units[min(failing)]]
+        raise AssertionError(f"R is not weightless against weight {w}")
 
 
 def opposite_R(sigma: SigmaSet) -> RTensor:
@@ -269,12 +300,12 @@ def opposite_R(sigma: SigmaSet) -> RTensor:
     if sigma.rep.name != "vector":
         raise ValueError("opposite_R is defined on the vector representation")
     alg = sigma.algebra
-    w, gv = alg.weights, alg.gradings
+    gv, rho2 = alg.gradings, alg.rho2
     # sum_b q^(eps_a,eps_b) E^b_b is q^(h_eps_a) on V
-    blocks = [(a, a, qh) for a, qh in enumerate(qh_eps(sigma.rep))]
+    blocks = [(a, a, qh) for a, qh in enumerate(sigma.rep.qh_eps)]
     qq = q_minus_qinv()
     for (b, a) in alg.extended_pairs():
-        tilde_ab = pi_sigma(alg, a, b, tail=q_power(bilinear(alg.rho, w[a] - w[b])))
+        tilde_ab = pi_sigma(alg, a, b, tail=monomial(rho2[a] - rho2[b]))
         outer = -1 if gv[a] % 2 else 1
         blocks.append((b, a, tilde_ab.scale(qq * outer)))
     return RTensor(

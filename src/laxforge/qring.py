@@ -47,7 +47,7 @@ class LaurentPoly:
     monomial s^(2t).
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ("terms", "_hash")
 
     def __init__(self, terms: Mapping[int, Scalar] | None = None):
         clean: dict[int, Scalar] = {}
@@ -77,13 +77,16 @@ class LaurentPoly:
         return cls({k: coeff})
 
     @classmethod
-    def from_qpower(cls, t: Scalar) -> "LaurentPoly":
-        """q^t as the monomial s^(2t); t must be a half-integer."""
-        t = _canonical(t)
-        two_t = 2 * t
-        if type(two_t) is not int and two_t.denominator != 1:
-            raise ValueError(f"q^t needs a half-integer t, got {t}")
-        return cls({int(two_t): 1})
+    def from_sums(cls, sums: Mapping[int, Scalar]) -> "LaurentPoly":
+        """The polynomial of the coefficient sums {exponent: sum} that a
+        fused product accumulates: zero sums dropped, integral Fractions
+        stored as ints."""
+        res = cls.__new__(cls)
+        res.terms = {
+            k: c if type(c) is int or c.denominator != 1 else c.numerator
+            for k, c in sums.items() if c
+        }
+        return res
 
     # -- ring structure ------------------------------------------------
 
@@ -91,6 +94,8 @@ class LaurentPoly:
         return bool(self.terms)
 
     def __eq__(self, other) -> bool:
+        if type(other) is LaurentPoly:
+            return self.terms == other.terms
         if isinstance(other, (int, Fraction)):
             other = LaurentPoly.const(other)
         if not isinstance(other, LaurentPoly):
@@ -98,7 +103,13 @@ class LaurentPoly:
         return self.terms == other.terms
 
     def __hash__(self) -> int:
-        return hash(frozenset(self.terms.items()))
+        """The hash of the terms, worked out on the first call and kept:
+        a LaurentPoly is never changed once built."""
+        try:
+            return self._hash
+        except AttributeError:
+            self._hash = hash(frozenset(self.terms.items()))
+            return self._hash
 
     def __add__(self, other) -> "LaurentPoly":
         if isinstance(other, (int, Fraction)):
@@ -157,6 +168,18 @@ class LaurentPoly:
         return res
 
     __rmul__ = __mul__
+
+    def shift(self, k: int, sign: int = 1) -> "LaurentPoly":
+        """The product with sign * s^k, sign = +-1: every exponent moved by
+        k, every coefficient times sign."""
+        if not k and sign > 0:
+            return self
+        res = LaurentPoly.__new__(LaurentPoly)
+        if sign > 0:
+            res.terms = {e + k: c for e, c in self.terms.items()}
+        else:
+            res.terms = {e + k: -c for e, c in self.terms.items()}
+        return res
 
     def __pow__(self, n: int) -> "LaurentPoly":
         if n < 0:
@@ -230,9 +253,43 @@ class LaurentPoly:
 ZERO = LaurentPoly.zero()
 ONE = LaurentPoly.one()
 
+# monomial's shared objects, (k, sign) -> sign * s^k: a few hundred per
+# process, so they are kept and never evicted.
+_MONOMIALS: dict[tuple[int, int], LaurentPoly] = {(0, 1): ONE}
+
+
+def monomial(k: int, sign: int = 1) -> LaurentPoly:
+    """sign * s^k, sign = +-1, as one shared object per (k, sign).  Like
+    every LaurentPoly it is never changed once built."""
+    out = _MONOMIALS.get((k, sign))
+    if out is None:
+        out = _MONOMIALS[(k, sign)] = LaurentPoly.__new__(LaurentPoly)
+        out.terms = {k: sign}
+    return out
+
+
+def dot(pairs: Iterable[tuple[LaurentPoly, LaurentPoly]]) -> LaurentPoly:
+    """The sum of a b over the pairs (a, b), in one pass: every term is
+    added at its exponent into one dict, and no product or partial sum is
+    built."""
+    sums: dict[int, Scalar] = {}
+    for a, b in pairs:
+        terms = b.terms.items()
+        for ea, ca in a.terms.items():
+            for eb, cb in terms:
+                sums[ea + eb] = sums.get(ea + eb, 0) + ca * cb
+    return LaurentPoly.from_sums(sums)
+
 
 def q_power(t: Scalar) -> LaurentPoly:
-    return LaurentPoly.from_qpower(t)
+    """q^t as the shared monomial s^(2t); t must be a half-integer."""
+    t = _canonical(t)
+    two_t = 2 * t
+    if type(two_t) is not int:
+        if two_t.denominator != 1:
+            raise ValueError(f"q^t needs a half-integer t, got {t}")
+        two_t = two_t.numerator
+    return monomial(two_t)
 
 
 def q_minus_qinv() -> LaurentPoly:
@@ -365,6 +422,8 @@ class RatFunc:
         return bool(self.num)
 
     def __eq__(self, other) -> bool:
+        if type(other) is LaurentPoly:
+            return self.terms == other.terms
         if isinstance(other, (int, Fraction)):
             other = RatFunc.const(other)
         elif isinstance(other, LaurentPoly):

@@ -22,6 +22,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from operator import add
 
 from .qring import (
@@ -37,16 +38,19 @@ from .qring import (
     _zscale,
     _zstr,
     _ztrim,
+    dot,
     horner,
+    monomial,
     q_minus_qinv,
     q_power,
 )
-from .superroot import AlgebraData, bilinear
+from .superroot import AlgebraData
 from .gradedmat import (
     GradedMatrix,
     embed_triple,
     graded_permutation,
     kron_blocks,
+    kron_gradings,
     lane_product,
     pack_stats,
     packing_bits,
@@ -66,15 +70,18 @@ class SamplingError(RuntimeError):
 
 def sigma_hat_diag(alg: AlgebraData) -> list[GradedMatrix]:
     """The diagonal operators closing the braced factor of the spectral
-    formula: sigma^a_a = q^((e_a,e_a)/2) E^a_a - q^(-(e_a,e_a)/2) E^abar_abar.
+    formula: sigma^a_a = q^((e_a,e_a)/2) E^a_a - q^(-(e_a,e_a)/2) E^abar_abar,
+    the monomials s^(+-pair2[a][a] / 2).
 
-    For the self-barred zero-weight index the two terms cancel exactly.
-    """
-    g, bar, out = alg.gradings, alg.bar, []
+    For the self-barred zero-weight index the two terms cancel exactly."""
+    g, bar, pair2 = alg.gradings, alg.bar, alg.pair2
+    out = []
     for a in range(alg.dim):
-        half_norm = Fraction(bilinear(alg.weights[a], alg.weights[a]), 2)
-        lead = GradedMatrix(g, {(a, a): q_power(half_norm)})
-        out.append(lead + GradedMatrix(g, {(bar[a], bar[a]): -q_power(-half_norm)}))
+        h = pair2[a][a] // 2  # (e_a, e_a) is 0 or +-1
+        entries = {} if bar[a] == a else {
+            (a, a): monomial(h), (bar[a], bar[a]): monomial(-h, -1)
+        }
+        out.append(GradedMatrix._of(g, entries))
     return out
 
 
@@ -82,17 +89,16 @@ def build_E_tensor(alg: AlgebraData) -> GradedMatrix:
     """E = sum_{a,b} (-1)^([a][b]) xi_a xi_b q^((rho, e_a - e_b))
     E^a_b (x) E^abar_bbar on V (x) V.
 
-    Each (a, b) is its own block, and (rho, e_a - e_b) is a difference of
-    d pairings taken once."""
-    g, xi, bar = alg.gradings, alg.xi, alg.bar
-    rho_w = [bilinear(alg.rho, wa) for wa in alg.weights]
-    blocks = []
-    for a in range(alg.dim):
-        for b in range(alg.dim):
-            sign = -1 if (g[a] * g[b]) % 2 else 1
-            coeff = q_power(rho_w[a] - rho_w[b]) * (sign * xi[a] * xi[b])
-            blocks.append((a, b, GradedMatrix(g, {(bar[a], bar[b]): coeff})))
-    return kron_blocks(g, g, blocks)
+    Each (a, b) gives one entry, the monomial s^(rho2[a] - rho2[b]) with
+    graded_kron's sign (-1)^(([abar]+[bbar])[b]) on top, written directly."""
+    g, xi, bar, rho2, d = alg.gradings, alg.xi, alg.bar, alg.rho2, alg.dim
+    entries = {}
+    for a in range(d):
+        for b in range(d):
+            odd = (g[a] * g[b] + (g[bar[a]] + g[bar[b]]) * g[b]) % 2
+            sign = -xi[a] * xi[b] if odd else xi[a] * xi[b]
+            entries[(a * d + bar[a], b * d + bar[b])] = monomial(rho2[a] - rho2[b], sign)
+    return GradedMatrix._of(kron_gradings(g, g), entries)
 
 
 def braces_matrix(alg: AlgebraData, sigma: SigmaSet) -> GradedMatrix:
@@ -104,7 +110,8 @@ def braces_matrix(alg: AlgebraData, sigma: SigmaSet) -> GradedMatrix:
     which must coincide with the constant vector R-matrix; `sigma` is the
     sigma-hat set of the vector representation and sigma~_ba is
     q^(h_eps_a) sigma_ba.  With I = sum_a E^a_a (x) I every term is one
-    block E^a_b (x) (...)."""
+    block E^a_b (x) (...); the off-diagonal blocks are R's own
+    (SigmaSet.r_blocks), so the identity compares the diagonal ones."""
     g = alg.gradings
     ident = GradedMatrix.identity(g)
     sqrt_diff = LaurentPoly({1: 1, -1: -1})  # q^(1/2) - q^(-1/2)
@@ -112,12 +119,7 @@ def braces_matrix(alg: AlgebraData, sigma: SigmaSet) -> GradedMatrix:
     for a, diag in enumerate(sigma_hat_diag(alg)):
         sign = -1 if g[a] % 2 else 1
         blocks.append((a, a, ident + diag.scale(sqrt_diff * sign)))
-    qq = q_minus_qinv()
-    for (b, a), tilde in sigma.tilde.items():
-        if not tilde.is_zero():
-            sign = -1 if g[b] % 2 else 1
-            blocks.append((a, b, tilde.scale(qq * sign)))
-    return kron_blocks(g, g, blocks)
+    return kron_blocks(g, g, blocks + sigma.r_blocks)
 
 
 @dataclass
@@ -148,30 +150,42 @@ class SpectralRMatrix:
             self.gradings, {key: LaurentPoly.const(v) for key, v in vals.items()}
         )
 
-    def to_json(self) -> dict:
-        """Each nonzero entry as its numerator over the shared denominator
-        (whose leading coefficient is 1).  Entries holding the same values
-        in every piece share one numerator, formed once."""
-        # entry -> its value in each piece, None where that piece has none
-        values: dict[tuple[int, int], list] = {}
+    @cached_property
+    def entry_terms(self) -> tuple[list[LaurentPoly], list[tuple], list]:
+        """The distinct values of the pieces' entries, worked out once for
+        to_json and every SpectralAtS: the list of distinct values; the
+        distinct term lists, each a tuple of (piece index, value index) for
+        the pieces holding an entry; and each entry with the index of its
+        term list, entries with the same values in every piece sharing one."""
+        index: dict[LaurentPoly, int] = {}  # distinct entry value -> position
+        # entry -> [(piece index, position of its value there)]
+        terms: dict[tuple[int, int], list[tuple[int, int]]] = {}
         for i, (_, mat) in enumerate(self.pieces):
             for key, v in mat.entries.items():
-                values.setdefault(key, [None] * len(self.pieces))[i] = v
-        den = [str(c) for c in self.den]
+                terms.setdefault(key, []).append((i, index.setdefault(v, len(index))))
+        sums: dict[tuple, int] = {}
+        where = [(key, sums.setdefault(tuple(t), len(sums))) for key, t in terms.items()]
+        return list(index), list(sums), where
+
+    def to_json(self) -> dict:
+        """Each nonzero entry as its numerator over the shared denominator
+        (whose leading coefficient is 1).  Each distinct term list of
+        entry_terms has its numerator formed once, coefficient by
+        coefficient in one pass (qring.dot)."""
+        values, sums, where = self.entry_terms
         width = max(len(w) for w, _ in self.pieces)
-        nums: dict[tuple, list[str]] = {}
-        entries = {}
-        for (r, c) in sorted(values):
-            vals = tuple(values[(r, c)])
-            if vals not in nums:
-                num = [ZERO] * width
-                for (weight, _), v in zip(self.pieces, vals):
-                    if v is not None:
-                        for j, coeff in enumerate(weight):
-                            num[j] = num[j] + coeff * v
-                nums[vals] = [str(x) for x in _ztrim(num)]
-            if nums[vals]:
-                entries[f"{r + 1},{c + 1}"] = {"num": nums[vals], "den": den}
+        weights = [w + (ZERO,) * (width - len(w)) for w, _ in self.pieces]
+        den = [str(c) for c in self.den]
+        nums = [
+            [str(x) for x in _ztrim(
+                dot((weights[i][j], values[v]) for i, v in t) for j in range(width)
+            )]
+            for t in sums
+        ]
+        entries = {
+            f"{r + 1},{c + 1}": {"num": nums[j], "den": den}
+            for (r, c), j in where if nums[j]
+        }
         return {
             "algebra": {"m": self.algebra.m, "n": self.algebra.n},
             "kind": self.kind,
@@ -197,15 +211,10 @@ class SpectralAtS:
         self.den = spec.den
         self.den_at = [c.evaluate(s0) for c in spec.den]
         self.weights_at = [[c.evaluate(s0) for c in w] for w, _ in spec.pieces]
-        index: dict[LaurentPoly, int] = {}  # distinct entry value -> position
-        # entry -> [(piece index, position of its value there)]
-        terms: dict[tuple[int, int], list[tuple[int, int]]] = {}
-        for i, (_, mat) in enumerate(spec.pieces):
-            for key, v in mat.entries.items():
-                terms.setdefault(key, []).append((i, index.setdefault(v, len(index))))
-        exps = [k for v in index for k in v.terms]
+        values, sums, self.where = spec.entry_terms
+        exps = [k for v in values for k in v.terms]
         lo, hi = min(exps, default=0), max(exps, default=0)
-        coeff_lcm = math.lcm(*(c.denominator for v in index for c in v.terms.values()))
+        coeff_lcm = math.lcm(*(c.denominator for v in values for c in v.terms.values()))
         s0 = Fraction(_canonical(s0))
         a, b = s0.numerator, s0.denominator
         pa, pb = [1], [1]  # a^j and b^j for 0 <= j <= hi - lo
@@ -217,14 +226,10 @@ class SpectralAtS:
                 c.numerator * (coeff_lcm // c.denominator) * pa[k - lo] * pb[hi - k]
                 for k, c in v.terms.items()
             )
-            for v in index
+            for v in values
         ]
         # each at_s0 entry is v(s0) times this
         self.scale = coeff_lcm * Fraction(b) ** hi / Fraction(a) ** lo
-        sums: dict[tuple, int] = {}
-        self.where = [
-            (key, sums.setdefault(tuple(t), len(sums))) for key, t in terms.items()
-        ]
         self.sums = [[(i, at_s0[j]) for i, j in t] for t in sums]
 
     def int_values(self, z0: Scalar) -> tuple[dict[tuple[int, int], int], Fraction]:

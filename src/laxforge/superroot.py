@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import sub
+from typing import Sequence
 
 from .qring import Scalar, _canonical
 
@@ -82,6 +83,28 @@ def bilinear(w1: Weight, w2: Weight) -> Scalar:
     )
 
 
+def form_columns(weights: Sequence[Weight], l: int, k: int) -> list[list[Scalar]]:
+    """Coordinate j of every weight, times (u_j, u_j) for the j-th unit u_j
+    (1 for eps, -1 for delta): (w, x) is then sum_j w_j column_j[x] for
+    each weight x of `weights`."""
+    return [[x.eps[j] for x in weights] for j in range(l)] + [
+        [-x.delta[j] for x in weights] for j in range(k)
+    ]
+
+
+def pair_with(w: Weight, columns: list[list[Scalar]]) -> list[Scalar]:
+    """(w, x) for every weight x whose form_columns are `columns`, one pass
+    over the column of each nonzero coordinate of w."""
+    out = None
+    for wj, col in zip(w.eps + w.delta, columns):
+        if wj:
+            term = col if wj == 1 else [wj * x for x in col]
+            out = term if out is None else [x + y for x, y in zip(out, term)]
+    if out is None:
+        return [0] * len(columns[0])
+    return [x if type(x) is int else _canonical(x) for x in out]
+
+
 @dataclass(frozen=True)
 class AlgebraData:
     """All index-level data of osp(m|n) in the canonical descending layout."""
@@ -99,6 +122,10 @@ class AlgebraData:
     simple_roots: tuple[tuple[str, Weight], ...]
     cartan: tuple[tuple[Scalar, ...], ...]
     rho: Weight
+    # the s-exponent tables: q^((wt_a, wt_b)) = s^pair2[a][b] and
+    # q^((rho, wt_a)) = s^(rho2[a] / 2), so that q-powers are exponent shifts
+    pair2: tuple[tuple[int, ...], ...]  # 2 (wt_a, wt_b)
+    rho2: tuple[int, ...]  # (2 rho, wt_a)
 
     # -- position bookkeeping -------------------------------------------
 
@@ -243,15 +270,21 @@ def build_algebra(m: int, n: int) -> AlgebraData:
     bar = tuple(dim - 1 - p for p in range(dim))
 
     roots = _simple_roots(m, n, l, k)
+    root_columns = form_columns([w for _, w in roots], l, k)
     cartan = []
-    for _, ab in roots:
-        norm = bilinear(ab, ab)
-        row = []
-        for _, ac in roots:
-            pairing = bilinear(ab, ac)
-            row.append(_canonical(Fraction(2 * pairing, norm)) if norm else pairing)
-        cartan.append(tuple(row))
+    for i, (_, ab) in enumerate(roots):
+        # 2 (ab, ac) / (ab, ab) for every root ac, or (ab, ac) when ab is
+        # isotropic; a Fraction only when the quotient is not an int
+        row = pair_with(ab, root_columns)
+        norm = row[i]
+        cartan.append(tuple(
+            (2 * x // norm if not 2 * x % norm else Fraction(2 * x, norm)) if norm else x
+            for x in row
+        ))
 
+    rho = _rho(m, n, l, k)
+    columns = form_columns(weights, l, k)
+    two_rho = Weight(*(tuple(_canonical(2 * a) for a in c) for c in (rho.eps, rho.delta)))
     alg = AlgebraData(
         m=m,
         n=n,
@@ -265,7 +298,9 @@ def build_algebra(m: int, n: int) -> AlgebraData:
         weights=tuple(weights),
         simple_roots=tuple(roots),
         cartan=tuple(cartan),
-        rho=_rho(m, n, l, k),
+        rho=rho,
+        pair2=tuple(tuple([2 * x for x in pair_with(w, columns)]) for w in weights),
+        rho2=tuple(pair_with(two_rho, columns)),
     )
     _check_invariants(alg)
     return alg

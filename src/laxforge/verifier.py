@@ -21,9 +21,10 @@ shows Laurent polynomials.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
-from .qring import LaurentPoly, ZERO, q_minus_qinv, q_power
-from .superroot import Weight, bilinear
+from .qring import LaurentPoly, ZERO, q_minus_qinv
+from .superroot import Weight
 from .gradedmat import (
     GradedMatrix,
     PackStats,
@@ -44,7 +45,6 @@ from .laxengine import (
     SigmaSet,
     admissible_intermediates,
     induction_step,
-    qh_eps,
 )
 
 
@@ -174,8 +174,8 @@ def check_lax_ybe(rv: RTensor, rw: RTensor) -> CheckReport:
 def _coproduct(rep: Representation, label: str) -> dict[str, GradedMatrix]:
     """Matrices of Delta(e), Delta(f), Delta(q^(+-h/2)) on V (x) V."""
     alpha = rep.algebra.root(label)
-    qp = rep.qh_diag(alpha, "1/2")
-    qm = rep.qh_diag(alpha, "-1/2")
+    qp = rep.qh_diag(alpha, Fraction(1, 2))
+    qm = rep.qh_diag(alpha, Fraction(-1, 2))
     return {
         "e": graded_kron(qp, rep.e[label]) + graded_kron(rep.e[label], qm),
         "f": graded_kron(qp, rep.f[label]) + graded_kron(rep.f[label], qm),
@@ -277,7 +277,7 @@ def check_delta_property(sigma: SigmaSet, r: RTensor) -> CheckReport:
     """
     suite = _Suite("delta_property")
     g, gv, tilde = sigma.algebra.gradings, sigma.rep.gradings, sigma.tilde
-    qh = qh_eps(sigma.rep)
+    qh = sigma.rep.qh_eps
 
     def r13_r12(m: GradedMatrix) -> GradedMatrix:
         return embed_triple(m, "13", gv, gv, gv) @ embed_triple(m, "12", gv, gv, gv)
@@ -323,8 +323,10 @@ def _adjoint(
     x: GradedMatrix,
     x_parity: int,
 ) -> GradedMatrix:
-    """ad op . x = op x - (-1)^([op][x]) (q^h x q^-h) op, h the root of op."""
-    conj = rep.qh_diag(root, 1) @ x @ rep.qh_diag(root, -1)
+    """ad op . x = op x - (-1)^([op][x]) (q^h x q^-h) op, h the root of op:
+    q^h x q^-h shifts entry (r, c) of x by 2 (root, wt_r) - 2 (root, wt_c)."""
+    exps = rep.q_exponents(root, 1)
+    conj = x.shifted(rows=exps, cols=[-e for e in exps])
     sign = -1 if (op_parity * x_parity) % 2 else 1
     return (op @ x) - (conj @ op).scale(sign)
 
@@ -335,7 +337,7 @@ def check_qserre(rep: Representation) -> CheckReport:
     alg = rep.algebra
     labels = alg.root_labels()
     for bi, lb in enumerate(labels):
-        if bilinear(alg.root(lb), alg.root(lb)) == 0:
+        if alg.cartan[bi][bi] == 0:  # (alpha_b, alpha_b) = 0
             continue
         eb = rep.big_e(lb)
         pb = alg.root_parity(lb)
@@ -411,18 +413,19 @@ def _expect_qcom(
     for each extended pair (b, a) with a not in {x, bar(y)} and b not in
     {y, bar(x)}, as relation "<prefix>qcom[<label>; b,a]"."""
     alg = sigma.algebra
-    g, w, bar, lab = alg.gradings, alg.weights, alg.bar, alg.labels
+    g, pair2, bar, lab = alg.gradings, alg.pair2, alg.bar, alg.labels
     x, y = alg.simple_pair(label)
-    alpha, odd = w[x] - w[y], (g[x] + g[y]) % 2
+    odd = (g[x] + g[y]) % 2
     for (b, a) in alg.extended_pairs():
         if a in (x, bar[y]) or b in (y, bar[x]):
             continue
         sign = -1 if odd and (g[a] + g[b]) % 2 else 1
         s_ba = sigma.sigma[(b, a)]
+        # q^((alpha, e_p)) is s^(pair2[x][p] - pair2[y][p])
         suite.expect_equal(
             f"{prefix}qcom[{label}; {lab[b]},{lab[a]}]",
-            (s_ba @ op).scale(q_power(bilinear(alpha, w[b]))),
-            (op @ s_ba).scale(q_power(-bilinear(alpha, w[a])) * sign),
+            (s_ba @ op).shifted(pair2[x][b] - pair2[y][b]),
+            (op @ s_ba).shifted(pair2[y][a] - pair2[x][a], sign),
         )
 
 
@@ -501,7 +504,7 @@ def check_appendix(sigma: SigmaSet) -> CheckReport:
             f"common: sigma(i{i+1},bar(i{i})) + sigma(i{i},bar(i{i+1})) "
             f"= q^-1 [sigma(i{i},i{i+1}), sigma(i{i+1},bar(i{i+1}))]",
             S[(ei1, bar[ei])] + S[(ei, bar[ei1])],
-            S[(ei, ei1)].bracket(S[(ei1, bar[ei1])], 0, 0).scale(q_power(-1)),
+            S[(ei, ei1)].commutator(S[(ei1, bar[ei1])], 1, -2, -2),
         )
     for mu in range(1, k):
         om, om1 = alg.simple_pair(f"mu{mu}")
@@ -510,7 +513,7 @@ def check_appendix(sigma: SigmaSet) -> CheckReport:
             f"common: sigma(mu{mu+1},bar(mu{mu})) - sigma(mu{mu},bar(mu{mu+1})) "
             f"= q [sigma(mu{mu+1},bar(mu{mu+1})), sigma(mu{mu},mu{mu+1})]",
             S[(om1, bar[om])] - S[(om, bar[om1])],
-            S[(om1, bar[om1])].bracket(S[(om, om1)], 0, 0).scale(q_power(1)),
+            S[(om1, bar[om1])].commutator(S[(om, om1)], 1, 2, 2),
         )
     if alg.n > 0:
         ok, e1 = alg.simple_pair("s")
@@ -518,8 +521,8 @@ def check_appendix(sigma: SigmaSet) -> CheckReport:
             "s", "common", (1, 2, 4, 3),
             f"common: sigma(mu{k},bar(i1)) - (-1)^k q sigma(i1,bar(mu{k})) "
             f"= q^-1 [sigma(mu{k},i1), sigma(i1,bar(i1))]",
-            S[(ok, bar[e1])] - S[(e1, bar[ok])].scale(q_power(1) * (-1) ** k),
-            S[(ok, e1)].bracket(S[(e1, bar[e1])], 0, 0).scale(q_power(-1)),
+            S[(ok, bar[e1])] - S[(e1, bar[ok])].shifted(2, (-1) ** k),
+            S[(ok, e1)].commutator(S[(e1, bar[e1])], 1, -2, -2),
         )
     if alg.m == 2 * l:
         chain("l", "even-m", (3, 1, 2, 4))

@@ -576,3 +576,93 @@ def test_console_reads_a_separated_negative_rational(capsys):
     assert (fresh.returncode, fresh.stdout, fresh.stderr) == (
         0, capsys.readouterr().out, ""
     )
+
+
+def _spy_writes(monkeypatch):
+    """Record every path cli._atomic_write is called on."""
+    from laxforge import cli
+
+    written = []
+    write = cli._atomic_write
+
+    def spy(path, data):
+        written.append(Path(path))
+        write(path, data)
+
+    monkeypatch.setattr(cli, "_atomic_write", spy)
+    return written
+
+
+GENERATED = ("sigma_5_4_vector.json", "r_vector_5_4.json")
+
+
+def test_generate_again_leaves_unchanged_outputs_alone(tmp_path, monkeypatch):
+    monkeypatch.delenv("LAXFORGE_CACHE", raising=False)
+    args = ["generate", "--m", "5", "--n", "4", "--out", str(tmp_path)]
+    assert run(args) == 0
+    before = {name: (tmp_path / name).read_bytes() for name in GENERATED}
+    for name in GENERATED:  # an old mtime, so that a rewrite would show
+        os.utime(tmp_path / name, ns=(10**18, 10**18))
+    written = _spy_writes(monkeypatch)
+    assert run(args) == 0
+    assert written == []
+    for name in GENERATED:
+        assert (tmp_path / name).read_bytes() == before[name]
+        assert (tmp_path / name).stat().st_mtime_ns == 10**18
+
+
+@pytest.mark.parametrize("damage", [
+    lambda data: data[:-1],  # truncated: the size differs
+    lambda data: data[:100] + bytes([data[100] ^ 1]) + data[101:],  # same size
+])
+def test_generate_again_rewrites_a_damaged_output(tmp_path, monkeypatch, damage):
+    monkeypatch.delenv("LAXFORGE_CACHE", raising=False)
+    args = ["generate", "--m", "5", "--n", "4", "--out", str(tmp_path)]
+    assert run(args) == 0
+    good = {name: (tmp_path / name).read_bytes() for name in GENERATED}
+    sigma, r = (tmp_path / name for name in GENERATED)
+    sigma.write_bytes(damage(good[sigma.name]))
+    written = _spy_writes(monkeypatch)
+    assert run(args) == 0
+    assert written == [sigma]
+    assert sigma.read_bytes() == good[sigma.name] and r.read_bytes() == good[r.name]
+
+
+def test_a_sigma_hat_diag_entry_negated_fails_the_braces_check(monkeypatch, capsys):
+    # the braced factor shares R's off-diagonal blocks, so its diagonal
+    # blocks are what the check compares: one sign flipped there must fail
+    from laxforge import spectral
+    from laxforge.gradedmat import GradedMatrix
+
+    build = spectral.sigma_hat_diag
+
+    def flipped(alg):
+        diag = build(alg)
+        a = next(a for a, m in enumerate(diag) if m.entries)
+        key = min(diag[a].entries)
+        entries = dict(diag[a].entries)
+        entries[key] = -entries[key]
+        diag[a] = GradedMatrix(diag[a].gradings, entries)
+        return diag
+
+    monkeypatch.setattr(spectral, "sigma_hat_diag", flipped)
+    assert run(["spectral", "--m", "5", "--n", "4", "--kind", "untwisted"]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "internal error: braced factor does not reproduce the constant R-matrix\n"
+    )
+    assert captured.out == ""
+
+
+def test_shared_monomials_are_unchanged_by_a_full_verify(capsys):
+    from laxforge import qring
+    from laxforge.qring import ONE, ZERO, LaurentPoly
+
+    assert run(["verify", "--m", "5", "--n", "4", "--suite", "all"]) == 0
+    capsys.readouterr()
+    assert ONE == LaurentPoly({0: 1}) and ONE.terms == {0: 1}
+    assert ZERO == LaurentPoly() and ZERO.terms == {}
+    assert len(qring._MONOMIALS) > 10
+    for (k, sign), p in qring._MONOMIALS.items():
+        fresh = LaurentPoly({k: sign})
+        assert p == fresh and p.terms == {k: sign} and hash(p) == hash(fresh)

@@ -453,3 +453,79 @@ def test_vector_rep_json_bytes_are_pinned(mn, digest):
 
     doc = build_vector_rep(build_algebra(*mn)).to_json()
     assert hashlib.sha256(_canonical_bytes(doc)).hexdigest() == digest
+
+
+def spinor_doc():
+    """A two-dimensional module of osp(4|0) with half-integer weights
+    +-(1/2, 1/2): alpha_i1 = eps1 - eps2 acts by zero, alpha_l = eps1 + eps2
+    by e_l = E^1_2 and f_l = E^2_1, so [e_l, f_l] = diag([1]_q, [-1]_q)."""
+    half = ["1/2", "1/2"]
+    return {
+        "algebra": {"m": 4, "n": 0},
+        "name": "spinor",
+        "dim": 2,
+        "gradings": [0, 0],
+        "weights": [{"eps": half, "delta": []},
+                    {"eps": ["-1/2", "-1/2"], "delta": []}],
+        "e": {"i1": [], "l": [[1, 2, "1"]]},
+        "f": {"i1": [], "l": [[2, 1, "1"]]},
+    }
+
+
+def test_qh_diag_on_fraction_weights_refuses_a_non_half_integer_pairing(tmp_path):
+    from laxforge.cli import main
+    from laxforge.superroot import Weight
+
+    path = tmp_path / "spinor.json"
+    path.write_text(json.dumps(spinor_doc()))
+    rep = load_representation(json.loads(path.read_text()), build_algebra(4, 0))
+    half = Fraction(1, 2)
+    assert rep.weights[0] == Weight((half, half), ())
+    # (eps_1, wt) = +-1/2 is a half-integer: q^(h_eps_1) = diag(s, s^-1)
+    eps1 = Weight((1, 0), ())
+    assert rep.qh_diag(eps1, 1).entries == {
+        (0, 0): LaurentPoly({1: 1}), (1, 1): LaurentPoly({-1: 1})
+    }
+    assert rep.pair2[0] == [1, -1]
+    # (eps_1 / 2, wt) = +-1/4 is not
+    with pytest.raises(ValueError, match=r"q\^t needs a half-integer t, got 1/4"):
+        rep.qh_diag(Weight((half, 0), ()), 1)
+    # the construction and the Lax Yang-Baxter equation hold on it
+    assert main(["verify", "--m", "4", "--n", "0", "--rep", str(path),
+                 "--suite", "lax-ybe", "--suite", "qcom"]) == 0
+
+
+def random_laurent_matrix(rng, g=G4, nnz=6):
+    """Entries with a few terms each, Fraction coefficients among them, on
+    a narrow exponent range so that products collide and cancel."""
+    d = len(g)
+    entries = {}
+    for _ in range(nnz):
+        terms = {rng.randint(-2, 2): Fraction(rng.randint(-3, 3), rng.choice((1, 1, 2)))
+                 for _ in range(rng.randint(1, 3))}
+        entries[(rng.randrange(d), rng.randrange(d))] = LaurentPoly(terms)
+    return GradedMatrix(g, entries)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_commutator_and_shifted_equal_their_products(seed):
+    rng = random.Random(seed)
+    x, y = random_laurent_matrix(rng), random_laurent_matrix(rng)
+    sign, k1, k2 = rng.choice((1, -1)), rng.randint(-3, 3), rng.randint(-3, 3)
+    expected = (x @ y).scale(LaurentPoly.s_power(k1)) - (y @ x).scale(
+        LaurentPoly.s_power(k2, sign)
+    )
+    got = x.commutator(y, sign, k1, k2)
+    assert got == expected
+    for v in got.entries.values():
+        assert v and all(type(c) is int or c.denominator != 1 for c in v.terms.values())
+    rows = [rng.randint(-2, 2) for _ in G4]
+    cols = [rng.randint(-2, 2) for _ in G4]
+
+    def diag(exps):
+        return GradedMatrix.diagonal(G4, [LaurentPoly.s_power(e) for e in exps])
+
+    assert x.shifted(k1, sign, rows, cols) == (
+        diag(rows) @ x @ diag(cols)
+    ).scale(LaurentPoly.s_power(k1, sign))
+    assert x.shifted(rows=rows) == diag(rows) @ x

@@ -108,6 +108,22 @@ def test_assemble_r_rejects_entry_that_breaks_weights():
     assert str(info.value) == f"R is not weightless against weight {first}"
 
 
+def test_weightless_names_the_first_unit_weight_any_entry_breaks():
+    # E^1_1 added to sigma(mu1, i2) breaks delta_1 only, and comes first in
+    # R; added to sigma(i1, i2) it breaks eps_1 only.  eps_1 comes first
+    # among the unit weights, so it is the one named
+    ss = vector_sigma(3, 2)
+    alg = ss.algebra
+    sigma = dict(ss.sigma)
+    for pair in ((0, 2), (1, 2)):
+        sigma[pair] = sigma[pair] + GradedMatrix.elementary(0, 0, alg.gradings)
+    bad = SigmaSet(rep=ss.rep, sigma=sigma, provenance=dict(ss.provenance))
+    with pytest.raises(AssertionError) as info:
+        assemble_R(bad)
+    eps1 = Weight.eps_unit(1, alg.l, alg.k)
+    assert str(info.value) == f"R is not weightless against weight {eps1}"
+
+
 def test_extend_sigma_rejects_seed_off_weight():
     partial = init_simple_sigma(build_vector_rep(build_algebra(3, 2)))
     alg = partial.algebra

@@ -150,3 +150,19 @@ def test_simple_pair_realises_each_simple_root(mn):
         assert (b, a) == first
     with pytest.raises(KeyError):
         alg.simple_pair("s" if alg.n == 0 else "x1")
+
+
+# every osp(m|n) with 3 <= m <= 11 and even n <= 10: 54 algebras
+ALL_SMALL = [(m, n) for m in range(3, 12) for n in range(0, 11, 2)]
+
+
+@pytest.mark.parametrize("mn", ALL_SMALL)
+def test_exponent_tables_are_twice_the_form(mn):
+    alg = build_algebra(*mn)
+    w = alg.weights
+    assert alg.pair2 == tuple(
+        tuple(2 * bilinear(wa, wb) for wb in w) for wa in w
+    )
+    assert alg.rho2 == tuple(2 * bilinear(alg.rho, wa) for wa in w)
+    assert all(type(x) is int for row in alg.pair2 for x in row)
+    assert all(type(x) is int for x in alg.rho2)

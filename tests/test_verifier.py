@@ -21,7 +21,6 @@ from laxforge.laxengine import (
     extend_sigma,
     init_simple_sigma,
     opposite_R,
-    qh_eps,
 )
 from laxforge.verifier import (
     check_appendix,
@@ -158,7 +157,7 @@ def test_delta_property_multiplies_packed_ints(monkeypatch):
 )
 def test_packed_delta_lhs_is_the_packed_symbolic_lhs(mn):
     rep, ss = build(*mn)
-    qh = qh_eps(rep)
+    qh = rep.qh_eps
     g, qq = ss.algebra.gradings, q_minus_qinv()
     lhs = delta_lhs(g, ss.tilde, qh, qq)
     lo = min(*(pack_stats(m).lo for m in ss.tilde.values()),
