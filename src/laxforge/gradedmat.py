@@ -40,7 +40,7 @@ from functools import cached_property
 from operator import add, sub
 from typing import Mapping
 
-from .qring import LaurentPoly, ONE, Scalar, _canonical, monomial, q_int
+from .qring import LaurentPoly, ONE, Scalar, _canonical, dot, monomial, q_int, s_exponent
 from .superroot import AlgebraData, Weight, form_columns, pair_with
 
 HALF = Fraction(1, 2)
@@ -209,31 +209,29 @@ class GradedMatrix:
         self, other: "GradedMatrix", sign: int = 1, k1: int = 0, k2: int = 0
     ) -> "GradedMatrix":
         """s^k1 xy - sign s^k2 yx for x = self and y = other with Laurent
-        entries, sign = +-1, in one pass: every term of both products is
-        added at its shifted exponent into one coefficient dict per entry,
-        so no product, scaled or difference matrix is built."""
+        entries, sign = +-1, in one pass: the term pairs of both products
+        are collected per entry, the left factor shifted by s^k1 or
+        -sign s^k2, and each entry is one qring.dot, so no product, scaled
+        or difference matrix is built."""
         self._same_space(other)
-        acc: dict[tuple[int, int], dict[int, Scalar]] = {}
+        pairs: dict[tuple[int, int], list] = {}
         for x, y, k, sx in ((self, other, k1, 1), (other, self, k2, -sign)):
             by_row: dict[int, list] = {}
             for (r, c), v in y.entries.items():
-                by_row.setdefault(r, []).append((c, v.terms.items()))
+                by_row.setdefault(r, []).append((c, v))
             for (r, c), v in x.entries.items():
                 right = by_row.get(c)
                 if right is None:
                     continue
-                # the left factor's terms, shifted by k and signed once
-                left = [(e + k, a if sx > 0 else -a) for e, a in v.terms.items()]
-                for c2, terms in right:
-                    out = acc.get((r, c2))
+                left = v.shift(k, sx)
+                for c2, w in right:
+                    out = pairs.get((r, c2))
                     if out is None:
-                        out = acc[(r, c2)] = {}
-                    for ea, a in left:
-                        for eb, b in terms:
-                            out[ea + eb] = out.get(ea + eb, 0) + a * b
+                        out = pairs[(r, c2)] = []
+                    out.append((left, w))
         entries = {}
-        for key, out in acc.items():
-            p = LaurentPoly.from_sums(out)
+        for key, out in pairs.items():
+            p = dot(out)
             if p:
                 entries[key] = p
         return self._of(self.gradings, entries)
@@ -511,7 +509,8 @@ class Representation:
         return len(self.gradings)
 
     @cached_property
-    def _weight_coords(self) -> list[tuple[Scalar, ...]]:
+    def weight_coords(self) -> list[tuple[Scalar, ...]]:
+        """Each weight as one coordinate tuple, eps then delta."""
         return [w.eps + w.delta for w in self.weights]
 
     @cached_property
@@ -524,7 +523,7 @@ class Representation:
         """The first nonzero entry (r, c) of `mat` with wt_r - wt_c != shift,
         or None when `mat` shifts every weight by `shift`.  Weights and the
         shift are compared as coordinate tuples (eps, then delta)."""
-        coords = self._weight_coords
+        coords = self.weight_coords
         for (r, c) in mat.entries:
             if tuple(map(sub, coords[r], coords[c])) != shift:
                 return r, c
@@ -538,15 +537,7 @@ class Representation:
         """2t (w, wt_b) for every index b: the s-exponents of q^(t h_w).
         ValueError when some t (w, wt_b) is not a half-integer."""
         two_t = _canonical(2 * t)
-        out = []
-        for x in self.pairings(w):
-            e = two_t * x
-            if type(e) is not int:
-                if e.denominator != 1:
-                    raise ValueError(f"q^t needs a half-integer t, got {_canonical(t * x)}")
-                e = e.numerator
-            out.append(e)
-        return out
+        return [s_exponent(two_t * x) for x in self.pairings(w)]
 
     def qh_diag(self, w: Weight, t: Scalar) -> GradedMatrix:
         """Diagonal q^(t h_w): the monomial s^(2t (w, wt_b)) at position b."""

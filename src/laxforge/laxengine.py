@@ -19,7 +19,7 @@ weight of V against one of W.  The induction step is one fused pass
 the seeds, sigma~ = q^(h_eps_a) sigma and R's diagonal blocks are shifts
 and shared monomials.  R's off-diagonal blocks have one home,
 SigmaSet.r_blocks, which the spectral braced factor shares.  The weight
-checks of sigma and R compare the pair2 rows at the unit weights.
+checks of sigma and R compare weights as coordinate tuples.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from functools import cached_property
 from operator import add, sub
 
 from .qring import monomial, q_minus_qinv
-from .superroot import AlgebraData
+from .superroot import AlgebraData, Weight
 from .gradedmat import (
     GradedMatrix,
     Representation,
@@ -193,32 +193,16 @@ def extend_sigma(partial: SigmaSet) -> SigmaSet:
     return out
 
 
-def _unit_exponents(ss: SigmaSet) -> tuple[list[int], list[tuple], list[tuple]]:
-    """The positions p_j of V that carry the unit weights eps_1, ...,
-    eps_l, delta_1, ..., delta_k, and for each index of V and of W the
-    tuple over j of 2 (wt_(p_j), wt): the pair2 rows at those positions,
-    so that two weights are equal exactly when their tuples are."""
-    alg = ss.algebra
-    units = [alg.pos_even(i) for i in range(1, alg.l + 1)]
-    units += [alg.pos_odd(mu) for mu in range(1, alg.k + 1)]
-    on_v = list(zip(*(alg.pair2[p] for p in units)))
-    on_w = list(zip(*(ss.rep.pair2[p] for p in units)))
-    return units, on_v, on_w
-
-
 def _check_weight_homogeneity(ss: SigmaSet) -> None:
-    """Every sigma_ba shifts weights by eps_b - eps_a, compared on the
-    tuples of _unit_exponents."""
-    alg = ss.algebra
-    _, on_v, on_w = _unit_exponents(ss)
+    coords = [w.eps + w.delta for w in ss.algebra.weights]
     for (b, a), mat in ss.sigma.items():
-        want = tuple(map(sub, on_v[b], on_v[a]))
-        for (r, c) in mat.entries:
-            if tuple(map(sub, on_w[r], on_w[c])) != want:
-                raise AssertionError(
-                    f"sigma({alg.labels[b]},{alg.labels[a]}) is not "
-                    f"weight-homogeneous at entry ({r + 1},{c + 1})"
-                )
+        bad = ss.rep.off_weight_entry(mat, tuple(map(sub, coords[b], coords[a])))
+        if bad is not None:
+            r, c = bad
+            raise AssertionError(
+                f"sigma({ss.algebra.labels[b]},{ss.algebra.labels[a]}) is not "
+                f"weight-homogeneous at entry ({r + 1},{c + 1})"
+            )
 
 
 def closed_form_sigma(alg: AlgebraData) -> SigmaSet:
@@ -269,21 +253,28 @@ def assemble_R(sigma: SigmaSet) -> RTensor:
 def _check_weightless(r: RTensor, sigma: SigmaSet) -> None:
     """R commutes with q^(h_w) (x) q^(h_w) for every Cartan weight w.
 
-    That operator is diagonal with entry s^(2 (w, wt_a) + 2 (w, wt_b)) at
+    That operator is diagonal with entry q^((w, wt_a) + (w, wt_b)) at
     composite index (a, b), and q-powers never vanish, so it commutes with
     R exactly when the exponents at the row and at the column of every
-    nonzero entry of R agree.  For the unit weights w, the exponents at
-    (a, b) are the sums of the _unit_exponents tuples of a and of b, taken
-    for all units at once; the first unit weight that fails is named."""
+    nonzero entry of R agree.  For the unit weights w = eps_i, delta_mu
+    these exponents are, up to sign, the coordinates of wt_a + wt_b, so
+    all units are compared at once on coordinate tuples; the first unit
+    weight that any entry fails is named."""
     alg = sigma.algebra
-    units, on_v, on_w = _unit_exponents(sigma)
-    totals = [tuple(map(add, x, y)) for x in on_v for y in on_w]
-    failing = [
-        next(j for j, (x, y) in enumerate(zip(totals[i], totals[c])) if x != y)
-        for (i, c) in r.matrix.entries if totals[i] != totals[c]
-    ]
-    if failing:
-        w = alg.weights[units[min(failing)]]
+    on_v = [w.eps + w.delta for w in alg.weights]
+    totals = [tuple(map(add, x, y)) for x in on_v for y in sigma.rep.weight_coords]
+    first = min(
+        (
+            next(j for j, (x, y) in enumerate(zip(totals[i], totals[c])) if x != y)
+            for (i, c) in r.matrix.entries if totals[i] != totals[c]
+        ),
+        default=None,
+    )
+    if first is not None:
+        if first < alg.l:
+            w = Weight.eps_unit(first + 1, alg.l, alg.k)
+        else:
+            w = Weight.delta_unit(first - alg.l + 1, alg.l, alg.k)
         raise AssertionError(f"R is not weightless against weight {w}")
 
 

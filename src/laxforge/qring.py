@@ -76,18 +76,6 @@ class LaurentPoly:
     def s_power(cls, k: int, coeff: Scalar = 1) -> "LaurentPoly":
         return cls({k: coeff})
 
-    @classmethod
-    def from_sums(cls, sums: Mapping[int, Scalar]) -> "LaurentPoly":
-        """The polynomial of the coefficient sums {exponent: sum} that a
-        fused product accumulates: zero sums dropped, integral Fractions
-        stored as ints."""
-        res = cls.__new__(cls)
-        res.terms = {
-            k: c if type(c) is int or c.denominator != 1 else c.numerator
-            for k, c in sums.items() if c
-        }
-        return res
-
     # -- ring structure ------------------------------------------------
 
     def __bool__(self) -> bool:
@@ -278,18 +266,28 @@ def dot(pairs: Iterable[tuple[LaurentPoly, LaurentPoly]]) -> LaurentPoly:
         for ea, ca in a.terms.items():
             for eb, cb in terms:
                 sums[ea + eb] = sums.get(ea + eb, 0) + ca * cb
-    return LaurentPoly.from_sums(sums)
+    # zero sums dropped, integral Fractions stored as ints
+    res = LaurentPoly.__new__(LaurentPoly)
+    res.terms = {
+        k: c if type(c) is int or c.denominator != 1 else c.numerator
+        for k, c in sums.items() if c
+    }
+    return res
+
+
+def s_exponent(two_t: Scalar) -> int:
+    """2t as an int: the exponent k of q^t = s^k.  ValueError when t is not
+    a half-integer."""
+    if type(two_t) is not int:
+        two_t = _canonical(two_t)
+        if type(two_t) is not int:
+            raise ValueError(f"q^t needs a half-integer t, got {two_t / 2}")
+    return two_t
 
 
 def q_power(t: Scalar) -> LaurentPoly:
     """q^t as the shared monomial s^(2t); t must be a half-integer."""
-    t = _canonical(t)
-    two_t = 2 * t
-    if type(two_t) is not int:
-        if two_t.denominator != 1:
-            raise ValueError(f"q^t needs a half-integer t, got {t}")
-        two_t = two_t.numerator
-    return monomial(two_t)
+    return monomial(s_exponent(2 * t))
 
 
 def q_minus_qinv() -> LaurentPoly:
@@ -422,8 +420,6 @@ class RatFunc:
         return bool(self.num)
 
     def __eq__(self, other) -> bool:
-        if type(other) is LaurentPoly:
-            return self.terms == other.terms
         if isinstance(other, (int, Fraction)):
             other = RatFunc.const(other)
         elif isinstance(other, LaurentPoly):

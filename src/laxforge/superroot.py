@@ -14,6 +14,7 @@ All positions here are 0-based internally; serialization is 1-based.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from operator import sub
 from typing import Sequence
@@ -122,10 +123,24 @@ class AlgebraData:
     simple_roots: tuple[tuple[str, Weight], ...]
     cartan: tuple[tuple[Scalar, ...], ...]
     rho: Weight
-    # the s-exponent tables: q^((wt_a, wt_b)) = s^pair2[a][b] and
-    # q^((rho, wt_a)) = s^(rho2[a] / 2), so that q-powers are exponent shifts
-    pair2: tuple[tuple[int, ...], ...]  # 2 (wt_a, wt_b)
-    rho2: tuple[int, ...]  # (2 rho, wt_a)
+
+    # -- the s-exponent tables: q-powers as exponent shifts ----------------
+
+    @cached_property
+    def _columns(self) -> list[list[Scalar]]:
+        return form_columns(self.weights, self.l, self.k)
+
+    @cached_property
+    def pair2(self) -> tuple[tuple[int, ...], ...]:
+        """2 (wt_a, wt_b) for all a, b: q^((wt_a, wt_b)) = s^pair2[a][b]."""
+        return tuple(
+            tuple([2 * x for x in pair_with(w, self._columns)]) for w in self.weights
+        )
+
+    @cached_property
+    def rho2(self) -> tuple[int, ...]:
+        """(2 rho, wt_a) for every a: q^((rho, wt_a)) = s^rho2[a]."""
+        return tuple(_canonical(2 * x) for x in pair_with(self.rho, self._columns))
 
     # -- position bookkeeping -------------------------------------------
 
@@ -282,9 +297,6 @@ def build_algebra(m: int, n: int) -> AlgebraData:
             for x in row
         ))
 
-    rho = _rho(m, n, l, k)
-    columns = form_columns(weights, l, k)
-    two_rho = Weight(*(tuple(_canonical(2 * a) for a in c) for c in (rho.eps, rho.delta)))
     alg = AlgebraData(
         m=m,
         n=n,
@@ -298,9 +310,7 @@ def build_algebra(m: int, n: int) -> AlgebraData:
         weights=tuple(weights),
         simple_roots=tuple(roots),
         cartan=tuple(cartan),
-        rho=rho,
-        pair2=tuple(tuple([2 * x for x in pair_with(w, columns)]) for w in weights),
-        rho2=tuple(pair_with(two_rho, columns)),
+        rho=_rho(m, n, l, k),
     )
     _check_invariants(alg)
     return alg

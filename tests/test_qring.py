@@ -158,6 +158,8 @@ def test_floats_are_refused():
         LaurentPoly({0: 0.5})
     with pytest.raises(TypeError):
         LaurentPoly.one().evaluate(2.0)
+    with pytest.raises(TypeError):
+        q_power(0.5)
 
 
 def test_evaluate_negative_power_is_exact():
@@ -194,6 +196,15 @@ def test_ratfunc_equality_by_cross_multiplication():
     # z / (1 + z) == 2z / (2 + 2z)
     assert _rf([0, 1], [1, 1]) == _rf([0, 2], [2, 2])
     assert _rf([0, 1], [1, 1]) != _rf([0, 1], [1, 2])
+
+
+@given(polys)
+def test_ratfunc_equals_the_laurent_poly_it_was_made_from(p):
+    # both operand orders: LaurentPoly.__eq__ defers to RatFunc.__eq__
+    assert RatFunc.from_laurent(p) == p
+    assert p == RatFunc.from_laurent(p)
+    assert RatFunc.from_laurent(p + 1) != p
+    assert p != RatFunc.from_laurent(p + 1)
 
 
 def test_ratfunc_field_operations():

@@ -166,3 +166,16 @@ def test_exponent_tables_are_twice_the_form(mn):
     assert alg.rho2 == tuple(2 * bilinear(alg.rho, wa) for wa in w)
     assert all(type(x) is int for row in alg.pair2 for x in row)
     assert all(type(x) is int for x in alg.rho2)
+
+
+def test_exponent_tables_follow_a_replaced_rho_and_weights():
+    # the tables are derived from weights and rho, never stored beside them
+    alg = build_algebra(5, 4)
+    rho = Weight(tuple(2 * a for a in alg.rho.eps), alg.rho.delta)
+    moved = dataclasses.replace(alg, rho=rho)
+    assert moved.rho2 == tuple(2 * bilinear(rho, wa) for wa in alg.weights)
+    assert moved.rho2 != alg.rho2
+    w = alg.weights[1:] + alg.weights[:1]
+    swapped = dataclasses.replace(alg, weights=w)
+    assert swapped.pair2 == tuple(tuple(2 * bilinear(a, b) for b in w) for a in w)
+    assert swapped.pair2 != alg.pair2
