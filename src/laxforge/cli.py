@@ -513,9 +513,7 @@ def main(argv=None) -> int:
     }
     try:
         return commands[args.command](_config(args))
-    except (
-        AlgebraError, SchemaError, FileNotFoundError, ValueError, SamplingError
-    ) as exc:
+    except (AlgebraError, SchemaError, OSError, ValueError, SamplingError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (RelationError, PoleError) as exc:

@@ -274,17 +274,16 @@ def graded_kron(a: GradedMatrix, b: GradedMatrix) -> GradedMatrix:
 def kron_blocks(
     gv: tuple[int, ...],
     gw: tuple[int, ...],
-    blocks: list[tuple[int, int, GradedMatrix]],
+    blocks: Mapping[tuple[int, int], GradedMatrix],
 ) -> GradedMatrix:
-    """sum over (a, b, m) in `blocks` of graded_kron(E^a_b, m), m on the
-    space graded by gw.  Each (a, b) must occur at most once: the blocks
-    then do not overlap, so their entries are collected into one dict
-    rather than summed.  Entry (r, c) of m goes to ((a, r), (b, c)) with
-    graded_kron's sign (-1)^(([r]+[c])[b]) and is not multiplied, so it
-    keeps its type."""
+    """sum over (a, b) -> m in `blocks` of graded_kron(E^a_b, m), m on the
+    space graded by gw.  The blocks do not overlap, so their entries are
+    collected into one dict rather than summed.  Entry (r, c) of m goes to
+    ((a, r), (b, c)) with graded_kron's sign (-1)^(([r]+[c])[b]) and is not
+    multiplied, so it keeps its type."""
     dw = len(gw)
     entries: dict[tuple[int, int], LaurentPoly] = {}
-    for a, b, m in blocks:
+    for (a, b), m in blocks.items():
         ra, cb, odd = a * dw, b * dw, gv[b] % 2
         for (r, c), v in m.entries.items():
             entries[(ra + r, cb + c)] = -v if odd and (gw[r] + gw[c]) % 2 else v
@@ -396,19 +395,15 @@ def packing_bits(*sides: list[PackStats]) -> int:
     return max(1, total.bit_length())
 
 
-def pack_entry(p: LaurentPoly, bits: int, lo: int) -> int:
-    """p over Z[s, s^-1] as the int p(N) N^-lo = sum_k c_k 2^(bits (k - lo)),
-    with N = 2^bits and lo at most the lowest exponent of s in p."""
-    return sum(c << bits * (k - lo) for k, c in p.terms.items())
-
-
 def pack(m: GradedMatrix, bits: int, lo: int) -> GradedMatrix:
-    """m over Z[s, s^-1] as a matrix of ints, each entry packed by
-    pack_entry with lo at most the lowest exponent of s in m.  A product of
-    packed factors is the packed product, with the factors' lo summed."""
-    return GradedMatrix._of(
-        m.gradings, {key: pack_entry(v, bits, lo) for key, v in m.entries.items()}
-    )
+    """m over Z[s, s^-1] as a matrix of ints, each entry p as
+    p(N) N^-lo = sum_k c_k 2^(bits (k - lo)), with N = 2^bits and lo at most
+    the lowest exponent of s in m.  A product of packed factors is the
+    packed product, with the factors' lo summed."""
+    return GradedMatrix._of(m.gradings, {
+        key: sum(c << bits * (k - lo) for k, c in v.terms.items())
+        for key, v in m.entries.items()
+    })
 
 
 def weight_lanes(c1: list[tuple], c2: list[tuple], c3: list[tuple]) -> list[int]:
@@ -557,7 +552,7 @@ class Representation:
     @cached_property
     def qh_eps(self) -> list[GradedMatrix]:
         """q^(h_eps_a) for every index a of V, in position order: R's
-        diagonal blocks, and the factors that make sigma~ from sigma."""
+        diagonal blocks."""
         return [self._q_diagonal(row) for row in self.pair2]
 
     def big_e(self, label: str) -> GradedMatrix:

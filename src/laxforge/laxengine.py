@@ -16,10 +16,10 @@ Every q-power here is a monomial s^k with k read from an int table:
 AlgebraData.pair2 and rho2 for weights of V, Representation.pair2 for a
 weight of V against one of W.  The induction step is one fused pass
 (GradedMatrix.commutator) with the shifts -pair2[b][a] and -pair2[c][c];
-the seeds, sigma~ = q^(h_eps_a) sigma and R's diagonal blocks are shifts
-and shared monomials.  R's off-diagonal blocks have one home,
-SigmaSet.r_blocks, which the spectral braced factor shares.  The weight
-checks of sigma and R compare weights as coordinate tuples.
+the seeds and q^(h_eps_a) sigma are shifts and shared monomials.  R's
+blocks have one home, SigmaSet.blocks, which the spectral braced factor
+and the delta suite share.  The weight checks of sigma and R compare
+weights as coordinate tuples.
 """
 
 from __future__ import annotations
@@ -60,29 +60,21 @@ class SigmaSet:
         return set(self.sigma) == set(self.algebra.extended_pairs())
 
     @cached_property
-    def tilde(self) -> dict[tuple[int, int], GradedMatrix]:
-        """sigma~_ba = q^(h_eps_a) sigma_ba for every extended pair, built
-        once per complete set, each row r of sigma_ba shifted by
-        2 (wt_a, wt_r): R's off-diagonal blocks, the spectral braced factor
-        and the delta suite's coproduct are all made of them."""
-        pair2, sigma = self.rep.pair2, self.sigma
-        return {
-            (b, a): sigma[(b, a)].shifted(rows=pair2[a])
-            for (b, a) in self.algebra.extended_pairs()
-        }
-
-    @cached_property
-    def r_blocks(self) -> list[tuple[int, int, GradedMatrix]]:
-        """The off-diagonal blocks (a, b, (q - q^-1)(-1)^[b] sigma~_ba) of R,
-        one per nonzero sigma~_ba: assemble_R and the spectral braced factor
-        both take these."""
-        g = self.algebra.gradings
+    def blocks(self) -> dict[tuple[int, int], GradedMatrix]:
+        """R = sum E^a_b (x) B_ab as its nonzero blocks, keyed (a, b):
+        B_aa = q^(h_eps_a), and B_ab = (q - q^-1)(-1)^[b] q^(h_eps_a) sigma_ba
+        for eps_b > eps_a, each row r of sigma_ba shifted by 2 (wt_a, wt_r).
+        assemble_R, the spectral braced factor and the delta suite read
+        them."""
+        g, pair2, sigma = self.algebra.gradings, self.rep.pair2, self.sigma
         qq = q_minus_qinv()
         neg = -qq
-        return [
-            (a, b, t.scale(neg if g[b] % 2 else qq))
-            for (b, a), t in self.tilde.items() if not t.is_zero()
-        ]
+        out = {(a, a): qh for a, qh in enumerate(self.rep.qh_eps)}
+        for (b, a) in self.algebra.extended_pairs():
+            if not sigma[(b, a)].is_zero():
+                t = sigma[(b, a)].shifted(rows=pair2[a])
+                out[(a, b)] = t.scale(neg if g[b] % 2 else qq)
+        return out
 
     def to_json(self) -> dict:
         alg = self.algebra
@@ -236,12 +228,10 @@ def assemble_R(sigma: SigmaSet) -> RTensor:
     if not sigma.is_complete():
         raise ValueError("incomplete sigma set")
     alg = sigma.algebra
-    gv = alg.gradings
-    blocks = [(a, a, qh) for a, qh in enumerate(sigma.rep.qh_eps)] + sigma.r_blocks
     kind = "vector" if sigma.rep.name == "vector" else "lax"
     out = RTensor(
         dims=(alg.dim, sigma.rep.dim),
-        matrix=kron_blocks(gv, sigma.rep.gradings, blocks),
+        matrix=kron_blocks(alg.gradings, sigma.rep.gradings, sigma.blocks),
         kind=kind,
         gradings_v=alg.gradings,
         gradings_w=sigma.rep.gradings,
@@ -293,12 +283,12 @@ def opposite_R(sigma: SigmaSet) -> RTensor:
     alg = sigma.algebra
     gv, rho2 = alg.gradings, alg.rho2
     # sum_b q^(eps_a,eps_b) E^b_b is q^(h_eps_a) on V
-    blocks = [(a, a, qh) for a, qh in enumerate(sigma.rep.qh_eps)]
+    blocks = {(a, a): qh for a, qh in enumerate(sigma.rep.qh_eps)}
     qq = q_minus_qinv()
     for (b, a) in alg.extended_pairs():
         tilde_ab = pi_sigma(alg, a, b, tail=monomial(rho2[a] - rho2[b]))
         outer = -1 if gv[a] % 2 else 1
-        blocks.append((b, a, tilde_ab.scale(qq * outer)))
+        blocks[(b, a)] = tilde_ab.scale(qq * outer)
     return RTensor(
         dims=(alg.dim, alg.dim),
         matrix=kron_blocks(gv, gv, blocks),

@@ -111,15 +111,15 @@ def braces_matrix(alg: AlgebraData, sigma: SigmaSet) -> GradedMatrix:
     sigma-hat set of the vector representation and sigma~_ba is
     q^(h_eps_a) sigma_ba.  With I = sum_a E^a_a (x) I every term is one
     block E^a_b (x) (...); the off-diagonal blocks are R's own
-    (SigmaSet.r_blocks), so the identity compares the diagonal ones."""
+    (SigmaSet.blocks), so the identity compares the diagonal ones."""
     g = alg.gradings
     ident = GradedMatrix.identity(g)
     sqrt_diff = LaurentPoly({1: 1, -1: -1})  # q^(1/2) - q^(-1/2)
-    blocks = []
+    blocks = dict(sigma.blocks)
     for a, diag in enumerate(sigma_hat_diag(alg)):
         sign = -1 if g[a] % 2 else 1
-        blocks.append((a, a, ident + diag.scale(sqrt_diff * sign)))
-    return kron_blocks(g, g, blocks + sigma.r_blocks)
+        blocks[(a, a)] = ident + diag.scale(sqrt_diff * sign)
+    return kron_blocks(g, g, blocks)
 
 
 @dataclass

@@ -10,9 +10,9 @@ int, and B is taken from a bound on the coefficients of both sides
 (gradedmat.packing_bits), so the packed sides are equal exactly when the
 Laurent-polynomial sides are.  No float, sample or tolerance is involved.
 The delta suite's left side (id (x) Delta) R is built by delta_lhs from
-sigma~ = q^(h_a) sigma_ba blocks, on packed ints with B from the a-priori
-bound delta_lhs_bound, or on Laurent polynomials: one code path over the
-inputs it is given.
+R's own blocks (SigmaSet.blocks), all packed at one shift or all Laurent,
+as the matrix coproduct Delta(B_ab) = sum_c B_cb (x) B_ac, with B from the
+same packing_bits rule.
 When a coefficient is not an int, or when the packed sides differ, the
 relation is compared on Laurent-polynomial entries, so a witness always
 shows Laurent polynomials.
@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .qring import LaurentPoly, ZERO, q_minus_qinv
+from .qring import ZERO
 from .superroot import Weight
 from .gradedmat import (
     GradedMatrix,
@@ -35,7 +35,6 @@ from .gradedmat import (
     kron_blocks,
     kron_gradings,
     pack,
-    pack_entry,
     pack_stats,
     packing_bits,
     tensor_dagger,
@@ -215,96 +214,68 @@ def check_intertwining(r: RTensor, rep: Representation) -> CheckReport:
     return suite.report()
 
 
-def delta_lhs_bound(norm: int, dim: int) -> int:
-    """A bound on the L1 norm of every entry of (id (x) Delta) R, from the
-    largest L1 norm S of an entry of any sigma~_ba and d = dim V.
-
-    The L1 norm (sum of absolute coefficients) is subadditive and
-    submultiplicative, so it bounds every coefficient.  An entry of
-    q^(h_a) is q^t with coefficient 1 (norm 1) and q - q^-1 has norm 2.
-    In delta_lhs a diagonal block q^(h_a) (x) q^(h_a) has entries of norm
-    1.  An entry of block (a, b) is (q - q^-1)(-1)^[b] times the sum of one
-    entry of sigma~_ba (x) q^(h_a) (norm at most S), one of
-    q^(h_b) (x) sigma~_ba (at most S) and, for each of the fewer than d
-    indices c, (q - q^-1)(-1)^[c] times one entry of sigma~_bc (x)
-    sigma~_ca (at most 2 S^2): at most 2 (2 S + 2 d S^2) in all."""
-    return max(1, 2 * (2 * norm + 2 * dim * norm * norm))
-
-
 def delta_lhs(
-    g: tuple[int, ...],
-    tilde: dict[tuple[int, int], GradedMatrix],
-    hq: list[GradedMatrix],
-    qq: LaurentPoly | int,
+    g: tuple[int, ...], blocks: dict[tuple[int, int], GradedMatrix]
 ) -> GradedMatrix:
-    """(id (x) Delta) R on V (x) V (x) V, from the displayed coproduct
+    """(id (x) Delta) R on V (x) V (x) V for R = sum E^a_b (x) B_ab, g the
+    gradings of V and `blocks` R's nonzero blocks (SigmaSet.blocks).  In
+    these blocks the displayed coproduct of sigma_ba is the matrix
+    coproduct of an L-operator (Faddeev-Reshetikhin-Takhtajan),
 
-        Delta(sigma_ba) = sigma_ba (x) I + q^(h_b - h_a) (x) sigma_ba
-            + (q - q^-1) sum_{b < c < a} (-1)^[c] q^(h_c - h_a) sigma_bc (x) sigma_ca
+        Delta(B_ab) = sum_{b <= c <= a} B_cb (x) B_ac,
 
-    and R = sum_a E^a_a (x) q^(h_a) + (q - q^-1) sum (-1)^[b] E^a_b (x)
-    q^(h_a) sigma_ba.  q^(h_a) (x) q^(h_a) is even and diagonal, so it
-    moves into each factor of a tensor product; with
-    sigma~_xy = q^(h_y) sigma_xy the blocks are
-
-        (a, a): q^(h_a) (x) q^(h_a)
-        (a, b): (q - q^-1)(-1)^[b] [sigma~_ba (x) q^(h_a) + q^(h_b) (x) sigma~_ba
-                + (q - q^-1) sum_{b < c < a} (-1)^[c] sigma~_bc (x) sigma~_ca].
-
-    g are the gradings of V, tilde[(b, a)] = sigma~_ba for every extended
-    pair, hq[a] = q^(h_a) and qq = q - q^-1.  The inputs may be Laurent
-    polynomials, or packed ints (gradedmat.pack) at shifts that put every
-    term of a block at one power of N: with sigma~ packed at lo, hq at
-    lo - 2 and qq at -2, the result is the left side packed at 2 lo - 4.
-    """
-    qq_tilde = {(c, a): t.scale(-qq if g[c] % 2 else qq) for (c, a), t in tilde.items()}
-    blocks = [(a, a, graded_kron(h, h)) for a, h in enumerate(hq)]
-    for (b, a), t in tilde.items():
-        total = graded_kron(t, hq[a]) + graded_kron(hq[b], t)
-        for c in range(b + 1, a):
-            total = total + graded_kron(tilde[(b, c)], qq_tilde[(c, a)])
-        blocks.append((a, b, total.scale(-qq if g[b] % 2 else qq)))
-    gw = hq[0].gradings
-    return kron_blocks(g, kron_gradings(gw, gw), blocks)
+    so block (a, b) of the left side is that sum over the c whose two
+    blocks are nonzero.  The blocks may be Laurent polynomials, or ints
+    packed at one shift lo (gradedmat.pack): every product then comes out
+    at 2 lo."""
+    gw = blocks[(0, 0)].gradings
+    out = {}
+    for a in range(len(g)):
+        for b in range(a + 1):
+            terms = [
+                graded_kron(blocks[(c, b)], blocks[(a, c)])
+                for c in range(b, a + 1)
+                if (c, b) in blocks and (a, c) in blocks
+            ]
+            if terms:
+                out[(a, b)] = sum(terms[1:], terms[0])
+    return kron_blocks(g, kron_gradings(gw, gw), out)
 
 
 def check_delta_property(sigma: SigmaSet, r: RTensor) -> CheckReport:
-    """(id (x) Delta) R = R13 R12 with Delta(sigma_ba) from the displayed
-    coproduct formula (see delta_lhs); a single exact identity on
-    V (x) V (x) V.
+    """(id (x) Delta) R = R13 R12 with Delta from the displayed coproduct
+    (see delta_lhs); a single exact identity on V (x) V (x) V.
 
     `r` is the R-matrix under test, normally the one assembled from `sigma`.
+    Every block and R are packed at their shared lowest exponent lo (R's
+    own when R is assembled from `sigma`), so both sides come out at 2 lo.
+    An entry of the left side sums at most d = dim V products of two block
+    entries, so packing_bits counts it as a two-factor product with row
+    count d.  The identity holds for any block-lower-triangular even R, so
+    it checks the Koszul signs of kron_blocks and graded_kron against
+    embed_triple, not sigma-hat itself.
     """
     suite = _Suite("delta_property")
-    g, gv, tilde = sigma.algebra.gradings, sigma.rep.gradings, sigma.tilde
-    qh = sigma.rep.qh_eps
+    g, gv, blocks = sigma.algebra.gradings, sigma.rep.gradings, sigma.blocks
 
     def r13_r12(m: GradedMatrix) -> GradedMatrix:
         return embed_triple(m, "13", gv, gv, gv) @ embed_triple(m, "12", gv, gv, gv)
 
     def packed():
-        sr, sh = pack_stats(r.matrix), [pack_stats(m) for m in qh]
-        st = [pack_stats(m) for m in tilde.values()]
-        if sr is None or None in sh or None in st:
+        sr, sb = pack_stats(r.matrix), [pack_stats(m) for m in blocks.values()]
+        if sr is None or None in sb:
             return None
-        norm = max((x.norm for x in st), default=0)
-        bound = PackStats(lo=0, norm=delta_lhs_bound(norm, sigma.algebra.dim), row=1)
-        bits = packing_bits([bound], [sr, sr])
-        # sigma~ at lo, q^(h) and R at lo - 2: both sides come out at 2 lo - 4.
-        # R assembled from sigma has lowest exponent min(q^(h), sigma~ - 2),
-        # so R is packed at its own lowest exponent
-        lo = min(sr.lo + 2, *(x.lo for x in st), *(x.lo + 2 for x in sh))
-        lhs = delta_lhs(
-            g,
-            {pair: pack(t, bits, lo) for pair, t in tilde.items()},
-            [pack(h, bits, lo - 2) for h in qh],
-            pack_entry(q_minus_qinv(), bits, -2),
+        lo = min(sr.lo, *(x.lo for x in sb))
+        lhs = PackStats(lo=lo, norm=max(x.norm for x in sb), row=len(g))
+        bits = packing_bits([lhs, lhs], [sr, sr])
+        return (
+            delta_lhs(g, {key: pack(m, bits, lo) for key, m in blocks.items()}),
+            r13_r12(pack(r.matrix, bits, lo)),
         )
-        return lhs, r13_r12(pack(r.matrix, bits, lo - 2))
 
     suite.expect_products(
         "(id (x) Delta) R = R13 R12",
-        lambda: (delta_lhs(g, tilde, qh, q_minus_qinv()), r13_r12(r.matrix)),
+        lambda: (delta_lhs(g, blocks), r13_r12(r.matrix)),
         packed,
     )
     return suite.report()

@@ -27,6 +27,28 @@ def test_unknown_suite_exit_code_2(capsys):
     assert run(["verify", "--m", "3", "--n", "0", "--suite", "nonsense"]) == 2
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        # --rep names a directory
+        lambda tmp, _: ["verify", "--m", "3", "--n", "0", "--suite", "ybe", "--rep", tmp],
+        # --cache-dir names a regular file
+        lambda tmp, file: ["generate", "--m", "3", "--n", "0", "--cache-dir", file,
+                           "--out", f"{tmp}/out"],
+        # --out lies below a regular file
+        lambda _, file: ["verify", "--m", "3", "--n", "0", "--suite", "ybe",
+                         "--out", f"{file}/x"],
+    ],
+)
+def test_os_error_on_a_path_is_a_usage_error(tmp_path, capsys, args):
+    file = tmp_path / "file"
+    file.write_text("")
+    assert run(args(str(tmp_path), str(file))) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: [Errno ") and captured.err.count("\n") == 1
+
+
 def test_generate_writes_artifacts(tmp_path):
     out = tmp_path / "artifacts"
     assert run([

@@ -277,11 +277,11 @@ def test_scale_keeps_the_entry_type(kind, c):
 def test_kron_blocks_keeps_the_entry_type(kind):
     m = GradedMatrix(G4, TYPED_ENTRIES[kind])
     gv = (1, 0, 1)
-    blocks = [(0, 0, m), (0, 2, m.scale(-1)), (1, 0, m), (2, 1, m), (2, 2, m.scale(2))]
+    blocks = {(0, 0): m, (0, 2): m.scale(-1), (1, 0): m, (2, 1): m, (2, 2): m.scale(2)}
     out = kron_blocks(gv, G4, blocks)
     assert all(type(v) is kind for v in out.entries.values())
     reference = GradedMatrix.zeros(out.gradings)
-    for a, b, block in blocks:
+    for (a, b), block in blocks.items():
         reference = reference + graded_kron(GradedMatrix.elementary(a, b, gv), block)
     assert out == reference
     # the odd first-slot columns 0 and 2 flip the odd entries of their block

@@ -1,16 +1,20 @@
 import hashlib
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
-from laxforge.qring import LaurentPoly, q_minus_qinv, q_power
+from laxforge.qring import LaurentPoly, q_power
 from laxforge.superroot import bilinear, build_algebra
 from laxforge.gradedmat import (
     GradedMatrix,
+    Representation,
     build_vector_rep,
+    embed_triple,
+    kron_blocks,
+    kron_gradings,
     load_representation,
     pack,
-    pack_entry,
     pack_stats,
     trivial_rep,
 )
@@ -33,8 +37,8 @@ from laxforge.verifier import (
     check_qcom,
     check_qserre,
     check_ybe,
+    _coproduct,
     delta_lhs,
-    delta_lhs_bound,
 )
 
 
@@ -156,44 +160,106 @@ def test_delta_property_multiplies_packed_ints(monkeypatch):
     "mn", [(3, 0), (4, 0), (5, 0), (6, 0), (3, 2), (4, 2), (5, 2), (3, 4), (5, 4), (8, 6)]
 )
 def test_packed_delta_lhs_is_the_packed_symbolic_lhs(mn):
-    rep, ss = build(*mn)
-    qh = rep.qh_eps
-    g, qq = ss.algebra.gradings, q_minus_qinv()
-    lhs = delta_lhs(g, ss.tilde, qh, qq)
-    lo = min(*(pack_stats(m).lo for m in ss.tilde.values()),
-             *(pack_stats(m).lo + 2 for m in qh))
+    _, ss = build(*mn)
+    g, blocks = ss.algebra.gradings, ss.blocks
+    lhs = delta_lhs(g, blocks)
+    lo = min(pack_stats(m).lo for m in blocks.values())
     # pack is a ring map for any B, so the packed build is exactly pack(lhs)
     for bits in (3, 12):
-        tilde = {pair: pack(t, bits, lo) for pair, t in ss.tilde.items()}
-        hq = [pack(h, bits, lo - 2) for h in qh]
-        packed = delta_lhs(g, tilde, hq, pack_entry(qq, bits, -2))
-        assert packed == pack(lhs, bits, 2 * lo - 4)
-    # the a-priori bound the suite packs with covers the exact largest norm
-    norm = max(pack_stats(m).norm for m in ss.sigma.values())
-    exact = max(sum(map(abs, v.terms.values())) for v in lhs.entries.values())
-    assert delta_lhs_bound(norm, rep.dim) >= exact
+        packed = delta_lhs(g, {key: pack(m, bits, lo) for key, m in blocks.items()})
+        assert packed == pack(lhs, bits, 2 * lo)
 
 
-def test_delta_packs_each_input_at_its_own_lowest_exponent(monkeypatch):
-    # sigma~ at its lowest exponent lo, q^(h) and R at lo - 2, which on
-    # osp(5|4) is R's own lowest exponent
+def spy_on_pack(monkeypatch, calls):
+    """Record (matrix, bits, lo) of every pack call the verifier makes."""
     from laxforge import verifier
 
-    _, ss = build(5, 4)
-    r = assemble_R(ss)
-    shifts = {"sigma~": set(), "q^(h)": set(), "R": set()}
-    kinds = {id(r.matrix): "R", **{id(t): "sigma~" for t in ss.tilde.values()}}
     pack_real = verifier.pack
 
     def spy(m, bits, lo):
-        shifts[kinds.get(id(m), "q^(h)")].add(lo)
+        calls.append((m, bits, lo))
         return pack_real(m, bits, lo)
 
     monkeypatch.setattr(verifier, "pack", spy)
+
+
+def test_delta_packs_each_input_at_its_own_lowest_exponent(monkeypatch):
+    # every block of R and R itself at one shift, R's own lowest exponent
+    _, ss = build(5, 4)
+    r = assemble_R(ss)
+    calls = []
+    spy_on_pack(monkeypatch, calls)
     assert check_delta_property(ss, r).status == "pass"
+    kinds = {id(r.matrix): "R", **{id(m): "block" for m in ss.blocks.values()}}
+    shifts = {}
+    for m, _, lo in calls:
+        shifts.setdefault(kinds[id(m)], set()).add(lo)
     assert pack_stats(r.matrix).lo == -8
-    assert min(pack_stats(t).lo for t in ss.tilde.values()) == -6
-    assert shifts == {"sigma~": {-6}, "q^(h)": {-8}, "R": {-8}}
+    assert shifts == {"block": {-8}, "R": {-8}}
+    assert len(calls) == len(ss.blocks) + 1
+
+
+def test_delta_bound_counts_every_product_of_a_left_entry(monkeypatch):
+    # every block of a hand-built R on an even V of dimension d is norm E^0_0:
+    # entry (0,0),(0,0) of left block (d-1, 0) sums d products norm^2, and a
+    # row of R holds d entries, so both sides reach d norm^2; B must exceed
+    # the sum of their largest coefficients
+    d, norm = 4, 3
+    g = (0,) * d
+    corner = GradedMatrix(g, {(0, 0): LaurentPoly.const(norm)})
+    blocks = {(a, b): corner for a in range(d) for b in range(a + 1)}
+    r = kron_blocks(g, g, blocks)
+    sigma = SimpleNamespace(
+        blocks=blocks, algebra=SimpleNamespace(gradings=g), rep=SimpleNamespace(gradings=g)
+    )
+    calls = []
+    spy_on_pack(monkeypatch, calls)
+    report = check_delta_property(sigma, RTensor((d, d), r, "lax", g, g))
+    assert report.status == "pass"
+
+    def largest(m):
+        return max(max(map(abs, v.terms.values())) for v in m.entries.values())
+
+    lhs = delta_lhs(g, blocks)
+    rhs = embed_triple(r, "13", g, g, g) @ embed_triple(r, "12", g, g, g)
+    assert largest(lhs) == largest(rhs) == d * norm**2
+    assert calls and all(1 << bits > 2 * d * norm**2 for _, bits, _ in calls)
+
+
+def tensor_square(rep):
+    """V (x) V as a module: gradings and weights of the pairs, and e, f by
+    the coproduct the intertwining suite uses."""
+    cop = {label: _coproduct(rep, label) for label in rep.algebra.root_labels()}
+    return Representation(
+        rep.algebra,
+        "vector^2",
+        kron_gradings(rep.gradings, rep.gradings),
+        tuple(x + y for x in rep.weights for y in rep.weights),
+        {label: c["e"] for label, c in cop.items()},
+        {label: c["f"] for label, c in cop.items()},
+    )
+
+
+@pytest.mark.parametrize("mn", [(3, 0), (3, 2), (4, 2), (5, 2)])
+def test_lax_operator_on_v_tensor_v_is_the_delta_lhs(mn):
+    # sigma-hat induced on V (x) V gives (id (x) Delta) R: the displayed
+    # coproduct, which the delta suite only takes as given
+    rep, ss = build(*mn)
+    on_vv = extend_sigma(init_simple_sigma(tensor_square(rep)))
+    assert assemble_R(on_vv).matrix == delta_lhs(ss.algebra.gradings, ss.blocks)
+
+
+def test_delta_passes_a_rescaled_sigma_that_v_tensor_v_rejects():
+    # the delta identity holds for any block-triangular R, so a sigma-hat
+    # with one recursed sigma_ba scaled by -q passes it; the lax operator
+    # induced on V (x) V tells the two apart
+    rep, ss = build(4, 2)
+    pair = next(p for p, how in ss.provenance.items() if how.startswith("recursed"))
+    bad = SigmaSet(rep, {**ss.sigma, pair: ss.sigma[pair].shifted(2, -1)}, ss.provenance)
+    assert check_delta_property(bad, assemble_R(bad)).status == "pass"
+    assert check_ybe(assemble_R(bad)).status == "fail"
+    on_vv = extend_sigma(init_simple_sigma(tensor_square(rep)))
+    assert assemble_R(on_vv).matrix != delta_lhs(bad.algebra.gradings, bad.blocks)
 
 
 def test_lax_ybe_rejects_dimension_mismatch():
