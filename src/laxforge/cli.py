@@ -81,35 +81,58 @@ _SCALARS = {
 }
 
 
-def _json_text(doc, pad: str = "") -> str:
-    """doc as json.dumps(doc, sort_keys=True, indent=1) writes it, with
-    `pad` the indentation of the line it starts on.  json.dumps takes its
-    pure-Python encoder for any indent; this writer joins each list of
-    scalars in one step and escapes strings with the json module's
-    encode_basestring_ascii.  Only str (also as keys), int, bool, None,
-    list and dict are written; anything else raises TypeError."""
+def _json_text(doc) -> str:
+    """doc as json.dumps(doc, sort_keys=True, indent=1) writes it.
+    json.dumps takes its pure-Python encoder for any indent; this writer
+    joins each list of scalars in one step and escapes strings with the
+    json module's encode_basestring_ascii.  Only str (also as keys), int,
+    bool, None, list and dict are written; anything else raises TypeError.
+
+    A dict, or a list of containers, that occurs more than once in doc
+    (SpectralRMatrix.to_json shares one per term list) is written once per
+    indentation: the memo lives for this call, while doc keeps its objects
+    alive, and is keyed by id and indentation, since the same object at
+    another depth has other text.  A list of scalars costs less to write
+    again than to look up, so it is not kept."""
+    return _write(doc, "", {})
+
+
+def _write(doc, pad: str, memo: dict) -> str:
+    """_json_text of doc on a line indented by `pad`, with the call's memo."""
     kind = type(doc)
-    if kind is list or kind is dict:
+    if kind is list:
         if not doc:
-            return "[]" if kind is list else "{}"
+            return "[]"
+        if type(doc[0]) is not list:
+            inner = pad + " "
+            try:
+                body = (",\n" + inner).join([_SCALARS[type(x)](x) for x in doc])
+                return f"[\n{inner}{body}\n{pad}]"
+            except KeyError:  # a later item is a container, or not writable
+                pass
+    elif kind is dict:
+        if not doc:
+            return "{}"
+    else:
+        write = _SCALARS.get(kind)
+        if write is None:
+            raise TypeError(f"cannot write {kind.__name__} as JSON")
+        return write(doc)
+    key = (id(doc), pad)
+    text = memo.get(key)
+    if text is None:
         inner = pad + " "
         sep = ",\n" + inner
-        if kind is dict:
-            if any(type(key) is not str for key in doc):
-                raise TypeError("JSON object keys must be str")
+        if kind is dict:  # _ascii raises TypeError on a key that is not a str
             body = sep.join([
-                f"{_ascii(key)}: {_json_text(doc[key], inner)}" for key in sorted(doc)
+                f"{_ascii(k)}: {_write(doc[k], inner, memo)}" for k in sorted(doc)
             ])
-            return f"{{\n{inner}{body}\n{pad}}}"
-        try:
-            body = sep.join([_SCALARS[type(x)](x) for x in doc])
-        except KeyError:  # an item is a container, or not writable
-            body = sep.join([_json_text(x, inner) for x in doc])
-        return f"[\n{inner}{body}\n{pad}]"
-    write = _SCALARS.get(kind)
-    if write is None:
-        raise TypeError(f"cannot write {kind.__name__} as JSON")
-    return write(doc)
+            text = f"{{\n{inner}{body}\n{pad}}}"
+        else:
+            body = sep.join([_write(x, inner, memo) for x in doc])
+            text = f"[\n{inner}{body}\n{pad}]"
+        memo[key] = text
+    return text
 
 
 def _canonical_bytes(doc) -> bytes:
@@ -117,11 +140,17 @@ def _canonical_bytes(doc) -> bytes:
 
 
 def _atomic_write(path: Path, data: bytes) -> None:
+    """Write `data` to a temporary file beside `path` and rename it over
+    `path`.  mkstemp makes the file 0600 and the rename keeps that, so it is
+    given 0666 less the umask first, the mode open() would have given it."""
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=str(path.parent), prefix=".tmp-")
     try:
         with os.fdopen(fd, "wb") as fh:
             fh.write(data)
+        umask = os.umask(0)  # reading the umask means setting it
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

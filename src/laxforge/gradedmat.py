@@ -358,19 +358,26 @@ def pack_stats(m: GradedMatrix) -> PackStats | None:
     """The PackStats of a matrix over Z[s, s^-1], or of a matrix of ints
     (each entry v a constant: lo = 0, norm = |v|); None when some entry or
     coefficient is not an int, so that neither `pack` nor `lane_product`
-    applies.  embed_triple only re-indexes and signs entries, so
-    an embedded matrix has the stats of the matrix it embeds."""
+    applies.  Laurent entries are read in one pass.  embed_triple only
+    re-indexes and signs entries, so an embedded matrix has the stats of
+    the matrix it embeds."""
     values = m.entries.values()
     if all(type(v) is int for v in values):
         lo, norm = 0, max(map(abs, values), default=0)
-    elif all(
-        isinstance(v, LaurentPoly) and all(type(c) is int for c in v.terms.values())
-        for v in values
-    ):
-        lo = min(min(v.terms) for v in values)
-        norm = max(sum(map(abs, v.terms.values())) for v in values)
     else:
-        return None
+        lo, norm = None, 0
+        for v in values:
+            if type(v) is not LaurentPoly:
+                return None
+            n = 0
+            for k, c in v.terms.items():
+                if type(c) is not int:
+                    return None
+                n += abs(c)
+                if lo is None or k < lo:
+                    lo = k
+            if n > norm:
+                norm = n
     rows = Counter(r for r, _ in m.entries)
     return PackStats(lo=lo, norm=norm, row=max(rows.values(), default=0))
 
@@ -399,11 +406,17 @@ def pack(m: GradedMatrix, bits: int, lo: int) -> GradedMatrix:
     """m over Z[s, s^-1] as a matrix of ints, each entry p as
     p(N) N^-lo = sum_k c_k 2^(bits (k - lo)), with N = 2^bits and lo at most
     the lowest exponent of s in m.  A product of packed factors is the
-    packed product, with the factors' lo summed."""
-    return GradedMatrix._of(m.gradings, {
-        key: sum(c << bits * (k - lo) for k, c in v.terms.items())
-        for key, v in m.entries.items()
-    })
+    packed product, with the factors' lo summed.  A monomial entry, as
+    most are, is one shift."""
+    out = {}
+    for key, v in m.entries.items():
+        terms = v.terms
+        if len(terms) == 1:
+            ((k, c),) = terms.items()
+            out[key] = c << bits * (k - lo)
+        else:
+            out[key] = sum(c << bits * (k - lo) for k, c in terms.items())
+    return GradedMatrix._of(m.gradings, out)
 
 
 def weight_lanes(c1: list[tuple], c2: list[tuple], c3: list[tuple]) -> list[int]:
@@ -670,6 +683,13 @@ def pi_sigma(
 
 def build_vector_rep(alg: AlgebraData) -> Representation:
     """The undeformed vector representation, with relations asserted."""
+    rep = _vector_rep(alg)
+    check_representation(rep)
+    return rep
+
+
+def _vector_rep(alg: AlgebraData) -> Representation:
+    """build_vector_rep's module, its relations not checked."""
     e: dict[str, GradedMatrix] = {}
     f: dict[str, GradedMatrix] = {}
     for lab in alg.root_labels():
@@ -677,7 +697,7 @@ def build_vector_rep(alg: AlgebraData) -> Representation:
         b, a = alg.simple_pair(lab)
         e[lab] = pi_sigma(alg, b, a)
         f[lab] = -pi_sigma(alg, a, b) if alg.gradings[b] else pi_sigma(alg, a, b)
-    rep = Representation(
+    return Representation(
         algebra=alg,
         name="vector",
         gradings=alg.gradings,
@@ -685,8 +705,6 @@ def build_vector_rep(alg: AlgebraData) -> Representation:
         e=e,
         f=f,
     )
-    check_representation(rep)
-    return rep
 
 
 def trivial_rep(alg: AlgebraData) -> Representation:
@@ -706,7 +724,9 @@ def trivial_rep(alg: AlgebraData) -> Representation:
 
 
 def load_representation(doc: dict, alg: AlgebraData | None = None) -> Representation:
-    """Parse and validate a Representation document (see to_json for layout)."""
+    """Parse and validate a Representation document (see to_json for layout).
+    A module that satisfies the relations (check_representation) and is
+    named "vector" must also equal build_vector_rep's, or SchemaError."""
     try:
         m, n = int(doc["algebra"]["m"]), int(doc["algebra"]["n"])
         name = str(doc["name"])
@@ -741,4 +761,14 @@ def load_representation(doc: dict, alg: AlgebraData | None = None) -> Representa
     f = {lab: matrix_from_entries(ent, gradings) for lab, ent in f_doc.items()}
     rep = Representation(alg, name, gradings, weights, e, f)
     check_representation(rep)
+    if name == "vector":
+        # the CLI takes a module named "vector" as V itself, W = V; rep has
+        # passed the relations, so V's need not be checked to compare
+        v = _vector_rep(alg)
+        if (gradings, weights, e, f) != (v.gradings, v.weights, v.e, v.f):
+            raise SchemaError(
+                f'a representation named "vector" must be the vector '
+                f"representation of osp({m}|{n}) (gradings, weights, e and f); "
+                f"this one differs, so give it another name"
+            )
     return rep

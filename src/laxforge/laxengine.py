@@ -16,7 +16,8 @@ Every q-power here is a monomial s^k with k read from an int table:
 AlgebraData.pair2 and rho2 for weights of V, Representation.pair2 for a
 weight of V against one of W.  The induction step is one fused pass
 (GradedMatrix.commutator) with the shifts -pair2[b][a] and -pair2[c][c];
-the seeds and q^(h_eps_a) sigma are shifts and shared monomials.  R's
+the seeds are shifts and shared monomials, and each entry of
+(q - q^-1) q^(h_eps_a) sigma is formed in one pass over its terms.  R's
 blocks have one home, SigmaSet.blocks, which the spectral braced factor
 and the delta suite share.  The weight checks of sigma and R compare
 weights as coordinate tuples.
@@ -24,11 +25,11 @@ weights as coordinate tuples.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from operator import add, sub
 
-from .qring import monomial, q_minus_qinv
+from .qring import LaurentPoly, monomial, q_minus_qinv
 from .superroot import AlgebraData, Weight
 from .gradedmat import (
     GradedMatrix,
@@ -63,17 +64,21 @@ class SigmaSet:
     def blocks(self) -> dict[tuple[int, int], GradedMatrix]:
         """R = sum E^a_b (x) B_ab as its nonzero blocks, keyed (a, b):
         B_aa = q^(h_eps_a), and B_ab = (q - q^-1)(-1)^[b] q^(h_eps_a) sigma_ba
-        for eps_b > eps_a, each row r of sigma_ba shifted by 2 (wt_a, wt_r).
+        for eps_b > eps_a.  Entry (r, c) of B_ab is
+        +-(s^(k+2) - s^(k-2)) v for v = sigma_ba[r, c] and
+        k = 2 (wt_a, wt_r) = pair2[a][r], formed in one pass over the terms
+        of v (_times_qq), with no shifted or scaled matrix in between.
         assemble_R, the spectral braced factor and the delta suite read
         them."""
         g, pair2, sigma = self.algebra.gradings, self.rep.pair2, self.sigma
-        qq = q_minus_qinv()
-        neg = -qq
         out = {(a, a): qh for a, qh in enumerate(self.rep.qh_eps)}
         for (b, a) in self.algebra.extended_pairs():
-            if not sigma[(b, a)].is_zero():
-                t = sigma[(b, a)].shifted(rows=pair2[a])
-                out[(a, b)] = t.scale(neg if g[b] % 2 else qq)
+            m = sigma[(b, a)]
+            if m.entries:
+                row, sign = pair2[a], -1 if g[b] % 2 else 1
+                out[(a, b)] = GradedMatrix._of(m.gradings, {
+                    (r, c): _times_qq(v, row[r], sign) for (r, c), v in m.entries.items()
+                })
         return out
 
     def to_json(self) -> dict:
@@ -95,6 +100,30 @@ class SigmaSet:
         }
 
 
+def _times_qq(v: LaurentPoly, k: int, sign: int) -> LaurentPoly:
+    """sign (s^(k+2) - s^(k-2)) v = sign s^k (q - q^-1) v for sign = +-1 and
+    v nonzero, in one pass over the terms of v.  A monomial, as most
+    entries of sigma on V are, gives two terms four apart; otherwise both
+    shifted copies go into one dict, where coinciding exponents combine."""
+    terms = v.terms
+    res = LaurentPoly.__new__(LaurentPoly)
+    if len(terms) == 1:
+        ((e, c),) = terms.items()
+        c = sign * c
+        res.terms = {e + k + 2: c, e + k - 2: -c}
+        return res
+    out = {e + k + 2: sign * c for e, c in terms.items()}
+    for e, c in terms.items():
+        key = e + k - 2
+        x = out.get(key, 0) - sign * c
+        if x:
+            out[key] = x if type(x) is int or x.denominator != 1 else x.numerator
+        else:
+            del out[key]
+    res.terms = out
+    return res
+
+
 @dataclass
 class RTensor:
     """An R-type matrix on a graded tensor product of two spaces."""
@@ -104,6 +133,9 @@ class RTensor:
     kind: str  # lax | vector | opposite
     gradings_v: tuple[int, ...]
     gradings_w: tuple[int, ...]
+    # comparisons the verifier has made on this R, kept while the R lives
+    # (one job) so that suites asserting the same identity share one
+    checked: dict = field(default_factory=dict, repr=False, compare=False)
 
 
 def admissible_intermediates(alg: AlgebraData, b: int, a: int) -> list[int]:

@@ -171,20 +171,22 @@ class SpectralRMatrix:
         """Each nonzero entry as its numerator over the shared denominator
         (whose leading coefficient is 1).  Each distinct term list of
         entry_terms has its numerator formed once, coefficient by
-        coefficient in one pass (qring.dot)."""
+        coefficient in one pass (qring.dot), and its {"num", "den"} object
+        built once and shared by every entry with that term list, so the
+        JSON writer writes it once (cli._json_text)."""
         values, sums, where = self.entry_terms
         width = max(len(w) for w, _ in self.pieces)
         weights = [w + (ZERO,) * (width - len(w)) for w, _ in self.pieces]
         den = [str(c) for c in self.den]
-        nums = [
-            [str(x) for x in _ztrim(
+        ratios = []
+        for t in sums:
+            num = [str(x) for x in _ztrim(
                 dot((weights[i][j], values[v]) for i, v in t) for j in range(width)
             )]
-            for t in sums
-        ]
+            ratios.append({"num": num, "den": den} if num else None)
         entries = {
-            f"{r + 1},{c + 1}": {"num": nums[j], "den": den}
-            for (r, c), j in where if nums[j]
+            f"{r + 1},{c + 1}": ratios[j]
+            for (r, c), j in where if ratios[j] is not None
         }
         return {
             "algebra": {"m": self.algebra.m, "n": self.algebra.n},

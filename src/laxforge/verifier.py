@@ -82,6 +82,20 @@ def _first_diff(lhs: GradedMatrix, rhs: GradedMatrix):
     return None
 
 
+def _compare(symbolic, packed):
+    """Where two sides first differ, (key, lhs, rhs), or None when they are
+    equal.  `packed` gives them in a form that is equal exactly when the
+    matrices are (packed ints, or the lane-packed rows of
+    gradedmat.lane_product), or None when that form does not apply;
+    `symbolic` gives them as matrices and is used when `packed` gives None
+    or two different sides, so a difference always shows matrix entries."""
+    sides = packed()
+    if sides is not None and sides[0] == sides[1]:
+        return None
+    lhs, rhs = symbolic()
+    return _first_diff(lhs, rhs) if lhs != rhs else None
+
+
 class _Suite:
     """Accumulates exact matrix comparisons into a CheckReport."""
 
@@ -90,10 +104,12 @@ class _Suite:
         self.count = 0
         self.witness: dict | None = None
 
-    def expect_equal(self, rel_id: str, lhs: GradedMatrix, rhs: GradedMatrix) -> None:
+    def record(self, rel_id: str, diff) -> None:
+        """Count one relation; `diff` is where its sides first differ,
+        (key, lhs, rhs), or None when they are equal."""
         self.count += 1
-        if self.witness is None and lhs != rhs:
-            (r, c), a, b = _first_diff(lhs, rhs)
+        if self.witness is None and diff is not None:
+            (r, c), a, b = diff
             self.witness = {
                 "relation": rel_id,
                 "row": r + 1,
@@ -102,18 +118,15 @@ class _Suite:
                 "rhs": str(b),
             }
 
-    def expect_products(self, rel_id: str, symbolic, packed) -> None:
-        """expect_equal on two sides given by thunks.  `packed` gives them in
-        a form that is equal exactly when the matrices are (packed ints, or
-        the lane-packed rows of gradedmat.lane_product), or None when that
-        form does not apply; `symbolic` gives them as matrices and is used
-        when `packed` gives None or two different sides, so a witness
-        always shows matrix entries."""
-        sides = packed()
-        if sides is not None and sides[0] == sides[1]:
-            self.count += 1
+    def expect_equal(self, rel_id: str, lhs: GradedMatrix, rhs: GradedMatrix) -> None:
+        if self.witness is None and lhs != rhs:
+            self.record(rel_id, _first_diff(lhs, rhs))
         else:
-            self.expect_equal(rel_id, *symbolic())
+            self.count += 1
+
+    def expect_products(self, rel_id: str, symbolic, packed) -> None:
+        """expect_equal on two sides given by thunks (see _compare)."""
+        self.record(rel_id, _compare(symbolic, packed))
 
     def report(self) -> CheckReport:
         status = "pass" if self.witness is None else "fail"
@@ -127,8 +140,25 @@ class _Suite:
 
 def _ybe_suite(name: str, rel_id: str, rv: RTensor, rw: RTensor) -> CheckReport:
     """r12 R13 R23 = R23 R13 r12 on V (x) V (x) W, r = rv on V (x) V and
-    R = rw on V (x) W; the Yang-Baxter equation is the case r = R, W = V."""
+    R = rw on V (x) W; the Yang-Baxter equation is the case r = R, W = V.
+
+    When rw is rv (ybe, or lax_ybe with W = V) the two checks assert one
+    identity, so its comparison is kept on rv (RTensor.checked) and made
+    once however many suites ask; each still reports under its own name
+    and relation id."""
+    if rw is not rv:
+        diff = _ybe_diff(rv, rw)
+    elif "ybe" in rv.checked:
+        diff = rv.checked["ybe"]
+    else:
+        diff = rv.checked["ybe"] = _ybe_diff(rv, rv)
     suite = _Suite(name)
+    suite.record(rel_id, diff)
+    return suite.report()
+
+
+def _ybe_diff(rv: RTensor, rw: RTensor):
+    """_compare on the two sides of _ybe_suite's identity."""
     gv, gw = rv.gradings_v, rw.gradings_w
 
     def sides(mv: GradedMatrix, mw: GradedMatrix):
@@ -146,8 +176,7 @@ def _ybe_suite(name: str, rel_id: str, rv: RTensor, rw: RTensor) -> CheckReport:
         pv = pack(rv.matrix, bits, sv.lo)
         return sides(pv, pv if rw is rv else pack(rw.matrix, bits, sw.lo))
 
-    suite.expect_products(rel_id, lambda: sides(rv.matrix, rw.matrix), packed)
-    return suite.report()
+    return _compare(lambda: sides(rv.matrix, rw.matrix), packed)
 
 
 def check_ybe(r: RTensor) -> CheckReport:
@@ -158,7 +187,8 @@ def check_ybe(r: RTensor) -> CheckReport:
 
 
 def check_lax_ybe(rv: RTensor, rw: RTensor) -> CheckReport:
-    """r12 R13 R23 = R23 R13 r12 on V (x) V (x) W."""
+    """r12 R13 R23 = R23 R13 r12 on V (x) V (x) W; with rw = rv it shares
+    check_ybe's comparison (_ybe_suite)."""
     gv = rv.gradings_v
     if rv.gradings_w != gv or rw.gradings_v != gv:
         raise ValueError("slot dimensions do not match: need rv on V(x)V, rw on V(x)W")

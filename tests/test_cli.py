@@ -688,3 +688,211 @@ def test_shared_monomials_are_unchanged_by_a_full_verify(capsys):
     for (k, sign), p in qring._MONOMIALS.items():
         fresh = LaurentPoly({k: sign})
         assert p == fresh and p.terms == {k: sign} and hash(p) == hash(fresh)
+
+
+def test_a_shared_dict_is_written_once_at_one_indent(monkeypatch):
+    from laxforge import cli
+
+    shared = {"den": ["1"], "num": ["2", "-1"]}
+    doc = {"entries": {"1,1": shared, "2,2": shared, "3,3": {"den": [], "num": ["0"]}}}
+    written = []
+    write = cli._write
+
+    def spy(x, pad, memo):
+        written.append(id(x))
+        return write(x, pad, memo)
+
+    monkeypatch.setattr(cli, "_write", spy)
+    assert _canonical_bytes(doc) == json.dumps(doc, sort_keys=True, indent=1).encode() + b"\n"
+    # the second occurrence is looked up: its keys are not written again
+    assert written.count(id(shared)) == 2 and written.count(id(shared["num"])) == 1
+
+
+def test_a_shared_list_is_written_anew_at_another_indent():
+    # a memo keyed by the object alone would write the second occurrence
+    # with the first one's indentation
+    shared = [[1, 2, "s^2"], {"a": None}]
+    doc = {"top": shared, "deeper": {"again": shared}, "last": [shared, shared]}
+    want = json.dumps(doc, sort_keys=True, indent=1)
+    texts = {json.dumps(shared, indent=1).replace("\n", "\n" + " " * k) for k in (1, 2, 3)}
+    assert len(texts) == 3  # its text differs at each depth
+    assert _canonical_bytes(doc) == want.encode() + b"\n"
+
+
+@pytest.mark.parametrize("mn, entries, objects", [((3, 2), 61, 19), ((3, 10), 469, 58)])
+def test_spectral_entries_share_one_object_per_term_list(mn, entries, objects):
+    from laxforge.cli import Context
+
+    for kind in ("untwisted", "twisted"):
+        spec = Context(*mn).spectral(kind)
+        doc = spec.to_json()["entries"]
+        assert len(doc) == entries
+        assert len({id(v) for v in doc.values()}) == objects == len(spec.entry_terms[1])
+
+
+def _matmul_dims(monkeypatch):
+    """The dimension of every GradedMatrix product, in call order."""
+    from laxforge.gradedmat import GradedMatrix
+
+    dims = []
+    matmul = GradedMatrix.__matmul__
+
+    def spy(self, other):
+        dims.append(self.dim)
+        return matmul(self, other)
+
+    monkeypatch.setattr(GradedMatrix, "__matmul__", spy)
+    return dims
+
+
+CONSTANT_SUITES = ["ybe", "lax-ybe", "intertwine", "delta", "qcom", "serre",
+                   "extra-serre", "appendix", "opposite", "path-independence"]
+
+
+@pytest.mark.parametrize("suites", [["ybe", "lax-ybe"], ["lax-ybe", "ybe"], CONSTANT_SUITES])
+def test_lax_ybe_on_v_reuses_the_ybe_products(monkeypatch, capsys, suites):
+    # W = V: ybe and lax-ybe assert one identity, so adding lax-ybe to a
+    # job adds no V (x) V (x) V product; each suite still reports its own
+    dims = _matmul_dims(monkeypatch)
+
+    def products(names):
+        dims.clear()
+        assert run(["verify", "--m", "3", "--n", "2",
+                    *(a for s in names for a in ("--suite", s))]) == 0
+        reports = json.loads(capsys.readouterr().out)["reports"]
+        return dims.count(125), {r["check"]: r for r in reports}
+
+    without, _ = products([s for s in suites if s != "lax-ybe"])
+    count, reports = products(suites)
+    assert count == without and count >= 4
+    assert reports["ybe"]["status"] == reports["lax_ybe"]["status"] == "pass"
+    assert reports["ybe"]["relations_checked"] == reports["lax_ybe"]["relations_checked"] == 1
+
+
+def test_each_job_multiplies_its_own_ybe_products(monkeypatch, capsys):
+    # the kept comparison lives on one job's R: a second job, in the same
+    # process, multiplies again, and so does lax-ybe on W = trivial
+    dims = _matmul_dims(monkeypatch)
+    for _ in range(2):
+        assert run(["verify", "--m", "3", "--n", "2", "--suite", "ybe", "--suite", "lax-ybe"]) == 0
+    assert dims.count(125) == 8
+    dims.clear()
+    assert run(["verify", "--m", "3", "--n", "2", "--rep", "trivial", "--suite", "lax-ybe"]) == 0
+    assert dims.count(25) == 4 and 125 not in dims
+    capsys.readouterr()
+
+
+def test_a_flipped_r_fails_ybe_and_lax_ybe_in_one_job(monkeypatch, capsys):
+    from laxforge import cli
+    from laxforge.gradedmat import GradedMatrix
+    from laxforge.laxengine import RTensor
+
+    assemble = cli.assemble_R
+
+    def flipped(sigma):
+        r = assemble(sigma)
+        entries = dict(r.matrix.entries)
+        key = next(k for k in sorted(entries) if k[0] != k[1])
+        entries[key] = -entries[key]
+        matrix = GradedMatrix(r.matrix.gradings, entries)
+        return RTensor(r.dims, matrix, r.kind, r.gradings_v, r.gradings_w)
+
+    monkeypatch.setattr(cli, "assemble_R", flipped)
+    dims = _matmul_dims(monkeypatch)
+
+    def witnesses(*suites):
+        dims.clear()
+        assert run(["verify", "--m", "3", "--n", "2",
+                    *(a for s in suites for a in ("--suite", s))]) == 1
+        reports = json.loads(capsys.readouterr().out)["reports"]
+        assert all(r["status"] == "fail" and r["relations_checked"] == 1 for r in reports)
+        return {r["check"]: r["witness"] for r in reports}, dims.count(125)
+
+    found, both = witnesses("ybe", "lax-ybe")
+    ybe, lax = found["ybe"], found["lax_ybe"]
+    # the job of both suites multiplies as often as ybe alone: the four
+    # packed products and the four Laurent ones of the witness
+    assert witnesses("ybe") == ({"ybe": ybe}, both) and both == 8
+    assert witnesses("lax-ybe")[0] == {"lax_ybe": lax}
+    assert ybe["relation"] == "R12 R13 R23 = R23 R13 R12"
+    assert lax["relation"] == "r12 R13 R23 = R23 R13 r12"
+    assert {**ybe, "relation": None} == {**lax, "relation": None}
+
+
+def _vector_doc_with_l_gauged(name):
+    """The osp(3|2) vector representation document with e_l doubled and
+    f_l halved: still a module, but not V's matrices."""
+    from laxforge.gradedmat import build_vector_rep
+    from laxforge.qring import LaurentPoly
+    from laxforge.superroot import build_algebra
+
+    doc = build_vector_rep(build_algebra(3, 2)).to_json()
+    for kind, c in (("e", Fraction(2)), ("f", Fraction(1, 2))):
+        doc[kind]["l"] = [[r, col, str(LaurentPoly.parse(t) * c)] for r, col, t in doc[kind]["l"]]
+    doc["name"] = name
+    return doc
+
+
+@pytest.mark.parametrize("suite", ["ybe", "lax-ybe", "intertwine"])
+def test_a_rep_file_named_vector_must_be_v(tmp_path, capsys, suite):
+    path = tmp_path / "rep.json"
+    path.write_text(json.dumps(_vector_doc_with_l_gauged("vector")))
+    assert run(["verify", "--m", "3", "--n", "2", "--rep", str(path), "--suite", suite]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        'error: a representation named "vector" must be the vector representation '
+        "of osp(3|2) (gradings, weights, e and f); this one differs, so give it "
+        "another name\n"
+    )
+
+
+def test_the_same_module_under_another_name_is_a_w(tmp_path, capsys):
+    path = tmp_path / "rep.json"
+    path.write_text(json.dumps(_vector_doc_with_l_gauged("gauged")))
+    args = ["verify", "--m", "3", "--n", "2", "--rep", str(path)]
+    assert run([*args, "--suite", "lax-ybe", "--suite", "qcom"]) == 0
+    assert run([*args, "--suite", "ybe"]) == 2
+    assert capsys.readouterr().err == "error: suite 'ybe' requires the vector representation\n"
+
+
+def test_a_rep_file_equal_to_v_is_v(tmp_path, capsys):
+    from laxforge.gradedmat import build_vector_rep
+    from laxforge.superroot import build_algebra
+
+    path = tmp_path / "rep.json"
+    path.write_text(json.dumps(build_vector_rep(build_algebra(3, 2)).to_json()))
+    suites = ["--suite", "ybe", "--suite", "lax-ybe", "--suite", "intertwine"]
+    assert run(["verify", "--m", "3", "--n", "2", "--rep", str(path), *suites]) == 0
+    from_file = capsys.readouterr().out
+    assert run(["verify", "--m", "3", "--n", "2", *suites]) == 0
+    assert capsys.readouterr().out == from_file
+
+
+def test_a_rep_file_named_vector_that_breaks_a_relation_fails_it(tmp_path, capsys):
+    # the relations are checked first, so a corrupted V is a failed
+    # identity (exit 1) with its relation named, not a usage error
+    doc = _vector_doc_with_l_gauged("vector")
+    doc["f"]["l"] = [[r, c, str(Fraction(2) * Fraction(t))] for r, c, t in doc["f"]["l"]]
+    path = tmp_path / "rep.json"
+    path.write_text(json.dumps(doc))
+    assert run(["verify", "--m", "3", "--n", "2", "--rep", str(path), "--suite", "ybe"]) == 1
+    assert capsys.readouterr().err == "check failed: [e_l, f_l] relation fails\n"
+
+
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])
+def test_written_files_follow_the_umask(tmp_path, monkeypatch, capsys, umask, mode):
+    monkeypatch.delenv("LAXFORGE_CACHE", raising=False)
+    old = os.umask(umask)
+    try:
+        assert run(["generate", "--m", "3", "--n", "0", "--out", str(tmp_path / "gen"),
+                    "--cache-dir", str(tmp_path / "cache")]) == 0
+        assert run(["verify", "--m", "3", "--n", "0", "--suite", "ybe",
+                    "--out", str(tmp_path / "report.json")]) == 0
+    finally:
+        os.umask(old)
+    capsys.readouterr()
+    written = [*(tmp_path / "gen").iterdir(), *(tmp_path / "cache").iterdir(),
+               tmp_path / "report.json"]
+    assert len(written) == 7
+    assert {p.stat().st_mode & 0o777 for p in written} == {mode}

@@ -529,3 +529,13 @@ def test_commutator_and_shifted_equal_their_products(seed):
         diag(rows) @ x @ diag(cols)
     ).scale(LaurentPoly.s_power(k1, sign))
     assert x.shifted(rows=rows) == diag(rows) @ x
+
+
+def test_pack_stats_reads_every_entry_of_a_laurent_matrix():
+    # the lowest exponent and the largest norm may sit in any entry, and a
+    # Fraction coefficient or an int entry anywhere refuses packing
+    entries = {(0, 0): LaurentPoly({3: 1}), (1, 2): LaurentPoly({-1: 2, 4: -5}),
+               (2, 0): LaurentPoly({-4: 1}), (2, 1): LaurentPoly({0: -3})}
+    assert pack_stats(GradedMatrix(G3, entries)) == PackStats(lo=-4, norm=7, row=2)
+    for bad in (LaurentPoly({1: 1, 2: Fraction(1, 3)}), 4):
+        assert pack_stats(GradedMatrix(G3, {**entries, (1, 1): bad})) is None

@@ -242,3 +242,33 @@ def test_sigma_set_serialization_labels():
     entry = doc["entries"]["mu1,i1"]
     assert entry["provenance"] == "simple"
     assert [1, 2, "1"] in entry["matrix"]
+
+
+@pytest.mark.parametrize("text", [
+    "1", "-3*s^-1", "1 + 1*s^4", "1/2 + -1/2*s^4", "2/3*s^-2 + 1 + 1/3*s^2 + 5*s^6",
+])
+@pytest.mark.parametrize("k", [-3, 0, 4])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_times_qq_is_the_shifted_product_with_q_minus_qinv(text, k, sign):
+    # exponents four apart meet in the product, and may cancel
+    from laxforge.laxengine import _times_qq
+
+    v = poly(text)
+    want = v.shift(k, sign) * q_minus_qinv()
+    got = _times_qq(v, k, sign)
+    assert got == want and got.terms == want.terms
+    assert all(type(c) is int or c.denominator != 1 for c in got.terms.values())
+
+
+@pytest.mark.parametrize("mn", [(3, 0), (4, 2), (5, 4), (6, 2)])
+def test_blocks_are_the_scaled_shifted_sigmas(mn):
+    alg = build_algebra(*mn)
+    for rep in (build_vector_rep(alg), trivial_rep(alg)):
+        ss = extend_sigma(init_simple_sigma(rep))
+        g, qq = alg.gradings, q_minus_qinv()
+        want = {(a, a): qh for a, qh in enumerate(rep.qh_eps)}
+        for (b, a) in alg.extended_pairs():
+            if not ss.sigma[(b, a)].is_zero():
+                scaled = ss.sigma[(b, a)].shifted(rows=rep.pair2[a])
+                want[(a, b)] = scaled.scale(-qq if g[b] % 2 else qq)
+        assert ss.blocks == want
