@@ -48,6 +48,7 @@ from .spectral import (
     SpectralRMatrix,
     build_spectral_R,
     check_spectral_ybe,
+    ints_at,
 )
 
 
@@ -425,12 +426,9 @@ def cmd_eval(cfg: JobConfig) -> int:
         raise SchemaError("eval requires --s")
     _check_generic(cfg.s)
     r = ctx.r
-    # each distinct entry value is evaluated and written out once, from
-    # s^k for each of its exponents k, each power computed once
-    texts: dict = dict.fromkeys(r.matrix.entries.values())
-    powers = {k: cfg.s ** k for v in texts for k in v.terms}
-    for v in texts:
-        texts[v] = str(sum((c * powers[k] for k, c in v.terms.items()), Fraction(0)))
+    values = list(dict.fromkeys(r.matrix.entries.values()))  # each written once
+    ints, c = ints_at(values, cfg.s)
+    texts = {v: str(Fraction(x, c)) for v, x in zip(values, ints)}
     doc = {
         "algebra": {"m": cfg.m, "n": cfg.n},
         "rep_name": ctx.rep.name,

@@ -6,8 +6,8 @@ scale, equality, graded_kron and kron_blocks work on either, and a scalar
 entry stays a scalar.
 
 All Koszul signs live in graded_kron, graded_permutation, embed_triple
-(a matrix on two slots of a triple tensor space) and the two daggers.
-Ordinary matrix composition is ungraded.
+(a matrix on two slots of a triple tensor space), flip_conjugate (P m P)
+and the two daggers.  Ordinary matrix composition is ungraded.
 
 On Laurent entries, a q-power is an exponent shift: `shifted` multiplies
 by sign s^k and by diagonals of monomials on either side in one pass, and
@@ -22,11 +22,12 @@ with the shared monomials of qring.monomial.
 substitution, s = 2^B; `packing_bits` picks a B for which two packed
 products are equal exactly when the Laurent-polynomial products are.
 
-The same substitution packs a row of a matrix on U1 (x) U2 (x) U3 into one
-int.  `weight_lanes` gives each index a lane, its position among the
-indices of its total weight; `lane_product` returns each row of a product
-as sum_c x_c 2^(B lane(c)).  When every factor keeps total weight, a row of
-the product has entries only at indices of its row's weight, where lanes
+The same substitution packs a row of an int matrix on U1 (x) U2 (x) U3 into
+one int.  `weight_lanes` gives each index a lane, its position among the
+indices of its total weight (told apart by int `weight_codes`);
+`lane_product` returns each row of a product as sum_c x_c 2^(B lane(c)),
+each entry placed by a shift.  When every factor keeps total weight, a row
+of the product has entries only at indices of its row's weight, where lanes
 are distinct, so with B from the same `packing_bits` two products are equal
 exactly when their packed rows are.
 """
@@ -37,7 +38,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from operator import add, sub
+from operator import sub
 from typing import Mapping
 
 from .qring import LaurentPoly, ONE, Scalar, _canonical, dot, monomial, q_int, s_exponent
@@ -345,6 +346,21 @@ def embed_triple(
     return GradedMatrix._of(kron_gradings(kron_gradings(g1, g2), g3), entries)
 
 
+def flip_conjugate(m: GradedMatrix, g1: tuple, g2: tuple) -> GradedMatrix:
+    """P m P for m on U1 (x) U2 (gradings g1, g2), P the graded flip: the
+    operator on U2 (x) U1 with (P m P)[(y,x),(y',x')] equal to
+    (-1)^([x][y] + [x'][y']) m[(x,y),(x',y')], a re-indexing with Koszul
+    signs and no product (P is graded_permutation(g1) when g1 = g2)."""
+    if m.gradings != kron_gradings(g1, g2):
+        raise ValueError("matrix does not act on U1 (x) U2")
+    entries: dict[tuple[int, int], LaurentPoly] = {}
+    for (r, c), v in m.entries.items():
+        (x, y), (xc, yc) = divmod(r, len(g2)), divmod(c, len(g2))
+        odd = (g1[x] * g2[y] + g1[xc] * g2[yc]) % 2
+        entries[(y * len(g1) + x, yc * len(g1) + xc)] = -v if odd else v
+    return GradedMatrix._of(kron_gradings(g2, g1), entries)
+
+
 @dataclass(frozen=True)
 class PackStats:
     """What the packing bound needs to know of one factor of a product."""
@@ -419,20 +435,29 @@ def pack(m: GradedMatrix, bits: int, lo: int) -> GradedMatrix:
     return GradedMatrix._of(m.gradings, out)
 
 
+def weight_codes(*factors: list[tuple]) -> list[list[int]]:
+    """Each factor's int weight coordinate tuples t as sum_i t_i N^i, where
+    N = 2M + 1 and M is the sum of the factors' largest |coordinate|: a total
+    of one tuple per factor (or per some factors) has coordinates in [-M, M],
+    so its code, the sum of its parts' codes, tells it apart."""
+    if any(type(x) is not int for c in factors for t in c for x in t):
+        raise TypeError("weight codes need int coordinates")
+    base = 2 * sum(max((abs(x) for t in c for x in t), default=0) for c in factors) + 1
+    return [[sum(x * base**i for i, x in enumerate(t)) for t in c] for c in factors]
+
+
 def weight_lanes(c1: list[tuple], c2: list[tuple], c3: list[tuple]) -> list[int]:
-    """The lane of each index of U1 (x) U2 (x) U3, from the weight
+    """The lane of each index of U1 (x) U2 (x) U3, from the int weight
     coordinate tuples of the basis of each factor: the number of earlier
-    indices with the same total weight c1[x] + c2[y] + c3[z], so lanes are
-    distinct inside a weight and repeat across weights."""
-    seen: Counter = Counter()  # total weight -> lanes handed out
+    indices with the same total weight c1[x] + c2[y] + c3[z] (compared by
+    weight_codes), so lanes are distinct inside a weight and repeat across
+    weights."""
+    k1, k2, k3 = weight_codes(c1, c2, c3)
+    seen: dict[int, int] = {}  # code of a total weight -> lanes handed out
     lanes = []
-    for x in c1:
-        for y in c2:
-            xy = tuple(map(add, x, y))
-            for z in c3:
-                total = tuple(map(add, xy, z))
-                lanes.append(seen[total])
-                seen[total] += 1
+    for t in [x + y + z for x in k1 for y in k2 for z in k3]:
+        lanes.append(seen.get(t, 0))
+        seen[t] = lanes[-1] + 1
     return lanes
 
 
@@ -440,26 +465,24 @@ def lane_product(factors: list[GradedMatrix], lanes: list[int], bits: int) -> di
     """The nonzero rows of A_1 ... A_t, row r as sum_c x_c 2^(bits lane(c))
     over its entries x_c.
 
-    Packing a row is linear, so the last factor's rows are packed and each
-    earlier factor A then gives row r as the sum of v row[c] over its
-    nonzeros v = A[r, c].  The entries may be Laurent polynomials as well,
-    but only on ints is this cheap."""
+    The entries must be ints (TypeError otherwise).  Packing a row is
+    linear, so each entry of the last factor is shifted into its column's
+    lane and each earlier factor A then gives row r as the sum of v row[c]
+    over its nonzeros v = A[r, c]; rows are kept in a list, zero where
+    empty."""
     *head, last = factors
-    unit = [1 << bits * lane for lane in range(max(lanes, default=-1) + 1)]
-    rows: dict = {}
+    shifts = [bits * lane for lane in lanes]
+    rows = [0] * last.dim
     for (r, c), v in last.entries.items():
-        x = v * unit[lanes[c]]
-        acc = rows.get(r)
-        rows[r] = x if acc is None else acc + x
+        rows[r] += v << shifts[c]
     for factor in reversed(head):
-        out: dict = {}
+        out = [0] * last.dim
         for (r, c), v in factor.entries.items():
-            x = rows.get(c)
-            if x is not None:
-                acc = out.get(r)
-                out[r] = v * x if acc is None else acc + v * x
+            out[r] += v * rows[c]
         rows = out
-    return {r: x for r, x in rows.items() if x}
+    if not set(map(type, rows)) <= {int}:
+        raise TypeError("lane_product needs int entries")
+    return {r: x for r, x in enumerate(rows) if x}
 
 
 def graded_dagger(x: GradedMatrix) -> GradedMatrix:
@@ -614,8 +637,8 @@ def check_representation(rep: Representation) -> None:
 
     Checks weight homogeneity of every e_a / f_a (which encodes the Cartan
     relations), the graded bracket [e_a, f_b] = delta_ab [h_a]_q, and
-    nilpotency of the isotropic pair.  Raises RelationError naming the
-    first violated relation.
+    nilpotency of the isotropic pair (skipping the a != b brackets that are
+    0 = 0 by support).  Raises RelationError naming the first violated one.
     """
     alg = rep.algebra
     labels = alg.root_labels()
@@ -635,9 +658,16 @@ def check_representation(rep: Representation) -> None:
                     f"[h, {kind}_{lab}] relation: entry ({r + 1},{c + 1}) does not "
                     f"shift weight by {'+' if kind == 'e' else '-'}alpha_{lab}"
                 )
+    support = {  # the rows and the columns of each e_a and f_a
+        (k, lab): ({r for r, _ in m.entries}, {c for _, c in m.entries})
+        for k, mats in (("e", rep.e), ("f", rep.f)) for lab, m in mats.items()
+    }
     for i, lab_a in enumerate(labels):
         pa = alg.root_parity(lab_a)
         for lab_b in labels:
+            (e_rows, e_cols), (f_rows, f_cols) = support["e", lab_a], support["f", lab_b]
+            if lab_a != lab_b and not (e_cols & f_rows or f_cols & e_rows):
+                continue  # e_a f_b = f_b e_a = 0: the relation is 0 = 0
             pb = alg.root_parity(lab_b)
             lhs = rep.e[lab_a].bracket(rep.f[lab_b], pa, pb)
             if lab_a == lab_b:

@@ -10,10 +10,11 @@ with D = (z - q^(m-n-2)) for the untwisted family and D = (z + q^(m-n))
 for the twisted one.  r(z) is kept as it is built: the three constant
 matrices P, E and r, each with a z-polynomial weight over the Laurent ring
 in s = q^(1/2), over the one shared denominator (q - q^-1 z) D.  The
-spectral Yang-Baxter equation is verified by exact rational sampling:
-SpectralAtS substitutes s = s0 once and gives r(z0) as ints times one
-constant, and the two triple products are compared row by row, each row
-one int inside its weight block (gradedmat.lane_product).
+spectral Yang-Baxter equation is verified by exact rational sampling on
+plain ints: ints_at takes Laurent polynomials at s0 = a/b to ints times one
+constant, SpectralAtS takes r at s0 and z0 = p/q to an int matrix the same
+way, and the two triple products are compared row by row, each row one
+int inside its weight block (gradedmat.lane_product).
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from operator import add
+from operator import mul
 
 from .qring import (
     LaurentPoly,
@@ -39,7 +40,6 @@ from .qring import (
     _zstr,
     _ztrim,
     dot,
-    horner,
     monomial,
     q_minus_qinv,
     q_power,
@@ -54,6 +54,7 @@ from .gradedmat import (
     lane_product,
     pack_stats,
     packing_bits,
+    weight_codes,
     weight_lanes,
 )
 from .laxengine import RTensor, SigmaSet
@@ -196,63 +197,66 @@ class SpectralRMatrix:
         }
 
 
+def ints_at(polys: list[LaurentPoly], s0: Scalar) -> tuple[list[int], int]:
+    """Laurent polynomials p at s = s0 = a/b != 0 as the ints c p(s0), and
+    the one nonzero int c = L b^hi a^-lo: [lo, hi] is the range of their
+    exponents widened to hold 0, L the lcm of their coefficients'
+    denominators.  Powers of a and b are computed once; no Fraction."""
+    exps = [0, *(k for p in polys for k in p.terms)]
+    lo, hi = min(exps), max(exps)
+    lcm = math.lcm(*(c.denominator for p in polys for c in p.terms.values()))
+    a, b = _canonical(s0).as_integer_ratio()
+    pa, pb = [1], [1]  # a^j and b^j for 0 <= j <= hi - lo
+    for _ in range(hi - lo):
+        pa.append(pa[-1] * a)
+        pb.append(pb[-1] * b)
+    ints = [
+        sum(c.numerator * (lcm // c.denominator) * pa[k - lo] * pb[hi - k]
+            for k, c in p.terms.items())
+        for p in polys
+    ]
+    return ints, lcm * pb[hi] * pa[-lo]
+
+
 class SpectralAtS:
-    """A SpectralRMatrix with s = s0 = a/b substituted, to be sampled at many z.
+    """A SpectralRMatrix with s = s0 substituted, to be sampled at many z.
 
-    The denominator and each weight are evaluated at s0 once.  With
-    [lo, hi] the range of exponents of s over the entries of all pieces,
-    each distinct entry value v is kept as the int v(s0) b^hi a^-lo (times
-    the lcm of its coefficients' denominators, 1 on every algebra built
-    here), from powers of a and b computed once.  An entry at z is then
-    sum_i w_i(z) M_i[entry] / den(z), and entries whose values agree in
-    every piece share that sum."""
+    ints_at gives the coefficients of the denominator and the weights as
+    ints times one constant, and each distinct entry value v as the int
+    cv v(s0).  An entry at z is sum_i w_i(z) M_i[entry] / den(z), and
+    entries whose values agree in every piece share that sum."""
 
-    __slots__ = ("den", "den_at", "weights_at", "scale", "sums", "where")
+    __slots__ = ("den", "zpolys", "cv", "sums", "where")
 
     def __init__(self, spec: SpectralRMatrix, s0: Scalar):
         self.den = spec.den
-        self.den_at = [c.evaluate(s0) for c in spec.den]
-        self.weights_at = [[c.evaluate(s0) for c in w] for w, _ in spec.pieces]
         values, sums, self.where = spec.entry_terms
-        exps = [k for v in values for k in v.terms]
-        lo, hi = min(exps, default=0), max(exps, default=0)
-        coeff_lcm = math.lcm(*(c.denominator for v in values for c in v.terms.values()))
-        s0 = Fraction(_canonical(s0))
-        a, b = s0.numerator, s0.denominator
-        pa, pb = [1], [1]  # a^j and b^j for 0 <= j <= hi - lo
-        for _ in range(hi - lo):
-            pa.append(pa[-1] * a)
-            pb.append(pb[-1] * b)
-        at_s0 = [
-            sum(
-                c.numerator * (coeff_lcm // c.denominator) * pa[k - lo] * pb[hi - k]
-                for k, c in v.terms.items()
-            )
-            for v in values
-        ]
-        # each at_s0 entry is v(s0) times this
-        self.scale = coeff_lcm * Fraction(b) ** hi / Fraction(a) ** lo
+        at_s0, self.cv = ints_at(values, s0)
         self.sums = [[(i, at_s0[j]) for i, j in t] for t in sums]
+        zpolys = (spec.den, *(w for w, _ in spec.pieces))
+        coeffs = iter(ints_at([c for w in zpolys for c in w], s0)[0])
+        # the denominator, then each weight, as its int coefficients
+        self.zpolys = [[next(coeffs) for _ in w] for w in zpolys]
 
     def int_values(self, z0: Scalar) -> tuple[dict[tuple[int, int], int], Fraction]:
         """The nonzero entries of r(z0) times one nonzero constant, as ints,
-        and that constant; PoleError if the denominator vanishes.  The
-        weights w_i(z0) are cleared to ints with the lcm of their
-        denominators before the sums, so every sum is over ints."""
-        z0 = Fraction(_canonical(z0))
-        d = horner(self.den_at, z0)
+        and that constant; PoleError if the denominator vanishes.  For
+        z0 = p/q each z-polynomial is taken in the homogenised int form
+        sum_j c_j p^j q^(deg-j), deg the largest z-degree, so every sum is
+        over ints and only the constant is a Fraction."""
+        p, q = _canonical(z0).as_integer_ratio()
+        deg = max(map(len, self.zpolys)) - 1
+        pq = [p**j * q ** (deg - j) for j in range(deg + 1)]
+        d, *w = [sum(map(mul, coeffs, pq)) for coeffs in self.zpolys]
         if not d:
             raise PoleError(_zstr(self.den))
-        w = [horner(coeffs, z0) for coeffs in self.weights_at]
-        lcm = math.lcm(*(x.denominator for x in w))
-        w = [x.numerator * (lcm // x.denominator) for x in w]
         vals = [sum(w[i] * x for i, x in t) for t in self.sums]
         # divided by their gcd, the ints are as short as r(z0) allows
         g = math.gcd(*vals) or 1
         if g > 1:
             vals = [x // g for x in vals]
         ints = {key: vals[j] for key, j in self.where if vals[j]}
-        return ints, lcm * d * self.scale / g
+        return ints, Fraction(self.cv * d, g)
 
     def values(self, z0: Scalar) -> dict[tuple[int, int], Fraction]:
         """The nonzero entries of r(z0); PoleError if the denominator vanishes."""
@@ -349,20 +353,17 @@ def check_spectral_ybe(
     """r12(z) r13(zw) r23(w) = r23(w) r13(zw) r12(z), evaluated exactly at
     pseudo-random rational (s0, z0, w0) triples off the pole divisor.
 
-    Each sample substitutes s = s0 into r once and evaluates the result at
-    z0, z0 w0 and w0.  Both sides are linear in each of r(z), r(zw) and
-    r(w), so each sampled matrix is taken as ints times one nonzero
-    constant (SpectralAtS.int_values), and the two products are compared
-    row by row, each row one int in its weight block (gradedmat.lane_product).
-    That needs every factor to keep total weight, which holds when the
-    pieces P, E and r do: this is checked once on V (x) V, since a sample's
-    entries sit where the pieces' do and embedding keeps weight.  Embedding
-    keeps norms and row counts too, so the lane width comes from the
-    samples on V (x) V.  A failing sample, or a sample of pieces that do not
-    keep weight, is recomputed with `@` on the unscaled values, so the
-    witness reports the entries of the unscaled products.  Raises
-    SamplingError if 50 * samples draws do not yield enough pole-free
-    points."""
+    Both sides are linear in each factor, so each sample takes r at s0 and
+    at z0, z0 w0 and w0 as int matrices, ints times one nonzero constant
+    (SpectralAtS.int_values), and compares the products row by row, each
+    row one int in its weight block (gradedmat.lane_product).  That needs
+    every factor to keep total weight: it is checked once, by weight code,
+    on the pieces P, E and r on V (x) V, where a sample's entries sit.
+    Embedding keeps weight, norms and row counts, so the lane width comes
+    from the samples on V (x) V.  A failing sample, or one whose pieces do
+    not keep weight, is recomputed with `@` on the unscaled values, so the
+    witness shows their entries.  Raises SamplingError if 50 * samples
+    draws do not yield enough pole-free points."""
     if samples < 1:
         raise ValueError("need at least one sample")
     suite = _Suite(f"spectral_ybe_{spec.kind}")
@@ -370,7 +371,8 @@ def check_spectral_ybe(
     gv = spec.algebra.gradings
     coords = [w.eps + w.delta for w in spec.algebra.weights]
     lanes = weight_lanes(coords, coords, coords)
-    totals = [tuple(map(add, x, y)) for x in coords for y in coords]
+    codes = weight_codes(coords, coords, coords)[0]  # as weight_lanes codes V
+    totals = [x + y for x in codes for y in codes]
     keeps_weight = all(
         totals[r] == totals[c] for _, mat in spec.pieces for r, c in mat.entries
     )
@@ -380,14 +382,14 @@ def check_spectral_ybe(
 
     def symbolic(fixed, points):
         r12, r13, r23 = embedded(
-            [GradedMatrix(spec.gradings, fixed.values(x)) for x in points]
+            [GradedMatrix._of(spec.gradings, fixed.values(x)) for x in points]
         )
         return r12 @ r13 @ r23, r23 @ r13 @ r12
 
     def packed(ints):
         if not keeps_weight:
             return None
-        mats = [GradedMatrix(spec.gradings, vals) for vals in ints]
+        mats = [GradedMatrix._of(spec.gradings, vals) for vals in ints]
         sz, szw, sw = map(pack_stats, mats)
         bits = packing_bits([sz, szw, sw], [sw, szw, sz])
         r12, r13, r23 = embedded(mats)

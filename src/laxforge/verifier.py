@@ -30,8 +30,8 @@ from .gradedmat import (
     PackStats,
     Representation,
     embed_triple,
+    flip_conjugate,
     graded_kron,
-    graded_permutation,
     kron_blocks,
     kron_gradings,
     pack,
@@ -216,30 +216,29 @@ def _coproduct(rep: Representation, label: str) -> dict[str, GradedMatrix]:
 def check_intertwining(r: RTensor, rep: Representation) -> CheckReport:
     """R Delta(x) = Delta^T(x) R for all simple e, f and Cartan half-powers.
 
-    Delta^T is conjugation of Delta by the graded permutation.  R and P are
-    packed once, with one B that covers every Delta(x).
+    Delta^T(x) is P Delta(x) P for the graded permutation P, formed as a
+    re-indexing (flip_conjugate).  R is packed once, with one B that covers
+    every Delta(x).
     """
     suite = _Suite("intertwining")
-    p = graded_permutation(rep.gradings)
     relations = [
         (f"R Delta({kind}_{label}) = Delta^T({kind}_{label}) R", dx, pack_stats(dx))
         for label in rep.algebra.root_labels()
         for kind, dx in _coproduct(rep, label).items()
     ]
-
-    def sides(rm: GradedMatrix, dx: GradedMatrix, pm: GradedMatrix):
-        return rm @ dx, (pm @ dx @ pm) @ rm
-
-    sr, sp = pack_stats(r.matrix), pack_stats(p)
+    sr = pack_stats(r.matrix)
     integral = sr is not None and all(sx is not None for _, _, sx in relations)
     if integral:
-        bits = max(packing_bits([sr, sx], [sp, sx, sp, sr]) for _, _, sx in relations)
-        pr, pp = pack(r.matrix, bits, sr.lo), pack(p, bits, sp.lo)
+        # P Delta(x) P has the entries, norms and row counts of Delta(x)
+        bits = max(packing_bits([sr, sx], [sx, sr]) for _, _, sx in relations)
+        pr = pack(r.matrix, bits, sr.lo)
     for rel_id, dx, sx in relations:
+        dxt = flip_conjugate(dx, rep.gradings, rep.gradings)
         suite.expect_products(
             rel_id,
-            lambda: sides(r.matrix, dx, p),
-            lambda: sides(pr, pack(dx, bits, sx.lo), pp) if integral else None,
+            lambda: (r.matrix @ dx, dxt @ r.matrix),
+            lambda: (pr @ pack(dx, bits, sx.lo), pack(dxt, bits, sx.lo) @ pr)
+            if integral else None,
         )
     return suite.report()
 
@@ -559,9 +558,6 @@ def check_opposite(r: RTensor, rt: RTensor) -> CheckReport:
     """R^T equals the factorwise graded conjugate of R and P R P."""
     suite = _Suite("opposite")
     gv = r.gradings_v
-    suite.expect_equal(
-        "R^T = R^dagger", rt.matrix, tensor_dagger(r.matrix, gv, gv)
-    )
-    p = graded_permutation(gv)
-    suite.expect_equal("R^T = P R P", rt.matrix, p @ r.matrix @ p)
+    suite.expect_equal("R^T = R^dagger", rt.matrix, tensor_dagger(r.matrix, gv, gv))
+    suite.expect_equal("R^T = P R P", rt.matrix, flip_conjugate(r.matrix, gv, gv))
     return suite.report()

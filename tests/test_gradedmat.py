@@ -1,6 +1,8 @@
+import dataclasses
 import hashlib
 import json
 import random
+from collections import Counter
 from fractions import Fraction
 from functools import reduce
 from operator import matmul
@@ -8,21 +10,24 @@ from operator import matmul
 import pytest
 from hypothesis import given, strategies as st
 
-from laxforge.qring import LaurentPoly
+from laxforge.qring import LaurentPoly, q_int
 from laxforge.superroot import build_algebra
 from laxforge.laxengine import assemble_R, extend_sigma, init_simple_sigma
 from laxforge.gradedmat import (
     GradedMatrix,
     PackStats,
     RelationError,
+    Representation,
     SchemaError,
     build_vector_rep,
     check_representation,
     embed_triple,
+    flip_conjugate,
     graded_dagger,
     graded_kron,
     graded_permutation,
     kron_blocks,
+    kron_gradings,
     lane_product,
     load_representation,
     pack,
@@ -539,3 +544,152 @@ def test_pack_stats_reads_every_entry_of_a_laurent_matrix():
     assert pack_stats(GradedMatrix(G3, entries)) == PackStats(lo=-4, norm=7, row=2)
     for bad in (LaurentPoly({1: 1, 2: Fraction(1, 3)}), 4):
         assert pack_stats(GradedMatrix(G3, {**entries, (1, 1): bad})) is None
+
+
+def first_bracket_failure(rep):
+    """The first [e_a, f_b] relation that fails, in check_representation's
+    order, with every bracket formed; None when all hold."""
+    alg = rep.algebra
+    for a in alg.root_labels():
+        for b in alg.root_labels():
+            lhs = rep.e[a].bracket(rep.f[b], alg.root_parity(a), alg.root_parity(b))
+            rhs = GradedMatrix.zeros(rep.gradings)
+            if a == b:
+                diag = [q_int(int(x)) for x in rep.pairings(alg.root(a))]
+                rhs = GradedMatrix.diagonal(rep.gradings, diag)
+            if lhs != rhs:
+                return f"[e_{a}, f_{b}] relation fails"
+    return None
+
+
+def direct_sum_with_itself(rep):
+    """V (+) V, each generator acting on both copies."""
+    d = rep.dim
+
+    def twice(m):
+        moved = {(r + d, c + d): v for (r, c), v in m.entries.items()}
+        return GradedMatrix(rep.gradings * 2, {**m.entries, **moved})
+
+    return dataclasses.replace(
+        rep, gradings=rep.gradings * 2, weights=rep.weights * 2,
+        e={lab: twice(m) for lab, m in rep.e.items()},
+        f={lab: twice(m) for lab, m in rep.f.items()},
+    )
+
+
+@pytest.mark.parametrize("mn", [(3, 2), (5, 2), (4, 4), (6, 0)])
+def test_check_representation_skips_only_brackets_that_are_zero(mn):
+    # on V and on V (+) V with one entry doubled, or with one entry copied
+    # from the first copy into the second (which keeps weights but lets
+    # e_a f_b be nonzero while f_b e_a is not), check_representation names
+    # the first failing bracket that forming every bracket names
+    rep = build_vector_rep(build_algebra(*mn))
+    vv = direct_sum_with_itself(rep)
+    check_representation(vv)
+    corrupted = []
+    for kind in ("e", "f"):
+        for lab, m in getattr(rep, kind).items():
+            for (r, c), v in m.entries.items():
+                for base, key, val in ((rep, (r, c), 2 * v), (vv, (r + rep.dim, c), v)):
+                    mats = getattr(base, kind)
+                    bad = GradedMatrix(base.gradings, {**mats[lab].entries, key: val})
+                    corrupted.append(dataclasses.replace(base, **{kind: {**mats, lab: bad}}))
+    for bad in corrupted:
+        want = first_bracket_failure(bad)
+        assert want is not None
+        with pytest.raises(RelationError) as info:
+            check_representation(bad)
+        assert str(info.value) == want
+
+
+def test_check_representation_forms_a_bracket_with_one_possible_product():
+    # osp(4|0) on p, q, w, w' of weights (1, 0), (0, 1), (1, 2), (2, 1):
+    # e_i1 = E_pq + E_w'w and f_i1 = E_qp + E_ww' satisfy
+    # [e_i1, f_i1] = [h_i1]_q, and f_l = E_qw.  Then e_i1 f_l = E_pw while
+    # f_l e_i1 = 0 by support, so [e_i1, f_l] != 0 must be the first
+    # failure, before [e_l, f_l]
+    from laxforge.superroot import Weight
+
+    alg = build_algebra(4, 0)
+    g = (0, 0, 0, 0)
+    one = LaurentPoly.one()
+    weights = tuple(Weight(w, ()) for w in ((1, 0), (0, 1), (1, 2), (2, 1)))
+    rep = Representation(
+        alg, "one-sided", g, weights,
+        e={"i1": GradedMatrix(g, {(0, 1): one, (3, 2): one}), "l": GradedMatrix(g)},
+        f={"i1": GradedMatrix(g, {(1, 0): one, (2, 3): one}),
+           "l": GradedMatrix(g, {(1, 2): one})},
+    )
+    assert first_bracket_failure(rep) == "[e_i1, f_l] relation fails"
+    with pytest.raises(RelationError, match=r"^\[e_i1, f_l\] relation fails$"):
+        check_representation(rep)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_flip_conjugate_is_p_x_p(seed):
+    rng = random.Random(seed)
+    g = (0, 1, 1)
+    p = graded_permutation(g)
+    x = random_laurent_matrix(rng, kron_gradings(g, g), nnz=12)
+    assert flip_conjugate(x, g, g) == p @ x @ p
+
+
+def test_flip_conjugate_swaps_kron_factors():
+    # P (a (x) b) P = (-1)^([a][b]) b (x) a for a on U1 and b on U2 != U1
+    g3 = (1, 0, 1)
+    for a in [E(i, j) for i in range(2) for j in range(2)]:
+        for b in [E(i, j, g3) for i in range(3) for j in range(3)]:
+            pa = sum(G2[i] for rc in a.entries for i in rc) % 2
+            pb = sum(g3[i] for rc in b.entries for i in rc) % 2
+            sign = -1 if pa * pb else 1
+            assert flip_conjugate(graded_kron(a, b), G2, g3) == graded_kron(b, a).scale(sign)
+    with pytest.raises(ValueError):
+        flip_conjugate(graded_kron(E(0, 1), E(1, 0)), G2, g3)
+
+
+def tuple_sum_lanes(c1, c2, c3):
+    """weight_lanes by summing the coordinate tuples of every index."""
+    seen, lanes = Counter(), []
+    for x in c1:
+        for y in c2:
+            for z in c3:
+                total = tuple(a + b + c for a, b, c in zip(x, y, z))
+                lanes.append(seen[total])
+                seen[total] += 1
+    return lanes
+
+
+@pytest.mark.parametrize("mn", [(3, 0), (4, 2), (5, 4), (8, 6), (13, 12)])
+def test_weight_lanes_equal_tuple_sums_on_the_vector_module(mn):
+    cv = [w.eps + w.delta for w in build_algebra(*mn).weights]
+    assert weight_lanes(cv, cv, cv) == tuple_sum_lanes(cv, cv, cv)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_weight_lanes_equal_tuple_sums_on_hand_made_coordinates(seed):
+    # coordinates in [-3, 3], factors of different sizes
+    rng = random.Random(seed)
+    width = rng.randint(1, 3)
+    c1, c2, c3 = (
+        [tuple(rng.randint(-3, 3) for _ in range(width)) for _ in range(rng.randint(1, 7))]
+        for _ in range(3)
+    )
+    assert weight_lanes(c1, c2, c3) == tuple_sum_lanes(c1, c2, c3)
+    # totals that agree in a coordinate modulo any small base
+    c = [(3, -3), (-3, 3), (0, 0), (2, -1), (-1, 2), (3, 3), (-3, -3)]
+    assert weight_lanes(c, c[::-1], c) == tuple_sum_lanes(c, c[::-1], c)
+
+
+def test_weight_lanes_refuse_a_fraction_coordinate():
+    with pytest.raises(TypeError):
+        weight_lanes([(0, 1)], [(Fraction(1, 2), 0)], [(0, 0)])
+
+
+def test_lane_product_rejects_a_laurent_entry():
+    lanes = weight_lanes([(0,)] * 3, [(0,)], [(0,)])
+    ints = GradedMatrix(G3, {(0, 1): 2, (1, 2): -1})
+    laurent = GradedMatrix(G3, {(2, 1): LaurentPoly({1: 1})})
+    assert lane_product([ints, ints], lanes, 4) == lane_rows(ints @ ints, lanes, 4)
+    for factors in ([laurent], [ints, laurent], [laurent, ints]):
+        with pytest.raises(TypeError):
+            lane_product(factors, lanes, 4)

@@ -24,6 +24,7 @@ from laxforge.spectral import (
     build_E_tensor,
     build_spectral_R,
     check_spectral_ybe,
+    ints_at,
     sigma_hat_diag,
 )
 
@@ -287,9 +288,9 @@ ACCEPTANCE = [(3, 0), (4, 0), (5, 0), (6, 0), (3, 2), (4, 2), (5, 2), (3, 4), (5
 def assert_int_values_scale_values(spec):
     """int_values and values against each piece evaluated term by term, at
     s0 < 0 and at s0 = 1/b."""
-    for s0 in (Fraction(-5, 3), Fraction(1, 3), Fraction(-2)):
+    for s0 in (Fraction(-5, 3), Fraction(1, 3), Fraction(-2), Fraction(-35, 4)):
         fixed = SpectralAtS(spec, s0)
-        for z0 in (Fraction(-2, 5), Fraction(3)):
+        for z0 in (Fraction(-2, 5), Fraction(3), Fraction(-7, 9)):
             den = horner([c.evaluate(s0) for c in spec.den], z0)
             want = {}
             for weight, mat in spec.pieces:
@@ -302,6 +303,19 @@ def assert_int_values_scale_values(spec):
             assert all(type(v) is int for v in ints.values())
             assert {key: v / scale for key, v in ints.items()} == want
             assert fixed.values(z0) == want
+
+
+def test_ints_at_are_one_int_constant_times_the_values():
+    polys = [LaurentPoly({3: 2, 5: Fraction(-1, 6)}), LaurentPoly({-4: 7}),
+             LaurentPoly.zero(), LaurentPoly({0: Fraction(5, 4)})]
+    for s0 in (Fraction(-35, 4), Fraction(2, 9), 3, Fraction(-1, 2)):
+        ints, c = ints_at(polys, s0)
+        assert type(c) is int and c and all(type(x) is int for x in ints)
+        assert [Fraction(x, c) for x in ints] == [p.evaluate(s0) for p in polys]
+    # the exponent range is widened to hold 0, so that c is an int
+    assert ints_at([LaurentPoly({2: 1})], 3) == ([9], 1)
+    assert ints_at([LaurentPoly({2: 1})], Fraction(1, 3)) == ([1], 9)
+    assert ints_at([LaurentPoly({-2: 1})], 3) == ([1], 9)
 
 
 @pytest.mark.parametrize("mn", ACCEPTANCE)
