@@ -10,7 +10,10 @@ the two-term induction relation
 through any intermediate c strictly between a and b with c not barred to
 either endpoint.  Pairs are processed by increasing position gap, so both
 factors always exist; the choice of intermediate is immaterial (verified
-separately as path independence).
+separately as path independence).  Each step has one home,
+SigmaSet.step, which keeps it under (b, c, a): the construction's own
+step is the stored sigma_ba, and the appendix and path-independence
+suites read the same table, so one job forms each step at most once.
 
 Every q-power here is a monomial s^k with k read from an int table:
 AlgebraData.pair2 and rho2 for weights of V, Representation.pair2 for a
@@ -52,10 +55,29 @@ class SigmaSet:
     rep: Representation
     sigma: dict[tuple[int, int], GradedMatrix]
     provenance: dict[tuple[int, int], str]
+    # the induction steps formed from this set's sigma, (b, c, a) -> the
+    # step through c; every SigmaSet(...) and dataclasses.replace starts
+    # it empty, so a step is never read against another sigma
+    steps: dict[tuple[int, int, int], GradedMatrix] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     @property
     def algebra(self) -> AlgebraData:
         return self.rep.algebra
+
+    def step(self, b: int, c: int, a: int) -> GradedMatrix:
+        """The two-term induction relation for (b, a) through c, formed
+        once and kept in `steps`: one fused pass, with q^-(eps_b,eps_a)
+        and q^-(eps_c,eps_c) the shifts -pair2[b][a] and -pair2[c][c]."""
+        out = self.steps.get((b, c, a))
+        if out is None:
+            g, pair2 = self.algebra.gradings, self.algebra.pair2
+            sign = -1 if ((g[b] + g[c]) * (g[a] + g[c])) % 2 else 1
+            out = self.steps[(b, c, a)] = self.sigma[(b, c)].commutator(
+                self.sigma[(c, a)], sign, -pair2[b][a], -pair2[c][c]
+            )
+        return out
 
     def is_complete(self) -> bool:
         return set(self.sigma) == set(self.algebra.extended_pairs())
@@ -143,22 +165,6 @@ def admissible_intermediates(alg: AlgebraData, b: int, a: int) -> list[int]:
     return [c for c in range(b + 1, a) if c != alg.bar[a] and c != alg.bar[b]]
 
 
-def induction_step(
-    sigma_bc: GradedMatrix,
-    sigma_ca: GradedMatrix,
-    alg: AlgebraData,
-    b: int,
-    c: int,
-    a: int,
-) -> GradedMatrix:
-    """One application of the two-term induction relation through c, as
-    one fused pass: q^-(eps_b,eps_a) and q^-(eps_c,eps_c) are the shifts
-    -pair2[b][a] and -pair2[c][c]."""
-    g, pair2 = alg.gradings, alg.pair2
-    sign = -1 if ((g[b] + g[c]) * (g[a] + g[c])) % 2 else 1
-    return sigma_bc.commutator(sigma_ca, sign, -pair2[b][a], -pair2[c][c])
-
-
 def init_simple_sigma(rep: Representation) -> SigmaSet:
     """Seed each simple pair (b, a) and its mirror (bar(a), bar(b)) from
     the raising generator E = e q^(h/2) of its root (Table-1 pattern):
@@ -193,10 +199,11 @@ def init_simple_sigma(rep: Representation) -> SigmaSet:
 
 
 def extend_sigma(partial: SigmaSet) -> SigmaSet:
-    """Fill every extended pair by increasing position gap."""
+    """Fill every extended pair by increasing position gap, each through
+    SigmaSet.step, so the result keeps its own steps."""
     alg = partial.algebra
-    sigma = dict(partial.sigma)
-    prov = dict(partial.provenance)
+    out = SigmaSet(partial.rep, dict(partial.sigma), dict(partial.provenance))
+    sigma, prov = out.sigma, out.provenance
     for gap in range(1, alg.dim):
         for b in range(alg.dim - gap):
             a = b + gap
@@ -210,9 +217,8 @@ def extend_sigma(partial: SigmaSet) -> SigmaSet:
                     f"({alg.labels[b]},{alg.labels[a]})"
                 )
             c = mids[0]
-            sigma[(b, a)] = induction_step(sigma[(b, c)], sigma[(c, a)], alg, b, c, a)
+            sigma[(b, a)] = out.step(b, c, a)
             prov[(b, a)] = f"recursed(via {alg.labels[c]})"
-    out = SigmaSet(rep=partial.rep, sigma=sigma, provenance=prov)
     _check_weight_homogeneity(out)
     return out
 

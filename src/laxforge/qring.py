@@ -169,19 +169,6 @@ class LaurentPoly:
             res.terms = {e + k: -c for e, c in self.terms.items()}
         return res
 
-    def __pow__(self, n: int) -> "LaurentPoly":
-        if n < 0:
-            inv = self.inverse()
-            return inv ** (-n)
-        out = LaurentPoly.one()
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
     # -- queries -------------------------------------------------------
 
     def is_monomial(self) -> bool:
@@ -319,13 +306,6 @@ def _ztrim(coeffs: Iterable[LaurentPoly]) -> ZPoly:
     return tuple(out)
 
 
-def _zadd(a: ZPoly, b: ZPoly) -> ZPoly:
-    n = max(len(a), len(b))
-    return _ztrim(
-        (a[i] if i < len(a) else ZERO) + (b[i] if i < len(b) else ZERO) for i in range(n)
-    )
-
-
 def _zmul(a: ZPoly, b: ZPoly) -> ZPoly:
     if not a or not b:
         return ()
@@ -362,7 +342,9 @@ def _zstr(a: ZPoly) -> str:
 
 
 class RatFunc:
-    """A fraction of polynomials in z with LaurentPoly coefficients.
+    """A fraction of polynomials in z with LaurentPoly coefficients, as
+    read from an entry of a spectral R-matrix's JSON: it compares, negates,
+    gives its z-degrees and evaluates exactly, and has no field arithmetic.
 
     Normalization is best effort (common z-power and monomial content are
     cancelled); equality never relies on canonical form and is decided by
@@ -397,86 +379,17 @@ class RatFunc:
             den = _zscale(den, inv)
         return num, den
 
-    # -- constructors ---------------------------------------------------
-
-    @classmethod
-    def from_laurent(cls, p: LaurentPoly) -> "RatFunc":
-        return cls((p,), (ONE,))
-
-    @classmethod
-    def const(cls, c: Scalar) -> "RatFunc":
-        return cls.from_laurent(LaurentPoly.const(c))
-
-    @classmethod
-    def z(cls) -> "RatFunc":
-        return cls((ZERO, ONE), (ONE,))
-
-    # -- field structure --------------------------------------------------
-
-    def is_zero(self) -> bool:
-        return not self.num
-
-    def __bool__(self) -> bool:
-        return bool(self.num)
-
     def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
-            other = RatFunc.const(other)
-        elif isinstance(other, LaurentPoly):
-            other = RatFunc.from_laurent(other)
         if not isinstance(other, RatFunc):
             return NotImplemented
-        # a/b == c/d  iff  a*d - c*b == 0
-        return _zadd(_zmul(self.num, other.den), _zneg(_zmul(other.num, self.den))) == ()
-
-    def __hash__(self):
-        raise TypeError("RatFunc is not hashable (no canonical form)")
-
-    def __add__(self, other) -> "RatFunc":
-        if isinstance(other, (int, Fraction)):
-            other = RatFunc.const(other)
-        elif isinstance(other, LaurentPoly):
-            other = RatFunc.from_laurent(other)
-        if not isinstance(other, RatFunc):
-            return NotImplemented
-        num = _zadd(_zmul(self.num, other.den), _zmul(other.num, self.den))
-        return RatFunc(num, _zmul(self.den, other.den))
-
-    __radd__ = __add__
+        # a/b == c/d  iff  a*d == c*b
+        return _zmul(self.num, other.den) == _zmul(other.num, self.den)
 
     def __neg__(self) -> "RatFunc":
         out = RatFunc.__new__(RatFunc)
         out.num = _zneg(self.num)
         out.den = self.den
         return out
-
-    def __sub__(self, other) -> "RatFunc":
-        return self + (-other if isinstance(other, RatFunc) else -RatFunc.const(other))
-
-    def __mul__(self, other) -> "RatFunc":
-        if isinstance(other, (int, Fraction)):
-            other = RatFunc.const(other)
-        elif isinstance(other, LaurentPoly):
-            other = RatFunc.from_laurent(other)
-        if not isinstance(other, RatFunc):
-            return NotImplemented
-        return RatFunc(_zmul(self.num, other.num), _zmul(self.den, other.den))
-
-    __rmul__ = __mul__
-
-    def reciprocal(self) -> "RatFunc":
-        if self.is_zero():
-            raise ZeroDivisionError("reciprocal of zero rational function")
-        return RatFunc(self.den, self.num)
-
-    def __truediv__(self, other) -> "RatFunc":
-        if isinstance(other, (int, Fraction)):
-            other = RatFunc.const(other)
-        elif isinstance(other, LaurentPoly):
-            other = RatFunc.from_laurent(other)
-        if not isinstance(other, RatFunc):
-            return NotImplemented
-        return self * other.reciprocal()
 
     # -- evaluation -------------------------------------------------------
 

@@ -39,12 +39,7 @@ from .gradedmat import (
     packing_bits,
     tensor_dagger,
 )
-from .laxengine import (
-    RTensor,
-    SigmaSet,
-    admissible_intermediates,
-    induction_step,
-)
+from .laxengine import RTensor, SigmaSet, admissible_intermediates
 
 
 @dataclass
@@ -447,7 +442,7 @@ def check_appendix(sigma: SigmaSet) -> CheckReport:
     tables, instantiated over its full index range.
 
     Each chain is anchored at the simple pair (x, y) of its root, and its
-    induction rows are the construction's two-term relation (induction_step)
+    induction rows are the construction's two-term relation (SigmaSet.step)
     at the anchor's four positions, with bx = bar(x) and by = bar(y):
 
         1: sigma(b, y) via x for b < x
@@ -457,8 +452,11 @@ def check_appendix(sigma: SigmaSet) -> CheckReport:
 
     in the order of the tables; in the odd chains (mu and s, x odd) each
     row-1 b is followed by the row-2 a = bar(b).  Every such row is also a
-    path-independence row: over osp(m|n), 3 <= m <= 11, n <= 10, 3800 of
-    the 6612 are the construction's own step for their pair.  The i, mu and
+    path-independence row, and both suites read their steps from the one
+    table SigmaSet.steps, so a job forms each step at most once.  Over
+    osp(m|n), 3 <= m <= 11, n <= 10, 3800 of the 6612 are the
+    construction's own step for their pair: that step is the stored
+    sigma_ba itself, so the row compares it with itself.  The i, mu and
     s chains then state one commutator relation, and every chain ends with
     the q-commutation of every sigma_ba with the anchor, in the loop
     check_qcom uses (_expect_qcom)."""
@@ -490,7 +488,7 @@ def check_appendix(sigma: SigmaSet) -> CheckReport:
             suite.expect_equal(
                 f"{prefix}: sigma({nb},{na}) via {name(c)}",
                 S[(b, a)],
-                induction_step(S[(b, c)], S[(c, a)], alg, b, c, a),
+                sigma.step(b, c, a),
             )
         if commutator:
             suite.expect_equal(*commutator)
@@ -533,22 +531,21 @@ def check_appendix(sigma: SigmaSet) -> CheckReport:
 
 def check_path_independence(sigma: SigmaSet) -> CheckReport:
     """Every admissible intermediate for every recursed pair yields the
-    same operator as the stored one.  The appendix's induction rows are
-    rows of this suite: over osp(m|n), 3 <= m <= 11, n <= 10, 3417 of its
-    15615 rows are the construction's own step, against 3800 of the 6612
-    appendix rows."""
+    same operator as the stored one.  The steps are read from
+    SigmaSet.steps, the table the construction and the appendix suite
+    fill, so a job forms each at most once.  The appendix's induction rows
+    are rows of this suite: over osp(m|n), 3 <= m <= 11, n <= 10, 3417 of
+    its 15615 rows are the construction's own step, the stored sigma_ba
+    itself, against 3800 of the 6612 appendix rows."""
     suite = _Suite("path_independence")
     alg = sigma.algebra
     for (b, a) in alg.extended_pairs():
         if sigma.provenance[(b, a)] in ("simple", "forced_zero"):
             continue
         for c in admissible_intermediates(alg, b, a):
-            alt = induction_step(
-                sigma.sigma[(b, c)], sigma.sigma[(c, a)], alg, b, c, a
-            )
             suite.expect_equal(
                 f"sigma({alg.labels[b]},{alg.labels[a]}) via {alg.labels[c]}",
-                alt,
+                sigma.step(b, c, a),
                 sigma.sigma[(b, a)],
             )
     return suite.report()

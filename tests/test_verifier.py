@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 from fractions import Fraction
 from types import SimpleNamespace
@@ -381,6 +382,57 @@ def test_appendix_and_path_independence_fail_on_mutation():
     bad = mutate_sigma(ss)
     assert check_appendix(bad).status == "fail"
     assert check_path_independence(bad).status == "fail"
+
+
+@pytest.mark.parametrize("mn, formed", [((5, 4), 47), ((8, 6), 252)])
+def test_appendix_and_path_independence_form_each_step_once(monkeypatch, mn, formed):
+    # each (b, c, a) is formed at most once for the set, so a second run
+    # forms only the appendix's commutator relations again
+    _, ss = build(*mn)
+    alg = ss.algebra
+    real, calls = GradedMatrix.commutator, []
+
+    def counting(self, *args):
+        calls.append(args)
+        return real(self, *args)
+
+    monkeypatch.setattr(GradedMatrix, "commutator", counting)
+    counts = []
+    for _ in range(2):
+        calls.clear()
+        assert check_appendix(ss).status == "pass"
+        assert check_path_independence(ss).status == "pass"
+        counts.append(len(calls))
+    relations = (alg.l - 1) + (alg.k - 1) + (alg.n > 0)
+    assert counts == [formed, relations]
+
+
+@pytest.mark.parametrize("mn", [(3, 2), (4, 2), (5, 4), (6, 2), (4, 6)])
+def test_own_steps_are_the_stored_sigma(mn):
+    _, ss = build(*mn)
+    labels = ss.algebra.labels
+    recursed = 0
+    for (b, a), prov in ss.provenance.items():
+        if prov.startswith("recursed(via "):
+            c = labels.index(prov[len("recursed(via "):-1])
+            assert ss.step(b, c, a) is ss.sigma[(b, a)]
+            recursed += 1
+    assert recursed
+
+
+def test_a_new_sigma_set_forms_its_own_steps():
+    # a set made from another, by replace or by the constructor, starts
+    # with no steps, so none formed from the old sigma is served
+    _, ss = build(3, 2)
+    assert check_path_independence(ss).status == "pass" and ss.steps
+    sigma = mutate_sigma(ss).sigma
+    for bad in (
+        dataclasses.replace(ss, sigma=sigma),
+        SigmaSet(ss.rep, sigma, ss.provenance),
+    ):
+        assert not bad.steps
+        assert check_appendix(bad).status == "fail"
+        assert check_path_independence(bad).status == "fail"
 
 
 def test_opposite_fails_on_mutation():
