@@ -16,7 +16,6 @@ import json
 import os
 import sys
 import tempfile
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
 from json.encoder import encode_basestring_ascii as _ascii
@@ -50,22 +49,6 @@ from .spectral import (
     check_spectral_ybe,
     ints_at,
 )
-
-
-@dataclass
-class JobConfig:
-    m: int
-    n: int
-    rep_source: str  # "vector" | "trivial" | file path
-    suites: list[str]
-    kind: str
-    s: Fraction | None
-    z: Fraction | None
-    samples: int
-    seed: int
-    out: str | None
-    fmt: str
-    cache_dir: str | None
 
 
 # ---------------------------------------------------------------------------
@@ -170,8 +153,8 @@ def _write_if_changed(path: Path, data: bytes) -> None:
     _atomic_write(path, data)
 
 
-def _cache_dir(cfg: JobConfig) -> Path | None:
-    where = cfg.cache_dir or os.environ.get("LAXFORGE_CACHE")
+def _cache_dir(args: argparse.Namespace) -> Path | None:
+    where = args.cache_dir or os.environ.get("LAXFORGE_CACHE")
     return Path(where) if where else None
 
 
@@ -180,10 +163,10 @@ def _fingerprint(alg, rep) -> str:
     return hashlib.sha256(_canonical_bytes(doc)).hexdigest()
 
 
-def _cache_fetch(cfg: JobConfig, key: str) -> bytes | None:
+def _cache_fetch(args: argparse.Namespace, key: str) -> bytes | None:
     """The cached artifact under `key`, or None when there is none or its
     bytes do not match the sha256 stored beside it."""
-    root = _cache_dir(cfg)
+    root = _cache_dir(args)
     if root is None:
         return None
     try:
@@ -194,8 +177,8 @@ def _cache_fetch(cfg: JobConfig, key: str) -> bytes | None:
     return data if hashlib.sha256(data).hexdigest() == digest else None
 
 
-def _cache_store(cfg: JobConfig, key: str, data: bytes) -> None:
-    root = _cache_dir(cfg)
+def _cache_store(args: argparse.Namespace, key: str, data: bytes) -> None:
+    root = _cache_dir(args)
     if root is not None:
         digest = hashlib.sha256(data).hexdigest()
         _atomic_write(root / f"{key}.json", data)
@@ -262,35 +245,35 @@ class Context:
 # representation, the check on a job's context).  The checks look every
 # function up when they run, never at import.
 SUITE_TABLE = {
-    "ybe": (True, lambda c, cfg: verifier.check_ybe(c.vector.r)),
-    "lax-ybe": (False, lambda c, cfg: verifier.check_lax_ybe(c.vector.r, c.r)),
+    "ybe": (True, lambda c, args: verifier.check_ybe(c.vector.r)),
+    "lax-ybe": (False, lambda c, args: verifier.check_lax_ybe(c.vector.r, c.r)),
     "intertwine": (
-        True, lambda c, cfg: verifier.check_intertwining(c.vector.r, c.vector.rep)
+        True, lambda c, args: verifier.check_intertwining(c.vector.r, c.vector.rep)
     ),
     "delta": (
-        True, lambda c, cfg: verifier.check_delta_property(c.vector.sigma, c.vector.r)
+        True, lambda c, args: verifier.check_delta_property(c.vector.sigma, c.vector.r)
     ),
-    "qcom": (False, lambda c, cfg: verifier.check_qcom(c.sigma)),
-    "serre": (False, lambda c, cfg: verifier.check_qserre(c.rep)),
-    "extra-serre": (False, lambda c, cfg: verifier.check_extra_serre(c.sigma)),
-    "appendix": (False, lambda c, cfg: verifier.check_appendix(c.sigma)),
+    "qcom": (False, lambda c, args: verifier.check_qcom(c.sigma)),
+    "serre": (False, lambda c, args: verifier.check_qserre(c.rep)),
+    "extra-serre": (False, lambda c, args: verifier.check_extra_serre(c.sigma)),
+    "appendix": (False, lambda c, args: verifier.check_appendix(c.sigma)),
     "opposite": (
-        True, lambda c, cfg: verifier.check_opposite(c.vector.r, c.vector.opposite_r)
+        True, lambda c, args: verifier.check_opposite(c.vector.r, c.vector.opposite_r)
     ),
     "path-independence": (
-        False, lambda c, cfg: verifier.check_path_independence(c.sigma)
+        False, lambda c, args: verifier.check_path_independence(c.sigma)
     ),
     **{
-        f"spectral-{kind}": (False, lambda c, cfg, kind=kind: check_spectral_ybe(
-            c.vector.spectral(kind), cfg.samples, cfg.seed))
+        f"spectral-{kind}": (False, lambda c, args, kind=kind: check_spectral_ybe(
+            c.vector.spectral(kind), args.samples, args.seed))
         for kind in KINDS
     },
 }
 
 
-def _emit(cfg: JobConfig, data: bytes) -> None:
-    if cfg.out:
-        _atomic_write(Path(cfg.out), data)
+def _emit(args: argparse.Namespace, data: bytes) -> None:
+    if args.out:
+        _atomic_write(Path(args.out), data)
     else:
         sys.stdout.write(data.decode())
 
@@ -323,59 +306,60 @@ def _parse_fraction(text: str) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-def cmd_generate(cfg: JobConfig) -> int:
-    ctx = Context(cfg.m, cfg.n, cfg.rep_source)
+def cmd_generate(args: argparse.Namespace) -> int:
+    ctx = Context(args.m, args.n, args.rep)
     alg, rep = ctx.alg, ctx.rep
     fp = _fingerprint(alg, rep)
-    out_dir = Path(cfg.out) if cfg.out else Path(".")
+    out_dir = Path(args.out) if args.out else Path(".")
 
     # file name -> (cache key, the document); each is built only on a miss
     artifacts = {
-        f"sigma_{cfg.m}_{cfg.n}_{rep.name}.json": (
+        f"sigma_{args.m}_{args.n}_{rep.name}.json": (
             f"{fp}-sigma", lambda: ctx.sigma.to_json()
         ),
-        f"r_{rep.name}_{cfg.m}_{cfg.n}.json": (
+        f"r_{rep.name}_{args.m}_{args.n}.json": (
             f"{fp}-r", lambda: _rtensor_json(ctx.r, alg, rep.name)
         ),
     }
     payloads: dict[str, bytes] = {}
     for name, (key, build) in artifacts.items():
-        payloads[name] = _cache_fetch(cfg, key)
+        payloads[name] = _cache_fetch(args, key)
         if payloads[name] is None:
             payloads[name] = _canonical_bytes(build())
-            _cache_store(cfg, key, payloads[name])
+            _cache_store(args, key, payloads[name])
     for name, data in payloads.items():
         _write_if_changed(out_dir / name, data)
         print(out_dir / name)
     return 0
 
 
-def _run_suites(cfg: JobConfig) -> list[verifier.CheckReport]:
-    ctx = Context(cfg.m, cfg.n, cfg.rep_source)
-    rep = ctx.rep  # a bad algebra or W is reported before a bad suite name
-    # `all` stands for every suite in table order; each suite runs once
+def _run_suites(args: argparse.Namespace) -> list[verifier.CheckReport]:
+    ctx = Context(args.m, args.n, args.rep)
+    # a bad algebra or W is reported before a bad suite name
+    on_v = ctx.rep.name == "vector"
+    # `all` stands for every suite in table order that W allows: on W != V
+    # it leaves out those that need V.  Each suite runs once.
+    allowed = [name for name, (needs_v, _) in SUITE_TABLE.items() if on_v or not needs_v]
     names = list(dict.fromkeys(
         expanded
-        for name in cfg.suites
-        for expanded in (SUITE_TABLE if name == "all" else (name,))
+        for name in args.suite or ["all"]
+        for expanded in (allowed if name == "all" else (name,))
     ))
     for name in names:
         if name not in SUITE_TABLE:
             raise SchemaError(
                 f"unknown suite {name!r}; choose from {tuple(SUITE_TABLE)}"
             )
-        if SUITE_TABLE[name][0] and rep.name != "vector":
+        if SUITE_TABLE[name][0] and not on_v:
             raise SchemaError(f"suite {name!r} requires the vector representation")
-    return [SUITE_TABLE[name][1](ctx, cfg) for name in names]
+    return [SUITE_TABLE[name][1](ctx, args) for name in names]
 
 
-def cmd_verify(cfg: JobConfig) -> int:
-    if not cfg.suites:
-        raise SchemaError("verify requires at least one suite")
-    reports = _run_suites(cfg)
-    if cfg.fmt == "json":
+def cmd_verify(args: argparse.Namespace) -> int:
+    reports = _run_suites(args)
+    if args.format == "json":
         doc = {"reports": [r.to_json() for r in reports]}
-        _emit(cfg, _canonical_bytes(doc))
+        _emit(args, _canonical_bytes(doc))
     else:
         lines = []
         for r in reports:
@@ -387,56 +371,55 @@ def cmd_verify(cfg: JobConfig) -> int:
                     f"  witness: {w['relation']} at ({w['row']},{w['col']}): "
                     f"lhs = {w['lhs']}, rhs = {w['rhs']}"
                 )
-        _emit(cfg, ("\n".join(lines) + "\n").encode())
+        _emit(args, ("\n".join(lines) + "\n").encode())
     return 0 if all(r.status == "pass" for r in reports) else 1
 
 
-def cmd_spectral(cfg: JobConfig) -> int:
-    if cfg.rep_source != "vector":
+def cmd_spectral(args: argparse.Namespace) -> int:
+    if args.rep != "vector":
         raise SchemaError(
             f"spectral builds r(z) on the vector representation only, "
-            f"not on --rep {cfg.rep_source}"
+            f"not on --rep {args.rep}"
         )
-    ctx = Context(cfg.m, cfg.n)
+    s, z = args.s_value, args.z_value
+    ctx = Context(args.m, args.n)
     ctx.alg  # an invalid algebra is reported before an invalid s
-    if cfg.s is not None:
-        if cfg.z is None:
+    if s is not None:
+        if z is None:
             raise SchemaError("spectral --s needs --z: it sets s at the point z")
-        _check_generic(cfg.s)
-    spec = ctx.spectral(cfg.kind)
-    if cfg.z is not None:
-        s0 = cfg.s if cfg.s is not None else Fraction(2)
+        _check_generic(s)
+    spec = ctx.spectral(args.kind)
+    if z is not None:
+        s0 = s if s is not None else Fraction(2)
         doc = {
-            "algebra": {"m": cfg.m, "n": cfg.n},
-            "kind": cfg.kind,
+            "algebra": {"m": args.m, "n": args.n},
+            "kind": args.kind,
             "s": str(s0),
-            "z": str(cfg.z),
-            "entries": entry_triples(SpectralAtS(spec, s0).values(cfg.z)),
+            "z": str(z),
+            "entries": entry_triples(SpectralAtS(spec, s0).values(z)),
         }
     else:
         doc = spec.to_json()
-    _emit(cfg, _canonical_bytes(doc))
+    _emit(args, _canonical_bytes(doc))
     return 0
 
 
-def cmd_eval(cfg: JobConfig) -> int:
-    ctx = Context(cfg.m, cfg.n, cfg.rep_source)
+def cmd_eval(args: argparse.Namespace) -> int:
+    ctx = Context(args.m, args.n, args.rep)
     ctx.alg  # an invalid algebra is reported before an invalid s
-    if cfg.s is None:
-        raise SchemaError("eval requires --s")
-    _check_generic(cfg.s)
+    _check_generic(args.s_value)
     r = ctx.r
     values = list(dict.fromkeys(r.matrix.entries.values()))  # each written once
-    ints, c = ints_at(values, cfg.s)
+    ints, c = ints_at(values, args.s_value)
     texts = {v: str(Fraction(x, c)) for v, x in zip(values, ints)}
     doc = {
-        "algebra": {"m": cfg.m, "n": cfg.n},
+        "algebra": {"m": args.m, "n": args.n},
         "rep_name": ctx.rep.name,
-        "s": str(cfg.s),
+        "s": str(args.s_value),
         "dims": list(r.dims),
         "entries": entry_triples({key: texts[v] for key, v in r.matrix.entries.items()}),
     }
-    _emit(cfg, _canonical_bytes(doc))
+    _emit(args, _canonical_bytes(doc))
     return 0
 
 
@@ -467,6 +450,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     g = sub.add_parser("generate", help="build and serialize sigma set and R-matrix")
     common(g)
+    g.set_defaults(run=cmd_generate)
 
     v = sub.add_parser("verify", help="run verification suites")
     common(v)
@@ -474,6 +458,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="suite name or 'all' (repeatable)")
     v.add_argument("--samples", type=int, default=20)
     v.add_argument("--seed", type=int, default=0)
+    v.set_defaults(run=cmd_verify)
 
     s = sub.add_parser("spectral", help="build a spectral R-matrix")
     common(s)
@@ -481,10 +466,12 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--s", dest="s_value", help=f"with --z: {S_HELP} (default 2)")
     s.add_argument("--z", dest="z_value",
                    help="evaluate r(z) at this exact rational, such as 1/3 or -2/5")
+    s.set_defaults(run=cmd_spectral)
 
     e = sub.add_parser("eval", help="evaluate the constant R-matrix at exact s")
     common(e)
     e.add_argument("--s", dest="s_value", required=True, help=S_HELP)
+    e.set_defaults(run=cmd_eval)
     return parser
 
 
@@ -500,27 +487,6 @@ def _attach_negative_values(argv: list[str]) -> list[str]:
     return out
 
 
-def _config(args: argparse.Namespace) -> JobConfig:
-    if args.format == "text" and args.command != "verify":
-        raise SchemaError(
-            f"{args.command} writes JSON only; --format text applies to verify"
-        )
-    return JobConfig(
-        m=args.m,
-        n=args.n,
-        rep_source=args.rep,
-        suites=getattr(args, "suite", None) or ["all"],
-        kind=getattr(args, "kind", "untwisted"),
-        s=_parse_fraction(args.s_value) if getattr(args, "s_value", None) else None,
-        z=_parse_fraction(args.z_value) if getattr(args, "z_value", None) else None,
-        samples=getattr(args, "samples", 20),
-        seed=getattr(args, "seed", 0),
-        out=args.out,
-        fmt=args.format,
-        cache_dir=args.cache_dir,
-    )
-
-
 @cache
 def _parser() -> argparse.ArgumentParser:
     """build_parser's parser, built on the first call in a process and kept:
@@ -532,14 +498,15 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     args = _parser().parse_args(_attach_negative_values(argv))
-    commands = {
-        "generate": cmd_generate,
-        "verify": cmd_verify,
-        "spectral": cmd_spectral,
-        "eval": cmd_eval,
-    }
     try:
-        return commands[args.command](_config(args))
+        if args.format == "text" and args.command != "verify":
+            raise SchemaError(
+                f"{args.command} writes JSON only; --format text applies to verify"
+            )
+        for dest in ("s_value", "z_value"):  # read before anything is built
+            if getattr(args, dest, None) is not None:
+                setattr(args, dest, _parse_fraction(getattr(args, dest)))
+        return args.run(args)
     except (AlgebraError, SchemaError, OSError, ValueError, SamplingError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

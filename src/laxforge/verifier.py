@@ -4,24 +4,26 @@ Every identity is checked exactly over the Laurent ring; a failing suite
 reports the first offending relation together with the matrix position and
 both entry values, so negative controls produce a concrete witness.
 
-ybe, lax_ybe, intertwining and delta_property compare their products with
-s = 2^B substituted (gradedmat.pack): each Laurent entry becomes one Python
-int, and B is taken from a bound on the coefficients of both sides
-(gradedmat.packing_bits), so the packed sides are equal exactly when the
-Laurent-polynomial sides are.  No float, sample or tolerance is involved.
-The delta suite's left side (id (x) Delta) R is built by delta_lhs from
-R's own blocks (SigmaSet.blocks), all packed at one shift or all Laurent,
-as the matrix coproduct Delta(B_ab) = sum_c B_cb (x) B_ac, with B from the
-same packing_bits rule.
-When a coefficient is not an int, or when the packed sides differ, the
-relation is compared on Laurent-polynomial entries, so a witness always
-shows Laurent polynomials.
+ybe, lax_ybe, intertwining and delta_property compare their products
+through one function, _product_diffs.  It packs each input matrix once,
+s = 2^B substituted (gradedmat.pack), so that each Laurent entry becomes one
+Python int, all at one shift lo, the lowest exponent over the inputs.  B is
+the largest that any of the relations needs by a bound on the coefficients
+of its two sides (gradedmat.packing_bits), so packed sides are equal
+exactly when the Laurent-polynomial sides are.  pack is a ring map, so a
+side built from packed inputs is the packed side: Delta^T(x) is the flip of
+the packed Delta(x), and the delta suite's left side (id (x) Delta) R is
+built by delta_lhs from R's packed blocks (SigmaSet.blocks), as the matrix
+coproduct Delta(B_ab) = sum_c B_cb (x) B_ac.  No float, sample or tolerance
+is involved.  When a coefficient is not an int, or when the packed sides
+differ, the relation is built again on the Laurent inputs, so a witness
+always shows Laurent polynomials.
 """
-
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import eq
 
 from .qring import ZERO
 from .superroot import Weight
@@ -69,6 +71,10 @@ class CheckReport:
 
 
 def _first_diff(lhs: GradedMatrix, rhs: GradedMatrix):
+    """Where two matrices first differ, (key, lhs entry, rhs entry), or
+    None when they are equal."""
+    if lhs == rhs:
+        return None
     for key in sorted(set(lhs.entries) | set(rhs.entries)):
         a = lhs.entries.get(key, ZERO)
         b = rhs.entries.get(key, ZERO)
@@ -77,18 +83,26 @@ def _first_diff(lhs: GradedMatrix, rhs: GradedMatrix):
     return None
 
 
-def _compare(symbolic, packed):
-    """Where two sides first differ, (key, lhs, rhs), or None when they are
-    equal.  `packed` gives them in a form that is equal exactly when the
-    matrices are (packed ints, or the lane-packed rows of
-    gradedmat.lane_product), or None when that form does not apply;
-    `symbolic` gives them as matrices and is used when `packed` gives None
-    or two different sides, so a difference always shows matrix entries."""
-    sides = packed()
-    if sides is not None and sides[0] == sides[1]:
-        return None
-    lhs, rhs = symbolic()
-    return _first_diff(lhs, rhs) if lhs != rhs else None
+def _product_diffs(inputs: list[GradedMatrix], relations) -> list:
+    """_first_diff of the two sides of each relation, in order.
+
+    A relation is (build, sides): build(mats) gives its two sides from
+    matrices in the places of `inputs`, and sides(stats) the PackStats of
+    each side's factors, from those of `inputs`, for packing_bits.  Each
+    input is packed once, at the lowest exponent over all inputs and with
+    the largest B any relation needs, and every relation is built on the
+    packed inputs.  A relation whose packed sides differ, or every relation
+    when some coefficient is not an int, is built again on `inputs`."""
+    stats = [pack_stats(m) for m in inputs]
+    packed = None
+    if None not in stats:
+        bits = max(packing_bits(*sides(stats)) for _, sides in relations)
+        lo = min(x.lo for x in stats)
+        packed = [pack(m, bits, lo) for m in inputs]
+    return [
+        None if packed is not None and eq(*build(packed)) else _first_diff(*build(inputs))
+        for build, _ in relations
+    ]
 
 
 class _Suite:
@@ -118,10 +132,6 @@ class _Suite:
             self.record(rel_id, _first_diff(lhs, rhs))
         else:
             self.count += 1
-
-    def expect_products(self, rel_id: str, symbolic, packed) -> None:
-        """expect_equal on two sides given by thunks (see _compare)."""
-        self.record(rel_id, _compare(symbolic, packed))
 
     def report(self) -> CheckReport:
         status = "pass" if self.witness is None else "fail"
@@ -153,25 +163,20 @@ def _ybe_suite(name: str, rel_id: str, rv: RTensor, rw: RTensor) -> CheckReport:
 
 
 def _ybe_diff(rv: RTensor, rw: RTensor):
-    """_compare on the two sides of _ybe_suite's identity."""
+    """_first_diff of the two sides of _ybe_suite's identity."""
     gv, gw = rv.gradings_v, rw.gradings_w
 
-    def sides(mv: GradedMatrix, mw: GradedMatrix):
-        r12 = embed_triple(mv, "12", gv, gv, gw)
-        r13 = embed_triple(mw, "13", gv, gv, gw)
-        r23 = embed_triple(mw, "23", gv, gv, gw)
+    def build(m: list[GradedMatrix]):  # m[-1] is rw's matrix, or rv's when rw is rv
+        r12 = embed_triple(m[0], "12", gv, gv, gw)
+        r13 = embed_triple(m[-1], "13", gv, gv, gw)
+        r23 = embed_triple(m[-1], "23", gv, gv, gw)
         return r12 @ r13 @ r23, r23 @ r13 @ r12
 
-    def packed():  # rw may be rv: it is then measured and packed once
-        sv = pack_stats(rv.matrix)
-        sw = sv if rw is rv else pack_stats(rw.matrix)
-        if sv is None or sw is None:
-            return None
-        bits = packing_bits([sv, sw, sw], [sw, sw, sv])
-        pv = pack(rv.matrix, bits, sv.lo)
-        return sides(pv, pv if rw is rv else pack(rw.matrix, bits, sw.lo))
+    def sides(s: list[PackStats]):
+        return [s[0], s[-1], s[-1]], [s[-1], s[-1], s[0]]
 
-    return _compare(lambda: sides(rv.matrix, rw.matrix), packed)
+    inputs = [rv.matrix] if rw is rv else [rv.matrix, rw.matrix]
+    return _product_diffs(inputs, [(build, sides)])[0]
 
 
 def check_ybe(r: RTensor) -> CheckReport:
@@ -212,29 +217,26 @@ def check_intertwining(r: RTensor, rep: Representation) -> CheckReport:
     """R Delta(x) = Delta^T(x) R for all simple e, f and Cartan half-powers.
 
     Delta^T(x) is P Delta(x) P for the graded permutation P, formed as a
-    re-indexing (flip_conjugate).  R is packed once, with one B that covers
-    every Delta(x).
+    re-indexing (flip_conjugate) of Delta(x), packed or not.  R and every
+    Delta(x) are packed once, with the largest B over the relations.
     """
     suite = _Suite("intertwining")
+    g = rep.gradings
+    rel_ids, inputs = [], [r.matrix]
+    for label in rep.algebra.root_labels():
+        for kind, dx in _coproduct(rep, label).items():
+            rel_ids.append(f"R Delta({kind}_{label}) = Delta^T({kind}_{label}) R")
+            inputs.append(dx)
+    # P Delta(x) P has the entries, norms and row counts of Delta(x)
     relations = [
-        (f"R Delta({kind}_{label}) = Delta^T({kind}_{label}) R", dx, pack_stats(dx))
-        for label in rep.algebra.root_labels()
-        for kind, dx in _coproduct(rep, label).items()
-    ]
-    sr = pack_stats(r.matrix)
-    integral = sr is not None and all(sx is not None for _, _, sx in relations)
-    if integral:
-        # P Delta(x) P has the entries, norms and row counts of Delta(x)
-        bits = max(packing_bits([sr, sx], [sx, sr]) for _, _, sx in relations)
-        pr = pack(r.matrix, bits, sr.lo)
-    for rel_id, dx, sx in relations:
-        dxt = flip_conjugate(dx, rep.gradings, rep.gradings)
-        suite.expect_products(
-            rel_id,
-            lambda: (r.matrix @ dx, dxt @ r.matrix),
-            lambda: (pr @ pack(dx, bits, sx.lo), pack(dxt, bits, sx.lo) @ pr)
-            if integral else None,
+        (
+            lambda m, i=i: (m[0] @ m[i], flip_conjugate(m[i], g, g) @ m[0]),
+            lambda s, i=i: ([s[0], s[i]], [s[i], s[0]]),
         )
+        for i in range(1, len(inputs))
+    ]
+    for rel_id, diff in zip(rel_ids, _product_diffs(inputs, relations)):
+        suite.record(rel_id, diff)
     return suite.report()
 
 
@@ -282,26 +284,16 @@ def check_delta_property(sigma: SigmaSet, r: RTensor) -> CheckReport:
     suite = _Suite("delta_property")
     g, gv, blocks = sigma.algebra.gradings, sigma.rep.gradings, sigma.blocks
 
-    def r13_r12(m: GradedMatrix) -> GradedMatrix:
-        return embed_triple(m, "13", gv, gv, gv) @ embed_triple(m, "12", gv, gv, gv)
+    def build(m: list[GradedMatrix]):  # the blocks in their order, then R
+        rhs = embed_triple(m[-1], "13", gv, gv, gv) @ embed_triple(m[-1], "12", gv, gv, gv)
+        return delta_lhs(g, dict(zip(blocks, m))), rhs
 
-    def packed():
-        sr, sb = pack_stats(r.matrix), [pack_stats(m) for m in blocks.values()]
-        if sr is None or None in sb:
-            return None
-        lo = min(sr.lo, *(x.lo for x in sb))
-        lhs = PackStats(lo=lo, norm=max(x.norm for x in sb), row=len(g))
-        bits = packing_bits([lhs, lhs], [sr, sr])
-        return (
-            delta_lhs(g, {key: pack(m, bits, lo) for key, m in blocks.items()}),
-            r13_r12(pack(r.matrix, bits, lo)),
-        )
+    def sides(s: list[PackStats]):  # packing_bits reads norm and row only
+        lhs = PackStats(lo=0, norm=max(x.norm for x in s[:-1]), row=len(g))
+        return [lhs, lhs], [s[-1], s[-1]]
 
-    suite.expect_products(
-        "(id (x) Delta) R = R13 R12",
-        lambda: (delta_lhs(g, blocks), r13_r12(r.matrix)),
-        packed,
-    )
+    diffs = _product_diffs([*blocks.values(), r.matrix], [(build, sides)])
+    suite.record("(id (x) Delta) R = R13 R12", diffs[0])
     return suite.report()
 
 

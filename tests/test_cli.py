@@ -370,6 +370,20 @@ def test_verify_expands_all_anywhere_and_runs_each_suite_once(capsys, suites, le
     assert got == lead + [c for c in reference if c not in lead]
 
 
+@pytest.mark.parametrize("suites", [[], ["all"], ["all", "lax-ybe"]])
+def test_all_on_another_w_runs_every_suite_that_w_allows(capsys, suites):
+    # the suites that need V are left out of `all`, not reported as errors;
+    # the spectral suites stay, as they always use V
+    args = ["--m", "4", "--n", "2", "--rep", "trivial", "--samples", "1"]
+    assert run(["verify", *args, *(a for s in suites for a in ("--suite", s))]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert [r["check"] for r in json.loads(captured.out)["reports"]] == [
+        "lax_ybe", "qcom", "qserre", "extra_serre", "appendix",
+        "path_independence", "spectral_ybe_untwisted", "spectral_ybe_twisted",
+    ]
+
+
 @pytest.mark.parametrize("rep", ["trivial", "some/rep.json"])
 def test_spectral_rejects_non_vector_rep(monkeypatch, capsys, rep):
     from laxforge import cli
@@ -581,6 +595,18 @@ def test_one_rule_for_s_is_pinned(capsys, args, message):
     assert run(args) == 2
     captured = capsys.readouterr()
     assert captured.err == message
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("args", [
+    ["eval", "--m", "3", "--n", "0", "--s="],
+    ["spectral", "--m", "3", "--n", "0", "--kind", "twisted", "--z="],
+])
+def test_an_empty_s_or_z_is_not_a_rational(capsys, args):
+    # an empty value is parsed like any other, not read as an absent option
+    assert run(args) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: not an exact rational: ''")
     assert captured.out == ""
 
 

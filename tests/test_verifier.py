@@ -17,6 +17,7 @@ from laxforge.gradedmat import (
     load_representation,
     pack,
     pack_stats,
+    packing_bits,
     trivial_rep,
 )
 from laxforge.laxengine import (
@@ -225,6 +226,50 @@ def test_delta_bound_counts_every_product_of_a_left_entry(monkeypatch):
     rhs = embed_triple(r, "13", g, g, g) @ embed_triple(r, "12", g, g, g)
     assert largest(lhs) == largest(rhs) == d * norm**2
     assert calls and all(1 << bits > 2 * d * norm**2 for _, bits, _ in calls)
+
+
+@pytest.mark.parametrize("suite, mn, packed", [
+    ("ybe", (5, 4), 1),
+    ("ybe", (8, 6), 1),
+    ("intertwine", (5, 4), 17),
+    ("intertwine", (8, 6), 29),
+    ("delta", (5, 4), 46),
+    ("delta", (8, 6), 105),
+])
+def test_each_input_is_packed_once(monkeypatch, suite, mn, packed):
+    # ybe packs R once for all three factors; intertwine packs R and each
+    # Delta(x) once, Delta^T(x) being the flip of the packed Delta(x); delta
+    # packs R and each of its blocks once
+    rep, ss = build(*mn)
+    r = assemble_R(ss)
+    checks = {
+        "ybe": lambda: check_ybe(r),
+        "intertwine": lambda: check_intertwining(r, rep),
+        "delta": lambda: check_delta_property(ss, r),
+    }
+    calls = []
+    spy_on_pack(monkeypatch, calls)
+    assert checks[suite]().status == "pass"
+    assert len(calls) == packed
+    assert len({id(m) for m, _, _ in calls}) == packed
+
+
+@pytest.mark.parametrize("mn", [(4, 2), (8, 6)])
+def test_intertwine_bits_cover_every_relation(monkeypatch, mn):
+    # one B for all relations: it must be at least what each relation's
+    # own two products need; on these algebras Delta(e) and Delta(f) need
+    # one bit more than Delta(q^(+-h/2))
+    rep, ss = build(*mn)
+    r = assemble_R(ss)
+    calls = []
+    spy_on_pack(monkeypatch, calls)
+    assert check_intertwining(r, rep).status == "pass"
+    (bits,) = {b for _, b, _ in calls}
+    sr = pack_stats(r.matrix)
+    for label in rep.algebra.root_labels():
+        for dx in _coproduct(rep, label).values():
+            sx = pack_stats(dx)
+            assert bits >= packing_bits([sr, sx], [sx, sr])
 
 
 def tensor_square(rep):
