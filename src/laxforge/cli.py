@@ -446,10 +446,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="vector, trivial, or path to a representation file")
         p.add_argument("--out", help="output file (or directory for generate)")
         p.add_argument("--format", choices=("json", "text"), default="json")
-        p.add_argument("--cache-dir")
 
     g = sub.add_parser("generate", help="build and serialize sigma set and R-matrix")
     common(g)
+    g.add_argument("--cache-dir")
     g.set_defaults(run=cmd_generate)
 
     v = sub.add_parser("verify", help="run verification suites")

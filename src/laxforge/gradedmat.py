@@ -621,7 +621,9 @@ def matrix_from_entries(entries: list, gradings: tuple[int, ...]) -> GradedMatri
     for item in entries:
         try:
             r, c, text = item
-            key, val = (int(r) - 1, int(c) - 1), LaurentPoly.parse(text)
+            if not (type(r) is type(c) is int and type(text) is str):
+                raise TypeError("row and column must be integers, the value a string")
+            key, val = (r - 1, c - 1), LaurentPoly.parse(text)
         except (TypeError, ValueError) as exc:
             raise SchemaError(f"bad matrix entry {item!r}: {exc}") from exc
         if not all(0 <= i < len(gradings) for i in key):
@@ -636,9 +638,10 @@ def check_representation(rep: Representation) -> None:
     """Assert the defining relations on the simple-generator matrices.
 
     Checks weight homogeneity of every e_a / f_a (which encodes the Cartan
-    relations), the graded bracket [e_a, f_b] = delta_ab [h_a]_q, and
-    nilpotency of the isotropic pair (skipping the a != b brackets that are
-    0 = 0 by support).  Raises RelationError naming the first violated one.
+    relations), the graded bracket [e_a, f_b] = delta_ab [h_a]_q for every
+    pair a, b, and nilpotency of the isotropic pair.  Raises RelationError
+    naming the first violated one.  load_representation runs it on every
+    file module; the built-in modules are proved by the tests.
     """
     alg = rep.algebra
     labels = alg.root_labels()
@@ -658,18 +661,10 @@ def check_representation(rep: Representation) -> None:
                     f"[h, {kind}_{lab}] relation: entry ({r + 1},{c + 1}) does not "
                     f"shift weight by {'+' if kind == 'e' else '-'}alpha_{lab}"
                 )
-    support = {  # the rows and the columns of each e_a and f_a
-        (k, lab): ({r for r, _ in m.entries}, {c for _, c in m.entries})
-        for k, mats in (("e", rep.e), ("f", rep.f)) for lab, m in mats.items()
-    }
     for i, lab_a in enumerate(labels):
         pa = alg.root_parity(lab_a)
         for lab_b in labels:
-            (e_rows, e_cols), (f_rows, f_cols) = support["e", lab_a], support["f", lab_b]
-            if lab_a != lab_b and not (e_cols & f_rows or f_cols & e_rows):
-                continue  # e_a f_b = f_b e_a = 0: the relation is 0 = 0
-            pb = alg.root_parity(lab_b)
-            lhs = rep.e[lab_a].bracket(rep.f[lab_b], pa, pb)
+            lhs = rep.e[lab_a].bracket(rep.f[lab_b], pa, alg.root_parity(lab_b))
             if lab_a == lab_b:
                 diag = []
                 for x in rep.pairings(alg.root(lab_a)):
@@ -712,14 +707,8 @@ def pi_sigma(
 
 
 def build_vector_rep(alg: AlgebraData) -> Representation:
-    """The undeformed vector representation, with relations asserted."""
-    rep = _vector_rep(alg)
-    check_representation(rep)
-    return rep
-
-
-def _vector_rep(alg: AlgebraData) -> Representation:
-    """build_vector_rep's module, its relations not checked."""
+    """The undeformed vector representation V.  Its relations are proved
+    once by the tests over the whole osp(m|n) ladder, not in every job."""
     e: dict[str, GradedMatrix] = {}
     f: dict[str, GradedMatrix] = {}
     for lab in alg.root_labels():
@@ -741,7 +730,7 @@ def trivial_rep(alg: AlgebraData) -> Representation:
     """One-dimensional module on which every generator acts by zero."""
     z = GradedMatrix((0,))
     labels = alg.root_labels()
-    rep = Representation(
+    return Representation(
         algebra=alg,
         name="trivial",
         gradings=(0,),
@@ -749,23 +738,27 @@ def trivial_rep(alg: AlgebraData) -> Representation:
         e={lab: z for lab in labels},
         f={lab: z for lab in labels},
     )
-    check_representation(rep)
-    return rep
 
 
 def load_representation(doc: dict, alg: AlgebraData | None = None) -> Representation:
     """Parse and validate a Representation document (see to_json for layout).
-    A module that satisfies the relations (check_representation) and is
-    named "vector" must also equal build_vector_rep's, or SchemaError."""
+    m, n, dim, the gradings and the entry indices must be JSON integers (not
+    bools), and the name must be usable as part of a file name.  A module
+    that satisfies the relations (check_representation) and is named
+    "vector" must also equal build_vector_rep's.  Else SchemaError."""
     try:
-        m, n = int(doc["algebra"]["m"]), int(doc["algebra"]["n"])
+        m, n, dim = doc["algebra"]["m"], doc["algebra"]["n"], doc["dim"]
+        for key, x in (("m", m), ("n", n), ("dim", dim)):
+            if type(x) is not int:
+                raise TypeError(f"{key} {x!r} is not an integer")
         name = str(doc["name"])
-        dim = int(doc["dim"])
-        gradings = tuple(int(g) for g in doc["gradings"])
+        gradings = tuple(doc["gradings"])
         weights = tuple(Weight.from_json(w) for w in doc["weights"])
         e_doc, f_doc = doc["e"], doc["f"]
     except (KeyError, TypeError, ValueError) as exc:
         raise SchemaError(f"malformed representation document: {exc}") from exc
+    if name in ("", ".", "..") or any(ch in name for ch in "/\\\0"):
+        raise SchemaError(f"representation name {name!r} cannot be part of a file name")
     if alg is None:
         from .superroot import build_algebra
 
@@ -775,8 +768,8 @@ def load_representation(doc: dict, alg: AlgebraData | None = None) -> Representa
     if len(gradings) != dim or len(weights) != dim:
         raise SchemaError("gradings/weights length does not match dim")
     for g in gradings:
-        if g not in (0, 1):
-            raise SchemaError(f"grading {g} is not 0 or 1")
+        if type(g) is not int or g not in (0, 1):
+            raise SchemaError(f"grading {g!r} is not 0 or 1")
     for i, w in enumerate(weights):
         if (len(w.eps), len(w.delta)) != (alg.l, alg.k):
             raise SchemaError(
@@ -791,10 +784,8 @@ def load_representation(doc: dict, alg: AlgebraData | None = None) -> Representa
     f = {lab: matrix_from_entries(ent, gradings) for lab, ent in f_doc.items()}
     rep = Representation(alg, name, gradings, weights, e, f)
     check_representation(rep)
-    if name == "vector":
-        # the CLI takes a module named "vector" as V itself, W = V; rep has
-        # passed the relations, so V's need not be checked to compare
-        v = _vector_rep(alg)
+    if name == "vector":  # the CLI takes a module named "vector" as V itself
+        v = build_vector_rep(alg)
         if (gradings, weights, e, f) != (v.gradings, v.weights, v.e, v.f):
             raise SchemaError(
                 f'a representation named "vector" must be the vector '

@@ -20,6 +20,9 @@ from typing import Iterable, Mapping, Union
 
 Scalar = Union[int, Fraction]
 
+# an exact rational as str writes an int or a Fraction: no zero denominator
+RATIONAL = r"-?\d+(?:/0*[1-9]\d*)?"
+
 
 class PoleError(ZeroDivisionError):
     """Raised when a rational function is evaluated at a zero of its denominator."""
@@ -202,7 +205,7 @@ class LaurentPoly:
     def __repr__(self) -> str:
         return f"LaurentPoly({str(self)!r})"
 
-    _TERM_RE = re.compile(r"^(-?\d+(?:/\d+)?)(?:\*s\^(-?\d+))?$")
+    _TERM_RE = re.compile(rf"^({RATIONAL})(?:\*s\^(-?\d+))?$")
 
     @classmethod
     def parse(cls, text: str) -> "LaurentPoly":

@@ -13,13 +13,14 @@ All positions here are 0-based internally; serialization is 1-based.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from operator import sub
 from typing import Sequence
 
-from .qring import Scalar, _canonical
+from .qring import RATIONAL, Scalar, _canonical
 
 
 class AlgebraError(ValueError):
@@ -70,10 +71,14 @@ class Weight:
 
     @classmethod
     def from_json(cls, doc: dict) -> "Weight":
-        return cls(
-            tuple(_canonical(Fraction(c)) for c in doc["eps"]),
-            tuple(_canonical(Fraction(c)) for c in doc["delta"]),
-        )
+        """The Weight to_json wrote; each coordinate must be an int or the
+        text of an exact rational, else ValueError."""
+        def coord(c) -> Scalar:
+            if type(c) is int or type(c) is str and re.fullmatch(RATIONAL, c):
+                return _canonical(Fraction(c))
+            raise ValueError(f"weight coordinate {c!r} is not an integer or an exact rational")
+
+        return cls(tuple(map(coord, doc["eps"])), tuple(map(coord, doc["delta"])))
 
 
 def bilinear(w1: Weight, w2: Weight) -> Scalar:

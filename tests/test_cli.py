@@ -137,6 +137,28 @@ def test_verify_corrupted_rep_file_fails(tmp_path, capsys):
      "error: weight 1 has 2 eps and 0 delta coordinates; osp(3|0) needs 1 and 0"),
     (lambda doc: doc["weights"][2]["eps"].clear(),
      "error: weight 3 has 0 eps and 0 delta coordinates; osp(3|0) needs 1 and 0"),
+    (lambda doc: doc["e"]["l"][0].__setitem__(2, "1/0"),
+     "error: bad matrix entry [1, 2, '1/0']: malformed Laurent term: '1/0'"),
+    (lambda doc: doc["weights"][0]["eps"].__setitem__(0, "1/0"),
+     "error: malformed representation document: weight coordinate '1/0' is not "
+     "an integer or an exact rational"),
+    (lambda doc: doc["e"]["l"][0].__setitem__(2, 1),
+     "error: bad matrix entry [1, 2, 1]: row and column must be integers, the value a string"),
+    (lambda doc: doc.update(gradings=[0.9, 0, 0.2]), "error: grading 0.9 is not 0 or 1"),
+    (lambda doc: doc.update(dim=3.7),
+     "error: malformed representation document: dim 3.7 is not an integer"),
+    (lambda doc: doc["e"]["l"][0].__setitem__(0, 1.9),
+     "error: bad matrix entry [1.9, 2, '1']: row and column must be integers, the value a string"),
+    (lambda doc: doc["e"]["l"][0].__setitem__(0, True),
+     "error: bad matrix entry [True, 2, '1']: row and column must be integers, the value a string"),
+    (lambda doc: doc["algebra"].__setitem__("m", 3.2),
+     "error: malformed representation document: m 3.2 is not an integer"),
+    (lambda doc: doc["weights"][0]["eps"].__setitem__(0, 0.1),
+     "error: malformed representation document: weight coordinate 0.1 is not "
+     "an integer or an exact rational"),
+    (lambda doc: doc["weights"][0]["eps"].__setitem__(0, "1e9"),
+     "error: malformed representation document: weight coordinate '1e9' is not "
+     "an integer or an exact rational"),
 ])
 def test_malformed_rep_file_is_a_usage_error(tmp_path, capsys, edit, line):
     from laxforge.superroot import build_algebra
@@ -148,6 +170,63 @@ def test_malformed_rep_file_is_a_usage_error(tmp_path, capsys, edit, line):
     path.write_text(json.dumps(doc))
     code = run(["verify", "--m", "3", "--n", "0", "--rep", str(path), "--suite", "qcom"])
     assert (code, capsys.readouterr().err) == (2, line + "\n")
+
+
+@pytest.mark.parametrize("name", ["x/../../escaped", "", ".", "..", "a\\b", "a\0b"])
+def test_a_rep_name_that_is_no_file_name_is_a_usage_error(tmp_path, capsys, name):
+    # the name is part of generate's file names, so it must not leave --out
+    from laxforge.superroot import build_algebra
+    from laxforge.gradedmat import build_vector_rep
+
+    doc = {**build_vector_rep(build_algebra(3, 0)).to_json(), "name": name}
+    path = tmp_path / "rep.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "trav" / "out"
+    assert run(["generate", "--m", "3", "--n", "0", "--rep", str(path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: representation name {name!r} cannot be part of a file name\n"
+    )
+    assert [p.name for p in tmp_path.rglob("*")] == ["rep.json"]
+
+
+@pytest.mark.parametrize("args, calls", [
+    (["--suite", "ybe"], 0),
+    (["--rep", "trivial", "--suite", "qcom"], 0),
+    (["--rep", "{path}", "--suite", "qcom"], 1),
+])
+def test_only_a_rep_file_has_its_relations_checked_in_a_job(
+    tmp_path, monkeypatch, args, calls
+):
+    # V and the trivial module are proved by the tests, not in every job
+    from laxforge import gradedmat
+    from laxforge.superroot import build_algebra
+
+    path = tmp_path / "rep.json"
+    path.write_text(json.dumps(
+        {**gradedmat.build_vector_rep(build_algebra(5, 2)).to_json(), "name": "w"}
+    ))
+    seen, check = [], gradedmat.check_representation
+
+    def spy(rep):
+        seen.append(rep.name)
+        check(rep)
+
+    monkeypatch.setattr(gradedmat, "check_representation", spy)
+    argv = [a.format(path=path) for a in args]
+    assert run(["verify", "--m", "5", "--n", "2", *argv]) == 0
+    assert seen == ["w"] * calls
+
+
+@pytest.mark.parametrize("command", [
+    ["verify", "--suite", "ybe"], ["spectral", "--kind", "twisted"], ["eval", "--s", "2"],
+])
+def test_cache_dir_is_a_generate_option_only(tmp_path, capsys, command):
+    argv = [command[0], "--m", "3", "--n", "0", *command[1:], "--cache-dir", str(tmp_path)]
+    with pytest.raises(SystemExit) as info:
+        run(argv)
+    assert info.value.code == 2
+    assert "unrecognized arguments: --cache-dir" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
 
 
 def test_verify_with_rep_file_round_trip(tmp_path):

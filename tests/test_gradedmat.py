@@ -116,11 +116,24 @@ def test_bracket_is_graded_commutator():
     assert x.bracket(y, 0, 1) == x @ y - y @ x
 
 
+# every osp(m|n) with 3 <= m <= 11 and even n <= 10, and osp(13|12)
+LADDER = [(m, n) for m in range(3, 12) for n in range(0, 11, 2)] + [(13, 12)]
+
+
 def test_vector_rep_passes_defining_relations():
-    for (m, n) in [(3, 0), (4, 0), (3, 2), (4, 2), (5, 4)]:
+    for (m, n) in LADDER:
         rep = build_vector_rep(build_algebra(m, n))
         check_representation(rep)  # raises on failure
         assert rep.dim == m + n
+
+
+def test_trivial_rep_passes_defining_relations():
+    # build_vector_rep and trivial_rep do not check their relations in a
+    # job; these two tests are where they are proved
+    for (m, n) in LADDER:
+        rep = trivial_rep(build_algebra(m, n))
+        check_representation(rep)
+        assert rep.dim == 1
 
 
 def test_vector_rep_raising_operators_raise_weight():
