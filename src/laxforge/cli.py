@@ -4,8 +4,8 @@ spectral matrices and exact evaluation, with a content-addressed cache.
 Exit codes: 0 success; 1 a checked identity failed (a relation of the
 representation, or a suite's witness printed) or r(z) was evaluated at a
 pole; 2 usage or configuration error, or a spectral sampler that could not
-find enough pole-free points; 3 an internal error, a construction whose own
-consistency check failed.
+find enough pole-free points; 3 an internal error, such as an induction
+pair with no admissible intermediate.
 """
 
 from __future__ import annotations
@@ -376,11 +376,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_spectral(args: argparse.Namespace) -> int:
-    if args.rep != "vector":
-        raise SchemaError(
-            f"spectral builds r(z) on the vector representation only, "
-            f"not on --rep {args.rep}"
-        )
     s, z = args.s_value, args.z_value
     ctx = Context(args.m, args.n)
     ctx.alg  # an invalid algebra is reported before an invalid s
@@ -439,13 +434,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser) -> None:
+    def common(p: argparse.ArgumentParser, rep: bool = True) -> None:
         p.add_argument("--m", type=int, required=True)
         p.add_argument("--n", type=int, required=True)
-        p.add_argument("--rep", default="vector",
-                       help="vector, trivial, or path to a representation file")
+        if rep:
+            p.add_argument("--rep", default="vector",
+                           help="vector, trivial, or path to a representation file")
         p.add_argument("--out", help="output file (or directory for generate)")
-        p.add_argument("--format", choices=("json", "text"), default="json")
 
     g = sub.add_parser("generate", help="build and serialize sigma set and R-matrix")
     common(g)
@@ -454,6 +449,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     v = sub.add_parser("verify", help="run verification suites")
     common(v)
+    v.add_argument("--format", choices=("json", "text"), default="json")
     v.add_argument("--suite", action="append", default=None,
                    help="suite name or 'all' (repeatable)")
     v.add_argument("--samples", type=int, default=20)
@@ -461,7 +457,7 @@ def build_parser() -> argparse.ArgumentParser:
     v.set_defaults(run=cmd_verify)
 
     s = sub.add_parser("spectral", help="build a spectral R-matrix")
-    common(s)
+    common(s, rep=False)
     s.add_argument("--kind", choices=KINDS, required=True)
     s.add_argument("--s", dest="s_value", help=f"with --z: {S_HELP} (default 2)")
     s.add_argument("--z", dest="z_value",
@@ -499,10 +495,6 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     args = _parser().parse_args(_attach_negative_values(argv))
     try:
-        if args.format == "text" and args.command != "verify":
-            raise SchemaError(
-                f"{args.command} writes JSON only; --format text applies to verify"
-            )
         for dest in ("s_value", "z_value"):  # read before anything is built
             if getattr(args, dest, None) is not None:
                 setattr(args, dest, _parse_fraction(getattr(args, dest)))

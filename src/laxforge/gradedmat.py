@@ -743,7 +743,7 @@ def trivial_rep(alg: AlgebraData) -> Representation:
 def load_representation(doc: dict, alg: AlgebraData | None = None) -> Representation:
     """Parse and validate a Representation document (see to_json for layout).
     m, n, dim, the gradings and the entry indices must be JSON integers (not
-    bools), and the name must be usable as part of a file name.  A module
+    bools), and the name a string usable as part of a file name.  A module
     that satisfies the relations (check_representation) and is named
     "vector" must also equal build_vector_rep's.  Else SchemaError."""
     try:
@@ -751,13 +751,13 @@ def load_representation(doc: dict, alg: AlgebraData | None = None) -> Representa
         for key, x in (("m", m), ("n", n), ("dim", dim)):
             if type(x) is not int:
                 raise TypeError(f"{key} {x!r} is not an integer")
-        name = str(doc["name"])
+        name = doc["name"]
         gradings = tuple(doc["gradings"])
         weights = tuple(Weight.from_json(w) for w in doc["weights"])
         e_doc, f_doc = doc["e"], doc["f"]
     except (KeyError, TypeError, ValueError) as exc:
         raise SchemaError(f"malformed representation document: {exc}") from exc
-    if name in ("", ".", "..") or any(ch in name for ch in "/\\\0"):
+    if type(name) is not str or name in ("", ".", "..") or any(ch in name for ch in "/\\\0"):
         raise SchemaError(f"representation name {name!r} cannot be part of a file name")
     if alg is None:
         from .superroot import build_algebra

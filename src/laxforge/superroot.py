@@ -17,7 +17,6 @@ import re
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from operator import sub
 from typing import Sequence
 
 from .qring import RATIONAL, Scalar, _canonical
@@ -302,7 +301,7 @@ def build_algebra(m: int, n: int) -> AlgebraData:
             for x in row
         ))
 
-    alg = AlgebraData(
+    return AlgebraData(
         m=m,
         n=n,
         l=l,
@@ -317,43 +316,3 @@ def build_algebra(m: int, n: int) -> AlgebraData:
         cartan=tuple(cartan),
         rho=_rho(m, n, l, k),
     )
-    _check_invariants(alg)
-    return alg
-
-
-def _check_invariants(alg: AlgebraData) -> None:
-    """The layout's invariants, with weights compared and paired as
-    coordinate tuples, so that no Weight is built per index."""
-    coords = [w.eps + w.delta for w in alg.weights]
-    for p in range(alg.dim):
-        assert alg.bar[alg.bar[p]] == p, "bar must be an involution"
-        negated = tuple(-a for a in coords[p])
-        assert coords[alg.bar[p]] == negated, "weight(bar) = -weight"
-    # zero weight appears exactly once, for odd m, and is self-barred
-    zeros = [p for p, w in enumerate(alg.weights) if w.is_zero()]
-    if alg.m % 2 == 1:
-        assert len(zeros) == 1 and alg.bar[zeros[0]] == zeros[0]
-    else:
-        assert not zeros
-    # nonzero weights pairwise distinct
-    nz = [(w.eps, w.delta) for w in alg.weights if not w.is_zero()]
-    assert len(nz) == len(set(nz)), "nonzero weights must be pairwise distinct"
-    # 2 (rho, alpha) = (alpha, alpha) on every simple root, paired on the
-    # coordinates with 2 rho, integral on every layout built here
-    signs = (1,) * alg.l + (-1,) * alg.k  # (eps_i, eps_i) = 1, (delta, delta) = -1
-
-    def form(x: tuple, y: tuple) -> Scalar:
-        return sum(s * a * b for s, a, b in zip(signs, x, y))
-
-    two_rho = tuple(_canonical(2 * a) for a in alg.rho.eps + alg.rho.delta)
-    for lab, alpha in alg.simple_roots:
-        a = alpha.eps + alpha.delta
-        assert form(two_rho, a) == form(a, a), f"rho pairing fails on alpha_{lab}"
-    # every simple root is positive: realized as eps_b - eps_a, b above a,
-    # at its simple pair
-    for lab, alpha in alg.simple_roots:
-        b, a = alg.simple_pair(lab)
-        realized = tuple(map(sub, coords[b], coords[a]))
-        assert b < a and realized == alpha.eps + alpha.delta, (
-            f"alpha_{lab} is not positive in the weight order"
-        )

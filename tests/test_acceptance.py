@@ -162,7 +162,6 @@ def test_criterion_11_spectral():
         ok = ok and braces_matrix(c.alg, c.sigma) == c.r.matrix
     for (m, n) in [(3, 2), (4, 2)]:
         for kind in ("untwisted", "twisted"):
-            # construction asserts braces, r(1) = P and r(0) = q^-1 r
             spec = ctx(m, n).spectral(kind)
             report = check_spectral_ybe(spec, samples=20, seed=2024)
             ok = ok and report.status == "pass" and report.relations_checked >= 20

@@ -172,9 +172,12 @@ def test_malformed_rep_file_is_a_usage_error(tmp_path, capsys, edit, line):
     assert (code, capsys.readouterr().err) == (2, line + "\n")
 
 
-@pytest.mark.parametrize("name", ["x/../../escaped", "", ".", "..", "a\\b", "a\0b"])
+@pytest.mark.parametrize(
+    "name", ["x/../../escaped", "", ".", "..", "a\\b", "a\0b", None, 5, ["a"]]
+)
 def test_a_rep_name_that_is_no_file_name_is_a_usage_error(tmp_path, capsys, name):
-    # the name is part of generate's file names, so it must not leave --out
+    # the name is part of generate's file names, so it must be a JSON
+    # string, and must not leave --out
     from laxforge.superroot import build_algebra
     from laxforge.gradedmat import build_vector_rep
 
@@ -311,14 +314,19 @@ def test_spectral_serialization_round_trips(tmp_path):
     ["eval", "--s", "2"],
 ])
 def test_json_only_commands_reject_text_format(tmp_path, capsys, command):
+    # --format is a verify option only
     out = tmp_path / "out"
-    code = run([
-        command[0], "--m", "3", "--n", "0", *command[1:],
-        "--format", "text", "--out", str(out),
-    ])
-    assert code == 2
+    with pytest.raises(SystemExit) as info:
+        run([
+            command[0], "--m", "3", "--n", "0", *command[1:],
+            "--format", "text", "--out", str(out),
+        ])
+    assert info.value.code == 2
     captured = capsys.readouterr()
-    assert captured.err.startswith("error: ") and "--format text" in captured.err
+    assert captured.err == (
+        "usage: laxforge [-h] {generate,verify,spectral,eval} ...\n"
+        "laxforge: error: unrecognized arguments: --format text\n"
+    )
     assert captured.out == ""
     assert not out.exists()
 
@@ -471,15 +479,17 @@ def test_spectral_rejects_non_vector_rep(monkeypatch, capsys, rep):
         raise AssertionError("nothing may be built")
 
     monkeypatch.setattr(cli, "build_algebra", never)
-    code = run([
-        "spectral", "--m", "3", "--n", "0", "--kind", "twisted", "--rep", rep,
-        "--z", "1/3", "--s", "2",
-    ])
-    assert code == 2
+    # spectral has no --rep: r(z) is built on the vector representation only
+    with pytest.raises(SystemExit) as info:
+        run([
+            "spectral", "--m", "3", "--n", "0", "--kind", "twisted", "--rep", rep,
+            "--z", "1/3", "--s", "2",
+        ])
+    assert info.value.code == 2
     captured = capsys.readouterr()
     assert captured.err == (
-        "error: spectral builds r(z) on the vector representation only, "
-        f"not on --rep {rep}\n"
+        "usage: laxforge [-h] {generate,verify,spectral,eval} ...\n"
+        f"laxforge: error: unrecognized arguments: --rep {rep}\n"
     )
     assert captured.out == ""
 
@@ -520,19 +530,29 @@ def test_cache_entry_without_digest_is_a_miss(tmp_path, monkeypatch):
 
 
 def test_internal_assertion_has_its_own_exit_code(monkeypatch, capsys):
-    from laxforge import spectral
-    from laxforge.gradedmat import GradedMatrix
+    from laxforge import laxengine
 
-    # a braced factor that no longer reproduces R is a construction bug
-    monkeypatch.setattr(
-        spectral, "braces_matrix", lambda alg, sigma: GradedMatrix((0,))
-    )
-    assert run(["spectral", "--m", "3", "--n", "0", "--kind", "twisted"]) == 3
+    # an induction pair with no admissible intermediate is a construction bug
+    monkeypatch.setattr(laxengine, "admissible_intermediates", lambda alg, b, a: [])
+    assert run(["eval", "--m", "4", "--n", "2", "--s", "2"]) == 3
     captured = capsys.readouterr()
-    assert captured.err == (
-        "internal error: braced factor does not reproduce the constant R-matrix\n"
-    )
+    assert captured.err == "internal error: no admissible intermediate for pair (mu1,i2)\n"
     assert captured.out == ""
+
+
+def test_spectral_builds_no_braced_factor(monkeypatch, capsys):
+    # the braced factor equals R by construction; the tests prove it on the
+    # ladder, so a job never builds it
+    from laxforge import spectral
+
+    calls = []
+    build = spectral.braces_matrix
+    monkeypatch.setattr(
+        spectral, "braces_matrix", lambda *args: calls.append(args) or build(*args)
+    )
+    assert run(["spectral", "--m", "5", "--n", "4", "--kind", "untwisted"]) == 0
+    capsys.readouterr()
+    assert calls == []
 
 
 def test_parser_reused_across_calls_matches_fresh_processes(monkeypatch, capsys):
@@ -753,32 +773,6 @@ def test_generate_again_rewrites_a_damaged_output(tmp_path, monkeypatch, damage)
     assert run(args) == 0
     assert written == [sigma]
     assert sigma.read_bytes() == good[sigma.name] and r.read_bytes() == good[r.name]
-
-
-def test_a_sigma_hat_diag_entry_negated_fails_the_braces_check(monkeypatch, capsys):
-    # the braced factor shares R's off-diagonal blocks, so its diagonal
-    # blocks are what the check compares: one sign flipped there must fail
-    from laxforge import spectral
-    from laxforge.gradedmat import GradedMatrix
-
-    build = spectral.sigma_hat_diag
-
-    def flipped(alg):
-        diag = build(alg)
-        a = next(a for a, m in enumerate(diag) if m.entries)
-        key = min(diag[a].entries)
-        entries = dict(diag[a].entries)
-        entries[key] = -entries[key]
-        diag[a] = GradedMatrix(diag[a].gradings, entries)
-        return diag
-
-    monkeypatch.setattr(spectral, "sigma_hat_diag", flipped)
-    assert run(["spectral", "--m", "5", "--n", "4", "--kind", "untwisted"]) == 3
-    captured = capsys.readouterr()
-    assert captured.err == (
-        "internal error: braced factor does not reproduce the constant R-matrix\n"
-    )
-    assert captured.out == ""
 
 
 def test_shared_monomials_are_unchanged_by_a_full_verify(capsys):

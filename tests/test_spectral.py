@@ -83,8 +83,14 @@ def test_E_tensor_equals_sum_of_krons(mn):
     assert e == total
 
 
-@pytest.mark.parametrize("mn", [(3, 0), (4, 0), (3, 2)])
+# every osp(m|n) with 3 <= m <= 11 and even n <= 10, and osp(13|12): the
+# ladder on which V's relations are proved
+LADDER = [(m, n) for m in range(3, 12) for n in range(0, 11, 2)] + [(13, 12)]
+
+
+@pytest.mark.parametrize("mn", LADDER)
 def test_braces_factor_equals_constant_r(mn):
+    # build_spectral_R does not compare them: the tests prove it here
     alg = build_algebra(*mn)
     sigma = extend_sigma(init_simple_sigma(build_vector_rep(alg)))
     assert braces_matrix(alg, sigma) == assemble_R(sigma).matrix
@@ -115,7 +121,7 @@ def flip_entry(spec, key):
 def test_boundary_values_and_degrees(kind):
     alg = build_algebra(3, 2)
     c = Context(3, 2)
-    spec = build_spectral_R(c.sigma, c.r, kind)  # asserts braces, r(1)=P, r(0)=q^-1 r
+    spec = build_spectral_R(c.sigma, c.r, kind)
     # three pieces (P, E, r) over one monic denominator, all of z-degree <= 2
     p = graded_permutation(alg.gradings)
     assert [mat for _, mat in spec.pieces] == [p, build_E_tensor(alg), c.r.matrix]
@@ -251,12 +257,42 @@ def test_evaluate_agrees_with_entrywise_ratfunc_values(kind):
         )
 
 
+def assert_boundary_values(spec):
+    """z-degree at most 2, and r(1) = P and r(0) = q^-1 r on the weights of
+    the pieces (P, E, r): at z = 1 only P's weight may survive, and it must
+    equal den(1); at z = 0 only r's, equal to q^-1 den(0).  The comparisons
+    are cross-multiplied: when m - n = 2 the untwisted pole sits at z = 1,
+    and there the z = 1 comparison is 0 = 0.  build_spectral_R does not
+    check these; test_boundary_values_hold_on_the_ladder proves them."""
+    zero = LaurentPoly.zero()
+    polys = [spec.den, *(w for w, _ in spec.pieces)]
+    assert all(len(poly) <= 3 for poly in polys), "spectral entry exceeds z-degree 2"
+    at0 = [poly[0] if poly else zero for poly in polys]
+    at1 = [sum(poly, zero) for poly in polys]
+    assert at1[1:] == [at1[0], zero, zero], "r(1) != P"
+    assert at0[1:] == [zero, zero, q_power(-1) * at0[0]], "r(0) != q^-1 r"
+
+
+@pytest.mark.parametrize("kind", ["untwisted", "twisted"])
+def test_boundary_values_hold_on_the_ladder(kind):
+    poles_at_one = 0
+    for mn in LADDER:
+        c = Context(*mn)
+        spec = c.spectral(kind)
+        p = graded_permutation(c.alg.gradings)
+        assert [mat for _, mat in spec.pieces] == [p, build_E_tensor(c.alg), c.r.matrix], mn
+        assert_boundary_values(spec)
+        poles_at_one += not sum(spec.den, LaurentPoly.zero())
+    # the untwisted pole z = q^(m-n-2) is z = 1 on the rungs with m - n = 2
+    assert poles_at_one == (sum(m - n == 2 for m, n in LADDER) if kind == "untwisted" else 0)
+
+
 @pytest.mark.parametrize("shift", [(1,), (1, -1)])
-def test_build_rejects_corrupted_constant_coefficient(monkeypatch, shift):
+def test_a_corrupted_constant_coefficient_fails_the_boundary_proof(monkeypatch, shift):
     # (1,) moves a weight's values at z = 0 and z = 1; (1, -1) moves its
     # value at z = 0 only, so the r(0) = q^-1 r comparison alone must catch it
     real = spectral.SpectralRMatrix
-    expected = r"r\(1\) != P" if len(shift) == 1 else r"r\(0\) != q\^-1 r"
+    expected = r"^r\(1\) != P" if len(shift) == 1 else r"^r\(0\) != q\^-1 r"
     for corrupt in range(3):
 
         def corrupted(**fields):
@@ -270,7 +306,27 @@ def test_build_rejects_corrupted_constant_coefficient(monkeypatch, shift):
 
         monkeypatch.setattr(spectral, "SpectralRMatrix", corrupted)
         with pytest.raises(AssertionError, match=expected):
-            Context(3, 2).spectral("untwisted")
+            assert_boundary_values(Context(3, 2).spectral("untwisted"))
+
+
+def test_a_sigma_hat_diag_entry_negated_breaks_the_braced_factor(monkeypatch):
+    # the braced factor shares R's off-diagonal blocks, so its diagonal
+    # blocks are what the comparison with R sees: one sign flipped there
+    # must break it
+    build = spectral.sigma_hat_diag
+
+    def flipped(alg):
+        diag = build(alg)
+        a = next(a for a, m in enumerate(diag) if m.entries)
+        key = min(diag[a].entries)
+        entries = dict(diag[a].entries)
+        entries[key] = -entries[key]
+        diag[a] = GradedMatrix(diag[a].gradings, entries)
+        return diag
+
+    monkeypatch.setattr(spectral, "sigma_hat_diag", flipped)
+    c = Context(5, 4)
+    assert braces_matrix(c.alg, c.sigma) != c.r.matrix
 
 
 def test_sampling_reports_pole_exhaustion(monkeypatch):

@@ -6,7 +6,6 @@ import pytest
 from laxforge.superroot import (
     AlgebraError,
     Weight,
-    _check_invariants,
     bilinear,
     build_algebra,
 )
@@ -99,33 +98,55 @@ def test_weight_json_round_trip():
     assert Weight.from_json(w.to_json()) == w
 
 
+def assert_layout_invariants(alg):
+    """The invariants of build_algebra's layout, each asserted on its own.
+    build_algebra does not check them: they follow from (m, n) through its
+    own code, and test_layout_invariants_hold_on_the_ladder proves them."""
+    w = alg.weights
+    for p in range(alg.dim):
+        assert alg.bar[alg.bar[p]] == p, "bar must be an involution"
+        assert w[alg.bar[p]] == -w[p], "weight(bar) = -weight"
+    # zero weight appears exactly once, for odd m, and is self-barred
+    zeros = [p for p in range(alg.dim) if w[p].is_zero()]
+    assert len(zeros) == alg.m % 2 and all(alg.bar[p] == p for p in zeros), (
+        "zero weight must appear once for odd m, self-barred, and never for even m"
+    )
+    nonzero = [x for x in w if not x.is_zero()]
+    assert len(set(nonzero)) == len(nonzero), "nonzero weights must be pairwise distinct"
+    for lab, alpha in alg.simple_roots:
+        assert 2 * bilinear(alg.rho, alpha) == bilinear(alpha, alpha), (
+            f"rho pairing fails on alpha_{lab}"
+        )
+        # positive: realized as eps_b - eps_a, b above a, at its simple pair
+        b, a = alg.simple_pair(lab)
+        assert b < a and w[b] - w[a] == alpha, (
+            f"alpha_{lab} is not positive in the weight order"
+        )
+
+
 @pytest.mark.parametrize("mn", [(3, 2), (5, 4)])
 def test_invariants_reject_a_simple_root_that_is_not_positive(mn):
     # -alpha_s is isotropic and orthogonal to rho like alpha_s, so only the
-    # positivity check can catch it; the message was recorded before the
-    # check compared coordinate tuples
+    # positivity check can catch it
     alg = build_algebra(*mn)
     roots = tuple((lab, -w if lab == "s" else w) for lab, w in alg.simple_roots)
-    with pytest.raises(AssertionError) as info:
-        _check_invariants(dataclasses.replace(alg, simple_roots=roots))
-    assert str(info.value) == "alpha_s is not positive in the weight order"
-    _check_invariants(alg)
+    with pytest.raises(AssertionError, match="^alpha_s is not positive in the weight order"):
+        assert_layout_invariants(dataclasses.replace(alg, simple_roots=roots))
+    assert_layout_invariants(alg)
 
 
 @pytest.mark.parametrize("mn, first", [((3, 2), "s"), ((5, 4), "s"), ((4, 0), "i1")])
 def test_invariants_reject_a_corrupted_bar_and_rho(mn, first):
-    # the messages were recorded before the checks compared coordinate tuples
     alg = build_algebra(*mn)
     w = list(alg.weights)
     w[0], w[1] = w[1], w[0]
     shifted = Weight((alg.rho.eps[0] + F(1, 3),) + alg.rho.eps[1:], alg.rho.delta)
     for bad, message in (
-        (dataclasses.replace(alg, weights=tuple(w)), "weight(bar) = -weight"),
+        (dataclasses.replace(alg, weights=tuple(w)), r"weight\(bar\) = -weight"),
         (dataclasses.replace(alg, rho=shifted), f"rho pairing fails on alpha_{first}"),
     ):
-        with pytest.raises(AssertionError) as info:
-            _check_invariants(bad)
-        assert str(info.value) == message
+        with pytest.raises(AssertionError, match=f"^{message}"):
+            assert_layout_invariants(bad)
 
 
 # the seventeen rungs of the construct ladder: 3 <= m <= 11, n <= 10
@@ -154,6 +175,12 @@ def test_simple_pair_realises_each_simple_root(mn):
 
 # every osp(m|n) with 3 <= m <= 11 and even n <= 10: 54 algebras
 ALL_SMALL = [(m, n) for m in range(3, 12) for n in range(0, 11, 2)]
+
+
+def test_layout_invariants_hold_on_the_ladder():
+    # with osp(13|12), the ladder on which V's relations are proved
+    for mn in ALL_SMALL + [(13, 12)]:
+        assert_layout_invariants(build_algebra(*mn))
 
 
 @pytest.mark.parametrize("mn", ALL_SMALL)
