@@ -881,7 +881,8 @@ def test_each_job_multiplies_its_own_ybe_products(monkeypatch, capsys):
     capsys.readouterr()
 
 
-def test_a_flipped_r_fails_ybe_and_lax_ybe_in_one_job(monkeypatch, capsys):
+def _flip_assembled_r(monkeypatch):
+    """Make every job assemble R with its first off-diagonal entry negated."""
     from laxforge import cli
     from laxforge.gradedmat import GradedMatrix
     from laxforge.laxengine import RTensor
@@ -897,6 +898,10 @@ def test_a_flipped_r_fails_ybe_and_lax_ybe_in_one_job(monkeypatch, capsys):
         return RTensor(r.dims, matrix, r.kind, r.gradings_v, r.gradings_w)
 
     monkeypatch.setattr(cli, "assemble_R", flipped)
+
+
+def test_a_flipped_r_fails_ybe_and_lax_ybe_in_one_job(monkeypatch, capsys):
+    _flip_assembled_r(monkeypatch)
     dims = _matmul_dims(monkeypatch)
 
     def witnesses(*suites):
@@ -916,6 +921,24 @@ def test_a_flipped_r_fails_ybe_and_lax_ybe_in_one_job(monkeypatch, capsys):
     assert ybe["relation"] == "R12 R13 R23 = R23 R13 R12"
     assert lax["relation"] == "r12 R13 R23 = R23 R13 r12"
     assert {**ybe, "relation": None} == {**lax, "relation": None}
+
+
+def test_failing_text_report_is_pinned(monkeypatch, capsys):
+    # each failing suite prints its count line, then its witness line
+    _flip_assembled_r(monkeypatch)
+    assert run(["verify", "--m", "3", "--n", "2", "--suite", "ybe", "--suite", "lax-ybe",
+                "--suite", "delta", "--format", "text"]) == 1
+    assert capsys.readouterr().out == (
+        "ybe: fail (1 relations)\n"
+        "  witness: R12 R13 R23 = R23 R13 R12 at (26,2): "
+        "lhs = 1*s^-6 + -3*s^-2 + 2*s^2, rhs = -1*s^-6 + 1*s^-2\n"
+        "lax_ybe: fail (1 relations)\n"
+        "  witness: r12 R13 R23 = R23 R13 r12 at (26,2): "
+        "lhs = 1*s^-6 + -3*s^-2 + 2*s^2, rhs = -1*s^-6 + 1*s^-2\n"
+        "delta_property: fail (1 relations)\n"
+        "  witness: (id (x) Delta) R = R13 R12 at (26,2): "
+        "lhs = 1*s^-4 + -1, rhs = -1*s^-4 + 1\n"
+    )
 
 
 def _vector_doc_with_l_gauged(name):
