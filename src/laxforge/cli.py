@@ -237,7 +237,7 @@ class Context:
 
     def spectral(self, kind: str) -> SpectralRMatrix:
         if kind not in self._spectral:
-            self._spectral[kind] = build_spectral_R(self.sigma, self.r, kind)
+            self._spectral[kind] = build_spectral_R(self.alg, self.r, kind)
         return self._spectral[kind]
 
 
@@ -361,17 +361,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         doc = {"reports": [r.to_json() for r in reports]}
         _emit(args, _canonical_bytes(doc))
     else:
-        lines = []
-        for r in reports:
-            tag = "vacuous" if r.vacuous else r.status
-            lines.append(f"{r.check}: {tag} ({r.relations_checked} relations)")
-            if r.witness:
-                w = r.witness
-                lines.append(
-                    f"  witness: {w['relation']} at ({w['row']},{w['col']}): "
-                    f"lhs = {w['lhs']}, rhs = {w['rhs']}"
-                )
-        _emit(args, ("\n".join(lines) + "\n").encode())
+        _emit(args, ("\n".join(r.to_text() for r in reports) + "\n").encode())
     return 0 if all(r.status == "pass" for r in reports) else 1
 
 

@@ -162,9 +162,6 @@ class GradedMatrix:
             return NotImplemented
         return self.gradings == other.gradings and self.entries == other.entries
 
-    def __hash__(self):
-        raise TypeError("GradedMatrix is mutable-style; not hashable")
-
     def is_zero(self) -> bool:
         return not self.entries
 

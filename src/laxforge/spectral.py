@@ -58,7 +58,7 @@ from .gradedmat import (
     weight_lanes,
 )
 from .laxengine import RTensor, SigmaSet
-from .verifier import CheckReport, _Suite, _first_diff
+from .verifier import CheckReport
 
 
 KINDS = ("untwisted", "twisted")
@@ -266,15 +266,14 @@ class SpectralAtS:
         return {key: unscaled[v] for key, v in ints.items()}
 
 
-def build_spectral_R(sigma: SigmaSet, r: RTensor, kind: str) -> SpectralRMatrix:
-    """Assemble r(z) from the vector representation's sigma-hat set and its
-    constant R-matrix r, over the common denominator (q - q^-1 z) D, every
+def build_spectral_R(alg: AlgebraData, r: RTensor, kind: str) -> SpectralRMatrix:
+    """Assemble r(z) for `alg` from the constant R-matrix r on its vector
+    representation, over the common denominator (q - q^-1 z) D, every
     z-degree at most 2.  That the braced factor is r, that r(1) = P and
     r(0) = q^-1 r, and the degrees follow from these formulas alone; the
     tests prove them, and no job checks them."""
     if kind not in KINDS:
         raise ValueError(f"unknown spectral kind {kind!r}")
-    alg = sigma.algebra
 
     qq = q_minus_qinv()
     # common denominator (q - q^-1 z) * D, as a z-polynomial
@@ -333,13 +332,15 @@ def check_spectral_ybe(
     every factor to keep total weight: it is checked once, by weight code,
     on the pieces P, E and r on V (x) V, where a sample's entries sit.
     Embedding keeps weight, norms and row counts, so the lane width comes
-    from the samples on V (x) V.  A failing sample, or one whose pieces do
-    not keep weight, is recomputed with `@` on the unscaled values, so the
-    witness shows their entries.  Raises SamplingError if 50 * samples
-    draws do not yield enough pole-free points."""
+    from the samples on V (x) V.  A sample whose rows agree is recorded as
+    equal (CheckReport.record); a failing one, or one whose pieces do not
+    keep weight, is recomputed with `@` on the unscaled values and compared
+    by CheckReport.expect_equal, so the witness shows their entries.
+    Raises SamplingError if 50 * samples draws do not yield enough
+    pole-free points."""
     if samples < 1:
         raise ValueError("need at least one sample")
-    suite = _Suite(f"spectral_ybe_{spec.kind}")
+    report = CheckReport(f"spectral_ybe_{spec.kind}")
     rng = random.Random(seed)
     gv = spec.algebra.gradings
     coords = [w.eps + w.delta for w in spec.algebra.weights]
@@ -382,10 +383,10 @@ def check_spectral_ybe(
             ints = [fixed.int_values(x)[0] for x in points]
         except PoleError:
             continue
-        equal = keeps_weight and lanes_equal(ints)
-        suite.record(
-            f"spectral YBE at s={s0}, z={z0}, w={w0}",
-            None if equal else _first_diff(*symbolic(fixed, points)),
-        )
+        rel_id = f"spectral YBE at s={s0}, z={z0}, w={w0}"
+        if keeps_weight and lanes_equal(ints):
+            report.record(rel_id, None)
+        else:
+            report.expect_equal(rel_id, *symbolic(fixed, points))
         done += 1
-    return suite.report()
+    return report

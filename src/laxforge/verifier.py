@@ -1,8 +1,10 @@
 """Executable property suites for the R-matrix and the sigma-hat family.
 
-Every identity is checked exactly over the Laurent ring; a failing suite
-reports the first offending relation together with the matrix position and
-both entry values, so negative controls produce a concrete witness.
+Every identity is checked exactly over the Laurent ring.  A suite fills one
+CheckReport in place, which counts each relation and keeps the first that
+fails, with its matrix position and both entry values, as the witness; the
+report's status follows from the witness, and it renders itself as JSON or
+as the lines of `verify --format text`.
 
 ybe, lax_ybe, intertwining and delta_property compare their products
 through one function, _product_diffs.  It packs each input matrix once,
@@ -46,16 +48,40 @@ from .laxengine import RTensor, SigmaSet, admissible_intermediates
 
 @dataclass
 class CheckReport:
-    """Outcome of one property suite."""
+    """Outcome of one property suite, filled in place as it checks."""
 
     check: str
-    status: str  # "pass" | "fail"
-    relations_checked: int
+    relations_checked: int = 0
     witness: dict | None = None
 
     @property
+    def status(self) -> str:
+        return "pass" if self.witness is None else "fail"
+
+    @property
     def vacuous(self) -> bool:
-        return self.status == "pass" and self.relations_checked == 0
+        return self.witness is None and self.relations_checked == 0
+
+    def record(self, rel_id: str, diff) -> None:
+        """Count one relation; `diff` is where its sides first differ,
+        (key, lhs, rhs), or None when they are equal."""
+        self.relations_checked += 1
+        if self.witness is None and diff is not None:
+            (r, c), a, b = diff
+            self.witness = {
+                "relation": rel_id,
+                "row": r + 1,
+                "col": c + 1,
+                "lhs": str(a),
+                "rhs": str(b),
+            }
+
+    def expect_equal(self, rel_id: str, lhs: GradedMatrix, rhs: GradedMatrix) -> None:
+        """record, comparing the two sides only while there is no witness."""
+        if self.witness is None and lhs != rhs:
+            self.record(rel_id, _first_diff(lhs, rhs))
+        else:
+            self.relations_checked += 1
 
     def to_json(self) -> dict:
         out = {
@@ -68,6 +94,17 @@ class CheckReport:
         if self.witness is not None:
             out["witness"] = self.witness
         return out
+
+    def to_text(self) -> str:
+        """The report's lines in `verify --format text`."""
+        tag = "vacuous" if self.vacuous else self.status
+        text = f"{self.check}: {tag} ({self.relations_checked} relations)"
+        if (w := self.witness) is not None:
+            text += (
+                f"\n  witness: {w['relation']} at ({w['row']},{w['col']}): "
+                f"lhs = {w['lhs']}, rhs = {w['rhs']}"
+            )
+        return text
 
 
 def _first_diff(lhs: GradedMatrix, rhs: GradedMatrix):
@@ -105,39 +142,6 @@ def _product_diffs(inputs: list[GradedMatrix], relations) -> list:
     ]
 
 
-class _Suite:
-    """Accumulates exact matrix comparisons into a CheckReport."""
-
-    def __init__(self, name: str):
-        self.name = name
-        self.count = 0
-        self.witness: dict | None = None
-
-    def record(self, rel_id: str, diff) -> None:
-        """Count one relation; `diff` is where its sides first differ,
-        (key, lhs, rhs), or None when they are equal."""
-        self.count += 1
-        if self.witness is None and diff is not None:
-            (r, c), a, b = diff
-            self.witness = {
-                "relation": rel_id,
-                "row": r + 1,
-                "col": c + 1,
-                "lhs": str(a),
-                "rhs": str(b),
-            }
-
-    def expect_equal(self, rel_id: str, lhs: GradedMatrix, rhs: GradedMatrix) -> None:
-        if self.witness is None and lhs != rhs:
-            self.record(rel_id, _first_diff(lhs, rhs))
-        else:
-            self.count += 1
-
-    def report(self) -> CheckReport:
-        status = "pass" if self.witness is None else "fail"
-        return CheckReport(self.name, status, self.count, self.witness)
-
-
 # ---------------------------------------------------------------------------
 # Yang-Baxter checks
 # ---------------------------------------------------------------------------
@@ -157,9 +161,9 @@ def _ybe_suite(name: str, rel_id: str, rv: RTensor, rw: RTensor) -> CheckReport:
         diff = rv.checked["ybe"]
     else:
         diff = rv.checked["ybe"] = _ybe_diff(rv, rv)
-    suite = _Suite(name)
-    suite.record(rel_id, diff)
-    return suite.report()
+    report = CheckReport(name)
+    report.record(rel_id, diff)
+    return report
 
 
 def _ybe_diff(rv: RTensor, rw: RTensor):
@@ -220,7 +224,7 @@ def check_intertwining(r: RTensor, rep: Representation) -> CheckReport:
     re-indexing (flip_conjugate) of Delta(x), packed or not.  R and every
     Delta(x) are packed once, with the largest B over the relations.
     """
-    suite = _Suite("intertwining")
+    report = CheckReport("intertwining")
     g = rep.gradings
     rel_ids, inputs = [], [r.matrix]
     for label in rep.algebra.root_labels():
@@ -236,8 +240,8 @@ def check_intertwining(r: RTensor, rep: Representation) -> CheckReport:
         for i in range(1, len(inputs))
     ]
     for rel_id, diff in zip(rel_ids, _product_diffs(inputs, relations)):
-        suite.record(rel_id, diff)
-    return suite.report()
+        report.record(rel_id, diff)
+    return report
 
 
 def delta_lhs(
@@ -281,7 +285,7 @@ def check_delta_property(sigma: SigmaSet, r: RTensor) -> CheckReport:
     it checks the Koszul signs of kron_blocks and graded_kron against
     embed_triple, not sigma-hat itself.
     """
-    suite = _Suite("delta_property")
+    report = CheckReport("delta_property")
     g, gv, blocks = sigma.algebra.gradings, sigma.rep.gradings, sigma.blocks
 
     def build(m: list[GradedMatrix]):  # the blocks in their order, then R
@@ -293,8 +297,8 @@ def check_delta_property(sigma: SigmaSet, r: RTensor) -> CheckReport:
         return [lhs, lhs], [s[-1], s[-1]]
 
     diffs = _product_diffs([*blocks.values(), r.matrix], [(build, sides)])
-    suite.record("(id (x) Delta) R = R13 R12", diffs[0])
-    return suite.report()
+    report.record("(id (x) Delta) R = R13 R12", diffs[0])
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -320,7 +324,7 @@ def _adjoint(
 
 def check_qserre(rep: Representation) -> CheckReport:
     """(ad E_b .)^(1 - a_bc) E_c = 0 for b != c with (alpha_b, alpha_b) != 0."""
-    suite = _Suite("qserre")
+    report = CheckReport("qserre")
     alg = rep.algebra
     labels = alg.root_labels()
     for bi, lb in enumerate(labels):
@@ -338,12 +342,12 @@ def check_qserre(rep: Representation) -> CheckReport:
             for _ in range(power):
                 x = _adjoint(rep, eb, alg.root(lb), pb, x, px)
                 px = (px + pb) % 2
-            suite.expect_equal(
+            report.expect_equal(
                 f"(ad E_{lb} .)^{power} E_{lc} = 0",
                 x,
                 GradedMatrix.zeros(rep.gradings),
             )
-    return suite.report()
+    return report
 
 
 def check_extra_serre(sigma: SigmaSet) -> CheckReport:
@@ -355,10 +359,10 @@ def check_extra_serre(sigma: SigmaSet) -> CheckReport:
     operator and C the first even-even one.  Needs k >= 2 and l >= 2;
     smaller algebras give a vacuous report.
     """
-    suite = _Suite("extra_serre")
+    report = CheckReport("extra_serre")
     alg = sigma.algebra
     if alg.k < 2 or alg.l < 2:
-        return suite.report()
+        return report
     rep = sigma.rep
 
     def simple(label: str):
@@ -379,8 +383,8 @@ def check_extra_serre(sigma: SigmaSet) -> CheckReport:
         px = (a_op[2] + inner[2]) % 2
         x = _adjoint(rep, middle[0], middle[1], middle[2], x, px)
         px = (px + middle[2]) % 2
-        suite.expect_equal(rel_id, a_op[0].bracket(x, a_op[2], px), zero)
-    return suite.report()
+        report.expect_equal(rel_id, a_op[0].bracket(x, a_op[2], px), zero)
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -389,7 +393,7 @@ def check_extra_serre(sigma: SigmaSet) -> CheckReport:
 
 
 def _expect_qcom(
-    suite: _Suite, sigma: SigmaSet, op: GradedMatrix, label: str, prefix: str
+    report: CheckReport, sigma: SigmaSet, op: GradedMatrix, label: str, prefix: str
 ) -> None:
     """The q-commutation of every sigma_ba with an operator X of weight
     alpha = wt(x) - wt(y), (x, y) the simple pair of `label`:
@@ -409,7 +413,7 @@ def _expect_qcom(
         sign = -1 if odd and (g[a] + g[b]) % 2 else 1
         s_ba = sigma.sigma[(b, a)]
         # q^((alpha, e_p)) is s^(pair2[x][p] - pair2[y][p])
-        suite.expect_equal(
+        report.expect_equal(
             f"{prefix}qcom[{label}; {lab[b]},{lab[a]}]",
             (s_ba @ op).shifted(pair2[x][b] - pair2[y][b]),
             (op @ s_ba).shifted(pair2[y][a] - pair2[x][a], sign),
@@ -423,10 +427,10 @@ def check_qcom(sigma: SigmaSet) -> CheckReport:
     where neither e_a - a_c nor e_b + a_c is a basis weight.  The appendix
     suite checks the same family with sigma of the simple pair in place of
     E_c, through the same loop."""
-    suite = _Suite("qcom")
+    report = CheckReport("qcom")
     for label in sigma.algebra.root_labels():
-        _expect_qcom(suite, sigma, sigma.rep.big_e(label), label, "")
-    return suite.report()
+        _expect_qcom(report, sigma, sigma.rep.big_e(label), label, "")
+    return report
 
 
 def check_appendix(sigma: SigmaSet) -> CheckReport:
@@ -452,7 +456,7 @@ def check_appendix(sigma: SigmaSet) -> CheckReport:
     s chains then state one commutator relation, and every chain ends with
     the q-commutation of every sigma_ba with the anchor, in the loop
     check_qcom uses (_expect_qcom)."""
-    suite = _Suite("appendix")
+    report = CheckReport("appendix")
     alg, S = sigma.algebra, sigma.sigma
     bar, lab, dim, l, k = alg.bar, alg.labels, alg.dim, alg.l, alg.k
 
@@ -477,14 +481,14 @@ def check_appendix(sigma: SigmaSet) -> CheckReport:
             rows[1] = [row for pair in zip(rows[1], rows[2][::-1]) for row in pair]
             rows[2] = []
         for b, c, a, nb, na in (row for i in order for row in rows[i]):
-            suite.expect_equal(
+            report.expect_equal(
                 f"{prefix}: sigma({nb},{na}) via {name(c)}",
                 S[(b, a)],
                 sigma.step(b, c, a),
             )
         if commutator:
-            suite.expect_equal(*commutator)
-        _expect_qcom(suite, sigma, S[(x, y)], label, f"{prefix} ")
+            report.expect_equal(*commutator)
+        _expect_qcom(report, sigma, S[(x, y)], label, f"{prefix} ")
 
     # each commutator below has an even factor, so it is the plain u v - v u
     for i in range(1, l):
@@ -518,7 +522,7 @@ def check_appendix(sigma: SigmaSet) -> CheckReport:
         chain("l", "even-m", (3, 1, 2, 4))
     else:
         chain("l", "odd-m", (1, 3, 4, 2))
-    return suite.report()
+    return report
 
 
 def check_path_independence(sigma: SigmaSet) -> CheckReport:
@@ -529,24 +533,24 @@ def check_path_independence(sigma: SigmaSet) -> CheckReport:
     are rows of this suite: over osp(m|n), 3 <= m <= 11, n <= 10, 3417 of
     its 15615 rows are the construction's own step, the stored sigma_ba
     itself, against 3800 of the 6612 appendix rows."""
-    suite = _Suite("path_independence")
+    report = CheckReport("path_independence")
     alg = sigma.algebra
     for (b, a) in alg.extended_pairs():
         if sigma.provenance[(b, a)] in ("simple", "forced_zero"):
             continue
         for c in admissible_intermediates(alg, b, a):
-            suite.expect_equal(
+            report.expect_equal(
                 f"sigma({alg.labels[b]},{alg.labels[a]}) via {alg.labels[c]}",
                 sigma.step(b, c, a),
                 sigma.sigma[(b, a)],
             )
-    return suite.report()
+    return report
 
 
 def check_opposite(r: RTensor, rt: RTensor) -> CheckReport:
     """R^T equals the factorwise graded conjugate of R and P R P."""
-    suite = _Suite("opposite")
+    report = CheckReport("opposite")
     gv = r.gradings_v
-    suite.expect_equal("R^T = R^dagger", rt.matrix, tensor_dagger(r.matrix, gv, gv))
-    suite.expect_equal("R^T = P R P", rt.matrix, flip_conjugate(r.matrix, gv, gv))
-    return suite.report()
+    report.expect_equal("R^T = R^dagger", rt.matrix, tensor_dagger(r.matrix, gv, gv))
+    report.expect_equal("R^T = P R P", rt.matrix, flip_conjugate(r.matrix, gv, gv))
+    return report

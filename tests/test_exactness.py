@@ -72,7 +72,7 @@ def test_no_float_and_canonical_coefficients(m, n):
     assert_matrix(build_E_tensor(alg), "E")
 
     for kind in ("untwisted", "twisted"):
-        spec = build_spectral_R(sigma, assemble_R(sigma), kind)
+        spec = build_spectral_R(alg, assemble_R(sigma), kind)
         for i, c in enumerate(spec.den):
             assert_poly(c, f"{kind} r(z) den z^{i}")
         for p, (weight, mat) in enumerate(spec.pieces):

@@ -265,6 +265,8 @@ def test_matrix_algebra_on_scalar_entries():
     assert graded_kron(x, y).entries[(1, 2)] == -6
     assert x == GradedMatrix(G2, {(0, 1): LaurentPoly.const(3),
                                   (1, 1): LaurentPoly.const(Fraction(1, 2))})
+    with pytest.raises(TypeError):  # __eq__ without __hash__
+        hash(x)
 
 
 # entries of each exact type on a grading with odd positions, so that the

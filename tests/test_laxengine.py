@@ -92,7 +92,7 @@ def test_admissible_intermediates_exclude_barred_endpoints():
     assert admissible_intermediates(alg, 1, 3) == [2]
 
 
-def test_assembled_r_is_weightless_and_even():
+def test_assembled_r_is_even_on_v_tensor_v():
     ss = vector_sigma(3, 2)
     r = assemble_R(ss)
     assert r.dims == (5, 5)

@@ -121,7 +121,7 @@ def flip_entry(spec, key):
 def test_boundary_values_and_degrees(kind):
     alg = build_algebra(3, 2)
     c = Context(3, 2)
-    spec = build_spectral_R(c.sigma, c.r, kind)
+    spec = build_spectral_R(c.alg, c.r, kind)
     # three pieces (P, E, r) over one monic denominator, all of z-degree <= 2
     p = graded_permutation(alg.gradings)
     assert [mat for _, mat in spec.pieces] == [p, build_E_tensor(alg), c.r.matrix]
@@ -139,7 +139,7 @@ def test_r_at_zero_is_qinv_times_constant_r():
     alg = build_algebra(3, 0)
     sigma = extend_sigma(init_simple_sigma(build_vector_rep(alg)))
     r = assemble_R(sigma)
-    spec = build_spectral_R(sigma, r, "untwisted")
+    spec = build_spectral_R(alg, r, "untwisted")
     r_const = r.matrix
     s0 = Fraction(2)
     mat = spec.evaluate(s0, Fraction(0))
@@ -158,7 +158,7 @@ def test_untwisted_finite_at_s_equal_one():
 def test_unknown_kind_rejected():
     c = Context(3, 0)
     with pytest.raises(ValueError):
-        build_spectral_R(c.sigma, c.r, "affine")
+        build_spectral_R(c.alg, c.r, "affine")
 
 
 @pytest.mark.parametrize("kind", ["untwisted", "twisted"])

@@ -542,13 +542,13 @@ def test_qcom_and_appendix_relation_ids_are_pinned(monkeypatch, mn):
 
     _, ss = build(*mn)
     seen = []
-    compare = verifier._Suite.expect_equal
+    compare = verifier.CheckReport.expect_equal
 
     def spy(self, rel_id, lhs, rhs):
         seen.append(rel_id)
         compare(self, rel_id, lhs, rhs)
 
-    monkeypatch.setattr(verifier._Suite, "expect_equal", spy)
+    monkeypatch.setattr(verifier.CheckReport, "expect_equal", spy)
     for name, check in (("qcom", check_qcom), ("appendix", check_appendix)):
         seen.clear()
         report = check(ss)
@@ -583,13 +583,13 @@ def test_appendix_compared_sides_are_pinned(monkeypatch, mn, rep):
     module = build_vector_rep(alg) if rep == "vector" else trivial_rep(alg)
     ss = extend_sigma(init_simple_sigma(module))
     seen = []
-    compare = verifier._Suite.expect_equal
+    compare = verifier.CheckReport.expect_equal
 
     def spy(self, rel_id, lhs, rhs):
         seen.append("\t".join((rel_id, str(lhs), str(rhs))))
         compare(self, rel_id, lhs, rhs)
 
-    monkeypatch.setattr(verifier._Suite, "expect_equal", spy)
+    monkeypatch.setattr(verifier.CheckReport, "expect_equal", spy)
     assert check_appendix(ss).status == "pass"
     digest = hashlib.sha256("\n".join(seen).encode()).hexdigest()
     assert digest == APPENDIX_SIDES[(mn, rep)]
@@ -655,7 +655,7 @@ def test_qcom_loop_scales_each_side_by_the_rule_of_its_simple_pair(label):
     g, w, alpha = alg.gradings, alg.weights, alg.root(label)
     seen = []
 
-    class Spy(verifier._Suite):
+    class Spy(verifier.CheckReport):
         def expect_equal(self, rel_id, lhs, rhs):
             seen.append((rel_id, lhs, rhs))
 
