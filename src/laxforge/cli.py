@@ -495,7 +495,7 @@ def main(argv=None) -> int:
     except (RelationError, PoleError) as exc:
         print(f"check failed: {exc}", file=sys.stderr)
         return 1
-    except (AssertionError, ConstructionError) as exc:
+    except ConstructionError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 3
 

@@ -10,9 +10,9 @@ All Koszul signs live in graded_kron, graded_permutation, embed_triple
 and the two daggers.  Ordinary matrix composition is ungraded.
 
 On Laurent entries, a q-power is an exponent shift: `shifted` multiplies
-by sign s^k and by diagonals of monomials on either side in one pass, and
-`commutator` forms s^k1 xy - sign s^k2 yx, the graded bracket and the
-induction step, in one pass with no product matrices.  A Representation
+by sign s^k, and `commutator` forms s^k1 xy - sign s^k2 yx, the graded
+bracket, the induction step and the q-Serre ad step, in one pass with no
+product matrices.  A Representation
 pairs its weights with a weight through the coordinate columns of
 superroot.form_columns, keeps q^(h_eps_a) for every index a of V
 (`qh_eps`) and their exponent table (`pair2`), and writes each diagonal
@@ -187,21 +187,12 @@ class GradedMatrix:
 
     # -- over Q[s, s^-1]: q-powers as exponent shifts ------------------------
 
-    def shifted(
-        self,
-        k: int = 0,
-        sign: int = 1,
-        rows: list[int] | None = None,
-        cols: list[int] | None = None,
-    ) -> "GradedMatrix":
-        """sign s^k diag(s^rows) self diag(s^cols) for Laurent entries and
-        sign = +-1: entry (r, c) has its exponents moved by
-        k + rows[r] + cols[c] (an absent list counts as zeros)."""
-        out = {}
-        for (r, c), v in self.entries.items():
-            e = k + (rows[r] if rows else 0) + (cols[c] if cols else 0)
-            out[(r, c)] = v.shift(e, sign)
-        return self._of(self.gradings, out)
+    def shifted(self, k: int = 0, sign: int = 1) -> "GradedMatrix":
+        """sign s^k self for Laurent entries and sign = +-1: every exponent
+        moved by k."""
+        return self._of(
+            self.gradings, {key: v.shift(k, sign) for key, v in self.entries.items()}
+        )
 
     def commutator(
         self, other: "GradedMatrix", sign: int = 1, k1: int = 0, k2: int = 0
@@ -737,7 +728,7 @@ def trivial_rep(alg: AlgebraData) -> Representation:
     )
 
 
-def load_representation(doc: dict, alg: AlgebraData | None = None) -> Representation:
+def load_representation(doc: dict, alg: AlgebraData) -> Representation:
     """Parse and validate a Representation document (see to_json for layout).
     m, n, dim, the gradings and the entry indices must be JSON integers (not
     bools), and the name a string usable as part of a file name.  A module
@@ -756,11 +747,7 @@ def load_representation(doc: dict, alg: AlgebraData | None = None) -> Representa
         raise SchemaError(f"malformed representation document: {exc}") from exc
     if type(name) is not str or name in ("", ".", "..") or any(ch in name for ch in "/\\\0"):
         raise SchemaError(f"representation name {name!r} cannot be part of a file name")
-    if alg is None:
-        from .superroot import build_algebra
-
-        alg = build_algebra(m, n)
-    elif (alg.m, alg.n) != (m, n):
+    if (alg.m, alg.n) != (m, n):
         raise SchemaError(f"document is for osp({m}|{n}), expected osp({alg.m}|{alg.n})")
     if len(gradings) != dim or len(weights) != dim:
         raise SchemaError("gradings/weights length does not match dim")

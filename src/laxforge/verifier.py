@@ -27,8 +27,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import eq
 
-from .qring import ZERO
-from .superroot import Weight
+from .qring import ZERO, s_exponent
+from .superroot import bilinear
 from .gradedmat import (
     GradedMatrix,
     PackStats,
@@ -306,45 +306,49 @@ def check_delta_property(sigma: SigmaSet, r: RTensor) -> CheckReport:
 # ---------------------------------------------------------------------------
 
 
-def _adjoint(
-    rep: Representation,
-    op: GradedMatrix,
-    root: Weight,
-    op_parity: int,
-    x: GradedMatrix,
-    x_parity: int,
-) -> GradedMatrix:
-    """ad op . x = op x - (-1)^([op][x]) (q^h x q^-h) op, h the root of op:
-    q^h x q^-h shifts entry (r, c) of x by 2 (root, wt_r) - 2 (root, wt_c)."""
-    exps = rep.q_exponents(root, 1)
-    conj = x.shifted(rows=exps, cols=[-e for e in exps])
-    sign = -1 if (op_parity * x_parity) % 2 else 1
-    return (op @ x) - (conj @ op).scale(sign)
+def _ad(op: tuple, x: tuple) -> tuple:
+    """ad A . X = A X - (-1)^([A][X]) (q^h X q^-h) A, h the weight of A, on
+    (matrix, weight, parity) triples, in one GradedMatrix.commutator pass;
+    the result is the triple of ad A . X, of weight wt A + wt X.
+
+    X shifts every weight of the module by its weight beta, so
+    q^h X q^-h = q^((wt A, beta)) X.  E_a = e_a q^(h_a / 2), and sigma of
+    the simple pair of a, shift weights as e_a does, by alpha_a, and so then
+    does every ad step formed from them.  That e_a does is a defining
+    relation (check_representation): checked on every --rep file as it is
+    loaded, and proved by the tests for V and the trivial module on the
+    osp(m|n) ladder."""
+    (a, wa, pa), (b, wb, pb) = op, x
+    sign = -1 if pa * pb % 2 else 1
+    k = s_exponent(2 * bilinear(wa, wb))
+    return a.commutator(b, sign, 0, k), wa + wb, (pa + pb) % 2
 
 
 def check_qserre(rep: Representation) -> CheckReport:
-    """(ad E_b .)^(1 - a_bc) E_c = 0 for b != c with (alpha_b, alpha_b) != 0."""
+    """(ad E_b .)^(1 - a_bc) E_c = 0 for b != c with (alpha_b, alpha_b) != 0,
+    each ad step one _ad pass (E_c of weight alpha_c on every module that
+    reaches a suite)."""
     report = CheckReport("qserre")
     alg = rep.algebra
     labels = alg.root_labels()
+
+    def simple(label: str) -> tuple:
+        return rep.big_e(label), alg.root(label), alg.root_parity(label)
+
     for bi, lb in enumerate(labels):
         if alg.cartan[bi][bi] == 0:  # (alpha_b, alpha_b) = 0
             continue
-        eb = rep.big_e(lb)
-        pb = alg.root_parity(lb)
+        eb = simple(lb)
         for ci, lc in enumerate(labels):
             if lb == lc:
                 continue
-            a_bc = alg.cartan[bi][ci]
-            power = int(1 - a_bc)
-            x = rep.big_e(lc)
-            px = alg.root_parity(lc)
+            power = int(1 - alg.cartan[bi][ci])
+            x = simple(lc)
             for _ in range(power):
-                x = _adjoint(rep, eb, alg.root(lb), pb, x, px)
-                px = (px + pb) % 2
+                x = _ad(eb, x)
             report.expect_equal(
                 f"(ad E_{lb} .)^{power} E_{lc} = 0",
-                x,
+                x[0],
                 GradedMatrix.zeros(rep.gradings),
             )
     return report
@@ -356,33 +360,26 @@ def check_extra_serre(sigma: SigmaSet) -> CheckReport:
         [A, ad B . (ad A . C)] = 0  and  [A, ad C . (ad A . B)] = 0
 
     with A the isotropic simple operator, B the last odd-odd simple
-    operator and C the first even-even one.  Needs k >= 2 and l >= 2;
+    operator and C the first even-even one, each sigma of a simple pair, of
+    the weight of its root (as E_a, see _ad).  Needs k >= 2 and l >= 2;
     smaller algebras give a vacuous report.
     """
     report = CheckReport("extra_serre")
     alg = sigma.algebra
     if alg.k < 2 or alg.l < 2:
         return report
-    rep = sigma.rep
 
-    def simple(label: str):
+    def simple(label: str) -> tuple:
         pair = alg.simple_pair(label)
         return sigma.sigma[pair], alg.root(label), alg.root_parity(label)
 
-    a_op = simple("s")
-    b_op = simple(f"mu{alg.k - 1}")
-    c_op = simple("i1")
-    zero = GradedMatrix.zeros(rep.gradings)
-
-    for rel_id, mid in (
-        ("[A, [B, [A, C]_q]_q] = 0 (A isotropic)", (b_op, c_op)),
-        ("[A, [C, [A, B]_q]_q] = 0 (A isotropic)", (c_op, b_op)),
+    a_op, b_op, c_op = simple("s"), simple(f"mu{alg.k - 1}"), simple("i1")
+    zero = GradedMatrix.zeros(sigma.rep.gradings)
+    for rel_id, middle, inner in (
+        ("[A, [B, [A, C]_q]_q] = 0 (A isotropic)", b_op, c_op),
+        ("[A, [C, [A, B]_q]_q] = 0 (A isotropic)", c_op, b_op),
     ):
-        middle, inner = mid
-        x = _adjoint(rep, a_op[0], a_op[1], a_op[2], inner[0], inner[2])
-        px = (a_op[2] + inner[2]) % 2
-        x = _adjoint(rep, middle[0], middle[1], middle[2], x, px)
-        px = (px + middle[2]) % 2
+        x, _, px = _ad(middle, _ad(a_op, inner))
         report.expect_equal(rel_id, a_op[0].bracket(x, a_op[2], px), zero)
     return report
 

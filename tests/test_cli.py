@@ -941,6 +941,22 @@ def test_failing_text_report_is_pinned(monkeypatch, capsys):
     )
 
 
+def test_a_failing_sampler_multiplies_only_for_its_witness(monkeypatch, capsys):
+    # once a sample has failed, later failing samples are only counted: the
+    # symbolic triple products are built for the witness alone
+    _flip_assembled_r(monkeypatch)
+    dims = _matmul_dims(monkeypatch)
+    found = []
+    for samples in ("1", "4"):
+        dims.clear()
+        assert run(["verify", "--m", "3", "--n", "2", "--suite", "spectral-twisted",
+                    "--samples", samples]) == 1
+        (report,) = json.loads(capsys.readouterr().out)["reports"]
+        assert report["relations_checked"] == int(samples)
+        found.append((report["witness"], dims.count(125)))
+    assert found[0] == found[1] and found[0][1] == 4
+
+
 def _vector_doc_with_l_gauged(name):
     """The osp(3|2) vector representation document with e_l doubled and
     f_l halved: still a module, but not V's matrices."""

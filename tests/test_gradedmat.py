@@ -199,7 +199,7 @@ def test_load_representation_rejects_entry_off_weight(kind, sign):
 
 def test_load_representation_rejects_malformed_document():
     with pytest.raises(SchemaError):
-        load_representation({"algebra": {"m": 3, "n": 2}})
+        load_representation({"algebra": {"m": 3, "n": 2}}, build_algebra(3, 2))
 
 
 def test_load_representation_rejects_wrong_algebra():
@@ -539,16 +539,7 @@ def test_commutator_and_shifted_equal_their_products(seed):
     assert got == expected
     for v in got.entries.values():
         assert v and all(type(c) is int or c.denominator != 1 for c in v.terms.values())
-    rows = [rng.randint(-2, 2) for _ in G4]
-    cols = [rng.randint(-2, 2) for _ in G4]
-
-    def diag(exps):
-        return GradedMatrix.diagonal(G4, [LaurentPoly.s_power(e) for e in exps])
-
-    assert x.shifted(k1, sign, rows, cols) == (
-        diag(rows) @ x @ diag(cols)
-    ).scale(LaurentPoly.s_power(k1, sign))
-    assert x.shifted(rows=rows) == diag(rows) @ x
+    assert x.shifted(k1, sign) == x.scale(LaurentPoly.s_power(k1, sign))
 
 
 def test_pack_stats_reads_every_entry_of_a_laurent_matrix():

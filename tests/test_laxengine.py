@@ -313,6 +313,7 @@ def test_blocks_are_the_scaled_shifted_sigmas(mn):
         want = {(a, a): qh for a, qh in enumerate(rep.qh_eps)}
         for (b, a) in alg.extended_pairs():
             if not ss.sigma[(b, a)].is_zero():
-                scaled = ss.sigma[(b, a)].shifted(rows=rep.pair2[a])
+                diag = GradedMatrix.diagonal(rep.gradings, map(LaurentPoly.s_power, rep.pair2[a]))
+                scaled = diag @ ss.sigma[(b, a)]
                 want[(a, b)] = scaled.scale(-qq if g[b] % 2 else qq)
         assert ss.blocks == want

@@ -5,6 +5,7 @@ from types import SimpleNamespace
 
 import pytest
 
+from laxforge import verifier
 from laxforge.qring import LaurentPoly, q_power
 from laxforge.superroot import bilinear, build_algebra
 from laxforge.gradedmat import (
@@ -308,6 +309,29 @@ def test_delta_passes_a_rescaled_sigma_that_v_tensor_v_rejects():
     assert assemble_R(on_vv).matrix != delta_lhs(bad.algebra.gradings, bad.blocks)
 
 
+@pytest.mark.parametrize("mn", [(4, 2), (4, 4), (5, 4)])
+def test_each_ad_step_is_the_conjugation_by_q_h(monkeypatch, mn):
+    # _ad takes q^h X q^-h as X shifted by the weights it is handed; the
+    # conjugation by D = q^h written out catches a step handed a wrong one
+    alg = build_algebra(*mn)
+    rep = load_representation(tensor_square(build_vector_rep(alg)).to_json(), alg)
+    steps, ad = [], verifier._ad
+
+    def spy(op, x):
+        out = ad(op, x)
+        steps.append((op, x, out))
+        return out
+
+    monkeypatch.setattr(verifier, "_ad", spy)
+    assert check_qserre(rep).status == "pass"
+    assert check_extra_serre(extend_sigma(init_simple_sigma(rep))).status == "pass"
+    assert any(not out[0].is_zero() for *_, out in steps)
+    for (a, wa, pa), (x, wx, px), out in steps:
+        d, d_inv = rep.qh_diag(wa, 1), rep.qh_diag(wa, -1)
+        sign = -1 if pa * px % 2 else 1
+        assert out == (a @ x - (d @ x @ d_inv @ a).scale(sign), wa + wx, (pa + px) % 2)
+
+
 def test_lax_ybe_rejects_dimension_mismatch():
     _, ss32 = build(3, 2)
     _, ss40 = build(4, 0)
@@ -478,6 +502,24 @@ def test_a_new_sigma_set_forms_its_own_steps():
         assert not bad.steps
         assert check_appendix(bad).status == "fail"
         assert check_path_independence(bad).status == "fail"
+
+
+def test_extra_serre_fails_on_a_negated_entry_of_v_tensor_v():
+    # no single-entry corruption of a simple sigma on V is known to break
+    # extra-Serre; on V (x) V one negated entry of sigma of the s pair does
+    alg = build_algebra(5, 4)
+    ss = extend_sigma(init_simple_sigma(tensor_square(build_vector_rep(alg))))
+    pair = alg.simple_pair("s")
+    entries = dict(ss.sigma[pair].entries)
+    key = min(entries)
+    entries[key] = -entries[key]
+    flipped = GradedMatrix(ss.sigma[pair].gradings, entries)
+    bad = SigmaSet(ss.rep, {**ss.sigma, pair: flipped}, ss.provenance)
+    assert check_extra_serre(bad).to_text() == (
+        "extra_serre: fail (2 relations)\n"
+        "  witness: [A, [B, [A, C]_q]_q] = 0 (A isotropic) at (2,22): "
+        "lhs = -2*s^-2, rhs = 0"
+    )
 
 
 def test_opposite_fails_on_mutation():
