@@ -4,8 +4,8 @@ spectral matrices and exact evaluation, with a content-addressed cache.
 Exit codes: 0 success; 1 a checked identity failed (a relation of the
 representation, or a suite's witness printed) or r(z) was evaluated at a
 pole; 2 usage or configuration error, or a spectral sampler that could not
-find enough pole-free points; 3 an internal error, such as an induction
-pair with no admissible intermediate.
+find enough pole-free points; 3 an internal error: any other exception,
+such as an induction pair with no admissible intermediate.
 """
 
 from __future__ import annotations
@@ -124,9 +124,13 @@ def _canonical_bytes(doc) -> bytes:
 
 
 def _atomic_write(path: Path, data: bytes) -> None:
-    """Write `data` to a temporary file beside `path` and rename it over
-    `path`.  mkstemp makes the file 0600 and the rename keeps that, so it is
-    given 0666 less the umask first, the mode open() would have given it."""
+    """Write `data` to a temporary file beside the file `path` names (a
+    symlink is followed) and rename it over that file, refusing one that is
+    not regular.  mkstemp makes it 0600 and the rename keeps that, so it is
+    first given 0666 less the umask, the mode open() would have given it."""
+    if path.exists() and not path.is_file():
+        raise SchemaError(f"{path} exists and is not a regular file; not replacing it")
+    path = path.resolve()
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=str(path.parent), prefix=".tmp-")
     try:
@@ -497,6 +501,9 @@ def main(argv=None) -> int:
         return 1
     except ConstructionError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
+        return 3
+    except Exception as exc:  # a bug: no handler above classes it
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
 
 

@@ -5,9 +5,12 @@ when a matrix has been evaluated at a point or packed; sums, products,
 scale, equality, graded_kron and kron_blocks work on either, and a scalar
 entry stays a scalar.
 
-All Koszul signs live in graded_kron, graded_permutation, embed_triple
-(a matrix on two slots of a triple tensor space), flip_conjugate (P m P)
-and the two daggers.  Ordinary matrix composition is ungraded.
+kron_blocks applies the tensor-product Koszul sign, which embed_triple's
+slot 23 uses, and graded_dagger the conjugation sign, which tensor_dagger
+re-signs.  graded_kron, graded_permutation and spectral.build_E_tensor
+write the sign out for speed, each pinned by test_*_is_kron_blocks;
+embed_triple's slots 12 and 13 and flip_conjugate (P m P) re-index with
+signs of their own.  Ordinary matrix composition is ungraded.
 
 On Laurent entries, a q-power is an exponent shift: `shifted` multiplies
 by sign s^k, and `commutator` forms s^k1 xy - sign s^k2 yx, the graded
@@ -312,13 +315,15 @@ def embed_triple(
     ga, gb = {"12": (g1, g2), "13": (g1, g3), "23": (g2, g3)}[slots]
     if m.gradings != kron_gradings(ga, gb):
         raise ValueError(f"matrix does not act on slots {slots} of the triple space")
+    if slots == "23":
+        return kron_blocks(g1, m.gradings, {(k, k): m for k in range(len(g1))})
     d2, d3 = len(g2), len(g3)
     entries: dict[tuple[int, int], LaurentPoly] = {}
     for (r, c), v in m.entries.items():
         if slots == "12":
             for k in range(d3):
                 entries[(r * d3 + k, c * d3 + k)] = v
-        elif slots == "13":
+        else:
             x, y = divmod(r, d3)
             xc, yc = divmod(c, d3)
             odd = (g3[y] + g3[yc]) % 2
@@ -326,11 +331,6 @@ def embed_triple(
                 entries[((x * d2 + k) * d3 + y, (xc * d2 + k) * d3 + yc)] = (
                     -v if odd and gk else v
                 )
-        else:
-            odd = (m.gradings[r] + m.gradings[c]) % 2
-            block = d2 * d3
-            for k, gk in enumerate(g1):
-                entries[(k * block + r, k * block + c)] = -v if odd and gk else v
     return GradedMatrix._of(kron_gradings(kron_gradings(g1, g2), g3), entries)
 
 
@@ -489,22 +489,18 @@ def tensor_dagger(
     """Graded conjugation of an operator on a tensor product, applied
     factorwise: (u (x) v)^dag = u^dag (x) v^dag.
 
-    On the composite matrix this is the entrywise dagger rule with an extra
-    Koszul factor (-1)^([r1][r2] + [c1][c2]) coming from the sign convention
-    of graded_kron; without it, sums of mixed-parity simple tensors conjugate
-    incorrectly.
+    On the composite matrix this is graded_dagger re-signed by the Koszul
+    factor (-1)^([r1][r2] + [c1][c2]) of graded_kron's sign convention;
+    without it, sums of mixed-parity simple tensors conjugate incorrectly.
     """
-    d2 = len(right)
-    if len(left) * d2 != x.dim:
-        raise ValueError("factor gradings do not match the composite dimension")
-    entries = {}
-    for (r, c), v in x.entries.items():
-        r1, r2 = divmod(r, d2)
-        c1, c2 = divmod(c, d2)
-        gr, gc = (left[r1] + right[r2]) % 2, (left[c1] + right[c2]) % 2
-        exp = gr * (gr + gc) + left[r1] * right[r2] + left[c1] * right[c2]
-        entries[(c, r)] = v if exp % 2 == 0 else -v
-    return GradedMatrix(x.gradings, entries)
+    if x.gradings != kron_gradings(left, right):
+        raise ValueError("matrix does not act on the tensor product of the factors")
+    d2, out = len(right), graded_dagger(x)
+    for (c, r), v in out.entries.items():  # the factor term is symmetric in r, c
+        (r1, r2), (c1, c2) = divmod(r, d2), divmod(c, d2)
+        if (left[r1] * right[r2] + left[c1] * right[c2]) % 2:
+            out.entries[(c, r)] = -v
+    return out
 
 
 # ---------------------------------------------------------------------------

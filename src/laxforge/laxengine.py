@@ -20,7 +20,7 @@ AlgebraData.pair2 and rho2 for weights of V, Representation.pair2 for a
 weight of V against one of W.  The induction step is one fused pass
 (GradedMatrix.commutator) with the shifts -pair2[b][a] and -pair2[c][c];
 the seeds are shifts and shared monomials, and each entry of
-(q - q^-1) q^(h_eps_a) sigma is formed in one pass over its terms.  R's
+(q - q^-1) q^(h_eps_a) sigma is one qring._times_qq.  R's
 blocks have one home, SigmaSet.blocks, which the spectral braced factor
 and the delta suite share.  That each sigma_ba shifts weight by
 eps_b - eps_a, and so that R is weightless, follows from the seeds and the
@@ -32,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .qring import LaurentPoly, monomial, q_minus_qinv
+from .qring import _times_qq, monomial, q_minus_qinv
 from .superroot import AlgebraData
 from .gradedmat import (
     GradedMatrix,
@@ -88,8 +88,8 @@ class SigmaSet:
         B_aa = q^(h_eps_a), and B_ab = (q - q^-1)(-1)^[b] q^(h_eps_a) sigma_ba
         for eps_b > eps_a.  Entry (r, c) of B_ab is
         +-(s^(k+2) - s^(k-2)) v for v = sigma_ba[r, c] and
-        k = 2 (wt_a, wt_r) = pair2[a][r], formed in one pass over the terms
-        of v (_times_qq), with no shifted or scaled matrix in between.
+        k = 2 (wt_a, wt_r) = pair2[a][r], formed by qring._times_qq, with
+        no shifted or scaled matrix in between.
         assemble_R, the spectral braced factor and the delta suite read
         them."""
         g, pair2, sigma = self.algebra.gradings, self.rep.pair2, self.sigma
@@ -120,30 +120,6 @@ class SigmaSet:
                 for p in sorted(self.sigma)
             },
         }
-
-
-def _times_qq(v: LaurentPoly, k: int, sign: int) -> LaurentPoly:
-    """sign (s^(k+2) - s^(k-2)) v = sign s^k (q - q^-1) v for sign = +-1 and
-    v nonzero, in one pass over the terms of v.  A monomial, as most
-    entries of sigma on V are, gives two terms four apart; otherwise both
-    shifted copies go into one dict, where coinciding exponents combine."""
-    terms = v.terms
-    res = LaurentPoly.__new__(LaurentPoly)
-    if len(terms) == 1:
-        ((e, c),) = terms.items()
-        c = sign * c
-        res.terms = {e + k + 2: c, e + k - 2: -c}
-        return res
-    out = {e + k + 2: sign * c for e, c in terms.items()}
-    for e, c in terms.items():
-        key = e + k - 2
-        x = out.get(key, 0) - sign * c
-        if x:
-            out[key] = x if type(x) is int or x.denominator != 1 else x.numerator
-        else:
-            del out[key]
-    res.terms = out
-    return res
 
 
 @dataclass
@@ -200,7 +176,8 @@ def init_simple_sigma(rep: Representation) -> SigmaSet:
 
 def extend_sigma(partial: SigmaSet) -> SigmaSet:
     """Fill every extended pair by increasing position gap, each through
-    SigmaSet.step, so the result keeps its own steps."""
+    SigmaSet.step, so the result keeps its own steps.  Both factors of a
+    step through an admissible c have a smaller gap, so they are filled."""
     alg = partial.algebra
     out = SigmaSet(partial.rep, dict(partial.sigma), dict(partial.provenance))
     sigma, prov = out.sigma, out.provenance
@@ -209,8 +186,7 @@ def extend_sigma(partial: SigmaSet) -> SigmaSet:
             a = b + gap
             if (b, a) in sigma:
                 continue
-            mids = [c for c in admissible_intermediates(alg, b, a)
-                    if (b, c) in sigma and (c, a) in sigma]
+            mids = admissible_intermediates(alg, b, a)
             if not mids:
                 raise ConstructionError(
                     f"no admissible intermediate for pair "

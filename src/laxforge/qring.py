@@ -7,8 +7,10 @@ is no floating-point mode.
 
 Coefficient invariant: every stored coefficient is an ``int``, or a
 ``Fraction`` whose denominator is not 1, and never a float.  Integral
-values stay on Python's fast int arithmetic; a ``Fraction`` that comes
-out of a sum or product with denominator 1 is turned back into an int.
+values stay on Python's fast int arithmetic.  ``dot`` is where a sum or
+product is normalised (an integral ``Fraction`` becomes an int): sums,
+z-products and _times_qq go through it, and ``LaurentPoly.__mul__`` and
+_times_qq's monomial branch, kept for speed, are pinned to it by tests.
 Equality, hashing and the text form do not depend on the representation.
 """
 
@@ -107,18 +109,7 @@ class LaurentPoly:
             other = LaurentPoly.const(other)
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            v = out.get(k, 0) + c
-            if v:
-                if type(v) is not int and v.denominator == 1:
-                    v = v.numerator
-                out[k] = v
-            elif k in out:
-                del out[k]
-        res = LaurentPoly.__new__(LaurentPoly)
-        res.terms = out
-        return res
+        return dot(((self, ONE), (other, ONE)))  # a + b = a 1 + b 1
 
     __radd__ = __add__
 
@@ -265,6 +256,18 @@ def dot(pairs: Iterable[tuple[LaurentPoly, LaurentPoly]]) -> LaurentPoly:
     return res
 
 
+def _times_qq(v: LaurentPoly, k: int, sign: int) -> LaurentPoly:
+    """sign (s^(k+2) - s^(k-2)) v = sign s^k (q - q^-1) v for sign = +-1 and
+    v nonzero, one dot; a monomial v, as most entries of sigma on V are,
+    gets its two terms four apart directly, which is faster (a test pins it)."""
+    if len(v.terms) == 1:
+        ((e, c),) = v.terms.items()
+        res = LaurentPoly.__new__(LaurentPoly)
+        res.terms = {e + k + 2: sign * c, e + k - 2: -sign * c}
+        return res
+    return dot(((monomial(k + 2, sign), v), (monomial(k - 2, -sign), v)))
+
+
 def s_exponent(two_t: Scalar) -> int:
     """2t as an int: the exponent k of q^t = s^k.  ValueError when t is not
     a half-integer."""
@@ -310,16 +313,11 @@ def _ztrim(coeffs: Iterable[LaurentPoly]) -> ZPoly:
 
 
 def _zmul(a: ZPoly, b: ZPoly) -> ZPoly:
-    if not a or not b:
-        return ()
-    out = [ZERO] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if not ca:
-            continue
-        for j, cb in enumerate(b):
-            if cb:
-                out[i + j] = out[i + j] + ca * cb
-    return _ztrim(out)
+    """The product of two polynomials in z: one dot per z-degree."""
+    return _ztrim(
+        dot((a[i], b[d - i]) for i in range(max(0, d - len(b) + 1), min(d + 1, len(a))))
+        for d in range(len(a) + len(b) - 1)
+    )
 
 
 def _zneg(a: ZPoly) -> ZPoly:

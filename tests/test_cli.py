@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import stat
 import subprocess
 import sys
 from fractions import Fraction
@@ -539,6 +540,19 @@ def test_internal_assertion_has_its_own_exit_code(monkeypatch, capsys):
     assert captured.err == "internal error: no admissible intermediate for pair (mu1,i2)\n"
     assert captured.out == ""
 
+    # an exception that no handler classes is a bug too, not a failed identity
+    from laxforge import verifier
+
+    monkeypatch.undo()
+
+    def boom(*args):
+        raise TypeError("boom")
+
+    monkeypatch.setattr(verifier, "check_ybe", boom)
+    assert run(["verify", "--m", "3", "--n", "0", "--suite", "ybe"]) == 3
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "internal error: TypeError: boom\n")
+
 
 def test_spectral_builds_no_braced_factor(monkeypatch, capsys):
     # the braced factor equals R by construction; the tests prove it on the
@@ -1034,3 +1048,41 @@ def test_written_files_follow_the_umask(tmp_path, monkeypatch, capsys, umask, mo
                tmp_path / "report.json"]
     assert len(written) == 7
     assert {p.stat().st_mode & 0o777 for p in written} == {mode}
+
+
+def _not_replaced(path) -> str:
+    return f"error: {path} exists and is not a regular file; not replacing it\n"
+
+
+@pytest.mark.parametrize("linked", [False, True])
+def test_out_never_replaces_a_fifo(tmp_path, capsys, linked):
+    # a FIFO given to --out, or a symlink to one, stays as it was
+    fifo = tmp_path / "out-fifo"
+    os.mkfifo(fifo)
+    out = tmp_path / "out-link" if linked else fifo
+    if linked:
+        os.symlink("out-fifo", out)
+    assert run(["verify", "--m", "3", "--n", "0", "--suite", "ybe", "--out", str(out)]) == 2
+    assert capsys.readouterr() == ("", _not_replaced(out))
+    assert stat.S_ISFIFO(os.lstat(fifo).st_mode) and out.is_symlink() == linked
+    assert {p.name for p in tmp_path.iterdir()} == {"out-fifo", out.name}
+
+
+def test_generate_never_replaces_a_fifo_artifact(tmp_path, monkeypatch, capsys):
+    monkeypatch.delenv("LAXFORGE_CACHE", raising=False)
+    fifo = tmp_path / "r_vector_3_0.json"
+    os.mkfifo(fifo)
+    assert run(["generate", "--m", "3", "--n", "0", "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == _not_replaced(fifo)
+    assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+
+
+def test_out_through_a_symlink_writes_its_target(tmp_path, capsys):
+    target, link = tmp_path / "out-target.txt", tmp_path / "out-link.txt"
+    target.write_text("old\n")
+    os.symlink("out-target.txt", link)
+    assert run(["verify", "--m", "3", "--n", "0", "--suite", "ybe", "--format", "text",
+                "--out", str(link)]) == 0
+    assert link.is_symlink() and os.readlink(link) == "out-target.txt"
+    assert target.read_text() == "ybe: pass (1 relations)\n"
+    assert {p.name for p in tmp_path.iterdir()} == {"out-target.txt", "out-link.txt"}

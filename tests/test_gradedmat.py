@@ -108,6 +108,9 @@ def test_tensor_dagger_is_factorwise():
         graded_dagger(E(1, 0)), graded_dagger(E(0, 1))
     )
     assert tensor_dagger(mixed, G2, G2) == expected
+    # factors of the right dimension whose gradings do not give the matrix's
+    with pytest.raises(ValueError):
+        tensor_dagger(mixed, G2, (1, 0))
 
 
 def test_bracket_is_graded_commutator():
@@ -307,6 +310,39 @@ def test_kron_blocks_keeps_the_entry_type(kind):
     # the odd first-slot columns 0 and 2 flip the odd entries of their block
     assert out.entries[(1 * 4 + 0, 0 * 4 + 1)] == -m.entries[(0, 1)]
     assert out.entries[(2 * 4 + 3, 1 * 4 + 3)] == m.entries[(3, 3)]
+
+
+# kron_blocks is the home of the tensor-product Koszul sign.  graded_kron,
+# graded_permutation and spectral.build_E_tensor write it out themselves,
+# which is faster, so each is pinned to its kron_blocks form.
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_graded_kron_is_kron_blocks(seed):
+    # graded_kron(a, b) = sum over the entries v = a[k] of E_k (x) v b
+    def home(a, b):
+        return kron_blocks(a.gradings, b.gradings, {k: b.scale(v) for k, v in a.entries.items()})
+
+    rng = random.Random(seed)
+    a = random_laurent_matrix(rng, (1, 0, 1), nnz=5)
+    b = random_laurent_matrix(rng, G4, nnz=8)
+    assert graded_kron(a, b) == home(a, b)
+    # packed int matrices: twice a and b have int coefficients (their
+    # denominators are 1 or 2)
+    pa, pb = (pack(m, 6, pack_stats(m).lo) for m in (a.scale(2), b.scale(2)))
+    assert {type(v) for m in (pa, pb) for v in m.entries.values()} == {int}
+    assert graded_kron(pa, pb) == home(pa, pb)
+
+
+def test_graded_permutation_is_kron_blocks():
+    # P = sum_{a,b} (-1)^[a] E^b_a (x) E^a_b
+    for mn in LADDER:
+        g = build_algebra(*mn).gradings
+        blocks = {
+            (b, a): E(a, b, g).scale(-1 if g[a] else 1)
+            for a in range(len(g)) for b in range(len(g))
+        }
+        assert graded_permutation(g) == kron_blocks(g, g, blocks), mn
 
 
 # -- Kronecker packing ----------------------------------------------------------

@@ -295,7 +295,7 @@ def test_sigma_set_serialization_labels():
 @pytest.mark.parametrize("sign", [1, -1])
 def test_times_qq_is_the_shifted_product_with_q_minus_qinv(text, k, sign):
     # exponents four apart meet in the product, and may cancel
-    from laxforge.laxengine import _times_qq
+    from laxforge.qring import _times_qq
 
     v = poly(text)
     want = v.shift(k, sign) * q_minus_qinv()

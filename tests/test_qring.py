@@ -1,12 +1,15 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from laxforge.qring import (
     LaurentPoly,
     PoleError,
     RatFunc,
+    _times_qq,
+    dot,
+    monomial,
     q_int,
     q_minus_qinv,
     q_power,
@@ -136,6 +139,35 @@ def test_int_and_fraction_backed_polys_agree(ta, tb):
             assert hash(a + b) == hash(a_int + b_int)
     assert a_frac.terms == a_int.terms
     assert all(type(c) is int for c in a_frac.terms.values())
+
+
+# -- the kept copies of dot's rule ----------------------------------------------
+#
+# dot is the home of the coefficient rule: terms summed per exponent, zero
+# sums dropped, an integral Fraction stored as an int.  LaurentPoly.__mul__
+# and the monomial branch of _times_qq write it out themselves, which is
+# faster, so each is pinned to dot, coefficient types included.
+
+
+def typed(p: LaurentPoly) -> dict:
+    """The terms of p with each coefficient's type, so that 2 and
+    Fraction(2) differ."""
+    return {k: (type(c), c) for k, c in p.terms.items()}
+
+
+@given(polys, polys, scalars)
+@example(LaurentPoly({1: Fraction(1, 2)}), LaurentPoly({0: 2}), Fraction(4, 3))
+def test_mul_is_dot(a, b, c):
+    assert typed(a * b) == typed(dot(((a, b),)))
+    assert typed(a * c) == typed(dot(((a, LaurentPoly.const(c)),)))
+
+
+@pytest.mark.parametrize("c", [1, -3, Fraction(1, 2), Fraction(-5, 3)])
+@pytest.mark.parametrize("e, k, sign", [(0, 0, 1), (-3, 4, -1), (5, -2, 1), (2, -1, -1)])
+def test_times_qq_on_a_monomial_is_dot(c, e, k, sign):
+    v = LaurentPoly({e: c})
+    want = dot(((monomial(k + 2, sign), v), (monomial(k - 2, -sign), v)))
+    assert typed(_times_qq(v, k, sign)) == typed(want)
 
 
 @given(polys, polys, scalars)

@@ -10,6 +10,7 @@ from laxforge.gradedmat import (
     build_vector_rep,
     graded_kron,
     graded_permutation,
+    kron_blocks,
     lane_product,
     weight_lanes,
 )
@@ -86,6 +87,21 @@ def test_E_tensor_equals_sum_of_krons(mn):
 # every osp(m|n) with 3 <= m <= 11 and even n <= 10, and osp(13|12): the
 # ladder on which V's relations are proved
 LADDER = [(m, n) for m in range(3, 12) for n in range(0, 11, 2)] + [(13, 12)]
+
+
+def test_build_E_tensor_is_kron_blocks():
+    # build_E_tensor writes kron_blocks' sign out itself, which is faster;
+    # its docstring's sum, block by block through kron_blocks
+    for mn in LADDER:
+        alg = build_algebra(*mn)
+        g, w, xi, bar = alg.gradings, alg.weights, alg.xi, alg.bar
+        blocks = {}
+        for a in range(alg.dim):
+            for b in range(alg.dim):
+                sign = (-1) ** (g[a] * g[b]) * xi[a] * xi[b]
+                coeff = q_power(bilinear(alg.rho, w[a] - w[b])) * sign
+                blocks[(a, b)] = GradedMatrix(g, {(bar[a], bar[b]): coeff})
+        assert build_E_tensor(alg) == kron_blocks(g, g, blocks), mn
 
 
 @pytest.mark.parametrize("mn", LADDER)
