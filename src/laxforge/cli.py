@@ -123,13 +123,20 @@ def _canonical_bytes(doc) -> bytes:
     return _json_text(doc).encode() + b"\n"
 
 
+def _check_target(path: Path) -> None:
+    """Refuse a target that exists and is not a regular file (a symlink is
+    followed); it is looked at with stat, never opened."""
+    if path.exists() and not path.is_file():
+        raise SchemaError(f"{path} exists and is not a regular file; not replacing it")
+
+
 def _atomic_write(path: Path, data: bytes) -> None:
     """Write `data` to a temporary file beside the file `path` names (a
     symlink is followed) and rename it over that file, refusing one that is
-    not regular.  mkstemp makes it 0600 and the rename keeps that, so it is
-    first given 0666 less the umask, the mode open() would have given it."""
-    if path.exists() and not path.is_file():
-        raise SchemaError(f"{path} exists and is not a regular file; not replacing it")
+    not regular (_check_target).  mkstemp makes it 0600 and the rename keeps
+    that, so it is first given 0666 less the umask, the mode open() would
+    have given it."""
+    _check_target(path)
     path = path.resolve()
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=str(path.parent), prefix=".tmp-")
@@ -168,14 +175,18 @@ def _fingerprint(alg, rep) -> str:
 
 
 def _cache_fetch(args: argparse.Namespace, key: str) -> bytes | None:
-    """The cached artifact under `key`, or None when there is none or its
+    """The cached artifact under `key`, or None when there is none, when an
+    entry is not a regular file (a FIFO would block the read), or when its
     bytes do not match the sha256 stored beside it."""
     root = _cache_dir(args)
     if root is None:
         return None
+    data_path, digest_path = root / f"{key}.json", root / f"{key}.sha256"
+    if not (data_path.is_file() and digest_path.is_file()):
+        return None
     try:
-        data = (root / f"{key}.json").read_bytes()
-        digest = (root / f"{key}.sha256").read_text()
+        data = data_path.read_bytes()
+        digest = digest_path.read_text()
     except FileNotFoundError:
         return None
     return data if hashlib.sha256(data).hexdigest() == digest else None
@@ -325,6 +336,8 @@ def cmd_generate(args: argparse.Namespace) -> int:
             f"{fp}-r", lambda: _rtensor_json(ctx.r, alg, rep.name)
         ),
     }
+    for name in artifacts:  # a refused target leaves --out as it was
+        _check_target(out_dir / name)
     payloads: dict[str, bytes] = {}
     for name, (key, build) in artifacts.items():
         payloads[name] = _cache_fetch(args, key)

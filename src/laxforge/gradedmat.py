@@ -724,6 +724,23 @@ def trivial_rep(alg: AlgebraData) -> Representation:
     )
 
 
+def tensor_product(w1: Representation, w2: Representation) -> Representation:
+    """W1 (x) W2 by the coproduct e -> q^(h/2) (x) e + e (x) q^(-h/2), and f
+    the same way, each q^(h/2) read from its own factor.  Index (i, j) has
+    grading [i] + [j] and weight wt_i + wt_j, so its qh_diag is the Kronecker
+    product of the factors' own."""
+    alg = w1.algebra
+    e, f = {}, {}
+    for lab in alg.root_labels():
+        alpha = alg.root(lab)
+        qp, qm = w1.qh_diag(alpha, HALF), w2.qh_diag(alpha, -HALF)
+        e[lab] = graded_kron(qp, w2.e[lab]) + graded_kron(w1.e[lab], qm)
+        f[lab] = graded_kron(qp, w2.f[lab]) + graded_kron(w1.f[lab], qm)
+    weights = tuple(x + y for x in w1.weights for y in w2.weights)
+    gradings = kron_gradings(w1.gradings, w2.gradings)
+    return Representation(alg, f"{w1.name}_x_{w2.name}", gradings, weights, e, f)
+
+
 def load_representation(doc: dict, alg: AlgebraData) -> Representation:
     """Parse and validate a Representation document (see to_json for layout).
     m, n, dim, the gradings and the entry indices must be JSON integers (not

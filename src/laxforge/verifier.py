@@ -24,12 +24,12 @@ always shows Laurent polynomials.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from operator import eq
 
 from .qring import ZERO, s_exponent
 from .superroot import bilinear
 from .gradedmat import (
+    HALF,
     GradedMatrix,
     PackStats,
     Representation,
@@ -42,6 +42,7 @@ from .gradedmat import (
     pack_stats,
     packing_bits,
     tensor_dagger,
+    tensor_product,
 )
 from .laxengine import RTensor, SigmaSet, admissible_intermediates
 
@@ -204,31 +205,22 @@ def check_lax_ybe(rv: RTensor, rw: RTensor) -> CheckReport:
 # ---------------------------------------------------------------------------
 
 
-def _coproduct(rep: Representation, label: str) -> dict[str, GradedMatrix]:
-    """Matrices of Delta(e), Delta(f), Delta(q^(+-h/2)) on V (x) V."""
-    alpha = rep.algebra.root(label)
-    qp = rep.qh_diag(alpha, Fraction(1, 2))
-    qm = rep.qh_diag(alpha, Fraction(-1, 2))
-    return {
-        "e": graded_kron(qp, rep.e[label]) + graded_kron(rep.e[label], qm),
-        "f": graded_kron(qp, rep.f[label]) + graded_kron(rep.f[label], qm),
-        "h+": graded_kron(qp, qp),
-        "h-": graded_kron(qm, qm),
-    }
-
-
 def check_intertwining(r: RTensor, rep: Representation) -> CheckReport:
     """R Delta(x) = Delta^T(x) R for all simple e, f and Cartan half-powers.
 
+    Delta(e_a) and Delta(f_a) are the generators of tensor_product(rep,
+    rep), and Delta(q^(+-h_a/2)) is that module's qh_diag(alpha_a, +-1/2).
     Delta^T(x) is P Delta(x) P for the graded permutation P, formed as a
     re-indexing (flip_conjugate) of Delta(x), packed or not.  R and every
     Delta(x) are packed once, with the largest B over the relations.
     """
     report = CheckReport("intertwining")
-    g = rep.gradings
+    g, vv = rep.gradings, tensor_product(rep, rep)
     rel_ids, inputs = [], [r.matrix]
     for label in rep.algebra.root_labels():
-        for kind, dx in _coproduct(rep, label).items():
+        alpha = rep.algebra.root(label)
+        dxs = vv.e[label], vv.f[label], vv.qh_diag(alpha, HALF), vv.qh_diag(alpha, -HALF)
+        for kind, dx in zip(("e", "f", "h+", "h-"), dxs):
             rel_ids.append(f"R Delta({kind}_{label}) = Delta^T({kind}_{label}) R")
             inputs.append(dx)
     # P Delta(x) P has the entries, norms and row counts of Delta(x)

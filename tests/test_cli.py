@@ -18,6 +18,15 @@ def run(args):
     return main(args)
 
 
+def run_fresh(args, **kwargs):
+    """The command in a new process that imports this checkout's laxforge."""
+    src = str(Path(laxforge.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    return subprocess.run([sys.executable, "-m", "laxforge.cli", *args],
+                          capture_output=True, text=True, env=env, **kwargs)
+
+
 def test_usage_error_exit_code_2(tmp_path, capsys):
     assert run(["generate", "--m", "2", "--n", "2"]) == 2
     err = capsys.readouterr().err
@@ -573,9 +582,6 @@ def test_parser_reused_across_calls_matches_fresh_processes(monkeypatch, capsys)
     # main keeps one parser per process; consecutive calls, with an
     # argparse usage error between them, print what fresh processes print
     monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage to the terminal
-    src = str(Path(laxforge.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
     calls = [
         ["verify", "--m", "3", "--n", "2", "--suite", "ybe", "--suite", "delta"],
         ["verify", "--m", "3", "--suite", "qcom"],  # no --n: a usage error
@@ -590,10 +596,7 @@ def test_parser_reused_across_calls_matches_fresh_processes(monkeypatch, capsys)
         except SystemExit as exc:
             code = exc.code
         captured = capsys.readouterr()
-        fresh = subprocess.run(
-            [sys.executable, "-m", "laxforge.cli", *args],
-            capture_output=True, text=True, env=env,
-        )
+        fresh = run_fresh(args)
         assert (code, captured.out, captured.err) == (
             fresh.returncode, fresh.stdout, fresh.stderr
         )
@@ -725,14 +728,7 @@ def test_an_empty_s_or_z_is_not_a_rational(capsys, args):
 
 def test_console_reads_a_separated_negative_rational(capsys):
     # main(None) reads sys.argv: a fresh process takes --s -5/3 as --s=-5/3
-    src = str(Path(laxforge.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
-    fresh = subprocess.run(
-        [sys.executable, "-m", "laxforge.cli", "eval", "--m", "3", "--n", "0",
-         "--s", "-5/3"],
-        capture_output=True, text=True, env=env,
-    )
+    fresh = run_fresh(["eval", "--m", "3", "--n", "0", "--s", "-5/3"])
     assert run(["eval", "--m", "3", "--n", "0", "--s=-5/3"]) == 0
     assert (fresh.returncode, fresh.stdout, fresh.stderr) == (
         0, capsys.readouterr().out, ""
@@ -1069,12 +1065,34 @@ def test_out_never_replaces_a_fifo(tmp_path, capsys, linked):
 
 
 def test_generate_never_replaces_a_fifo_artifact(tmp_path, monkeypatch, capsys):
+    # every target is checked before any is written: the sigma artifact
+    # before the FIFO is neither written nor printed, nor is a cache entry
     monkeypatch.delenv("LAXFORGE_CACHE", raising=False)
-    fifo = tmp_path / "r_vector_3_0.json"
+    out = tmp_path / "gen"
+    out.mkdir()
+    fifo = out / "r_vector_3_0.json"
     os.mkfifo(fifo)
-    assert run(["generate", "--m", "3", "--n", "0", "--out", str(tmp_path)]) == 2
-    assert capsys.readouterr().err == _not_replaced(fifo)
+    assert run(["generate", "--m", "3", "--n", "0", "--out", str(out),
+                "--cache-dir", str(tmp_path / "cache")]) == 2
+    assert capsys.readouterr() == ("", _not_replaced(fifo))
     assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+    assert [p.name for p in tmp_path.rglob("*")] == ["gen", "r_vector_3_0.json"]
+
+
+@pytest.mark.parametrize("suffix", ["json", "sha256"])
+def test_generate_never_reads_a_fifo_cache_entry(tmp_path, monkeypatch, suffix):
+    # a FIFO in the cache is a miss, not a read that blocks for good; the
+    # store then refuses it.  A new process, so that a hang fails the test.
+    monkeypatch.delenv("LAXFORGE_CACHE", raising=False)
+    cache = tmp_path / "cache"
+    args = ["generate", "--m", "3", "--n", "0", "--cache-dir", str(cache), "--out"]
+    assert run(args + [str(tmp_path / "gen")]) == 0
+    (entry,) = cache.glob(f"*-r.{suffix}")
+    entry.unlink()
+    os.mkfifo(entry)
+    fresh = run_fresh(args + [str(tmp_path / "gen2")], timeout=60)
+    assert (fresh.returncode, fresh.stdout, fresh.stderr) == (2, "", _not_replaced(entry))
+    assert stat.S_ISFIFO(os.lstat(entry).st_mode) and not (tmp_path / "gen2").exists()
 
 
 def test_out_through_a_symlink_writes_its_target(tmp_path, capsys):

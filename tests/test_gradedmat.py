@@ -34,6 +34,7 @@ from laxforge.gradedmat import (
     pack_stats,
     packing_bits,
     tensor_dagger,
+    tensor_product,
     trivial_rep,
     weight_lanes,
 )
@@ -165,13 +166,16 @@ def test_trivial_rep_is_one_dimensional_and_silent():
 
 
 def test_load_representation_round_trip():
-    alg = build_algebra(3, 2)
-    rep = build_vector_rep(alg)
-    doc = json.loads(json.dumps(rep.to_json()))
-    loaded = load_representation(doc, alg)
-    assert loaded.e == rep.e
-    assert loaded.f == rep.f
-    assert loaded.weights == rep.weights
+    # V and V (x) V come back from JSON on the acceptance family, each
+    # through check_representation; V (x) trivial and trivial (x) V are V
+    for mn in [(3, 0), (4, 0), (5, 0), (6, 0), (3, 2), (4, 2), (5, 2), (3, 4), (5, 4)]:
+        alg = build_algebra(*mn)
+        v, t = build_vector_rep(alg), trivial_rep(alg)
+        for rep in (v, tensor_product(v, v)):
+            loaded = load_representation(json.loads(json.dumps(rep.to_json())), alg)
+            assert loaded == rep, mn
+        for w in (tensor_product(v, t), tensor_product(t, v)):
+            assert (w.gradings, w.weights, w.e, w.f) == (v.gradings, v.weights, v.e, v.f)
 
 
 def test_load_representation_rejects_sign_flip():

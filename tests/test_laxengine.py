@@ -8,11 +8,10 @@ from laxforge.qring import LaurentPoly, q_minus_qinv, q_power
 from laxforge.superroot import build_algebra, bilinear
 from laxforge.gradedmat import (
     GradedMatrix,
-    Representation,
     build_vector_rep,
     graded_kron,
-    kron_gradings,
     load_representation,
+    tensor_product,
     trivial_rep,
 )
 from laxforge.laxengine import (
@@ -24,7 +23,7 @@ from laxforge.laxengine import (
     init_simple_sigma,
     opposite_R,
 )
-from laxforge.verifier import _coproduct, check_opposite
+from laxforge.verifier import check_opposite
 
 
 def vector_sigma(m, n):
@@ -159,25 +158,11 @@ def test_sigma_hat_is_homogeneous_and_r_weightless_on_the_ladder(w):
         assert not weight_breaking_entries(assemble_R(ss), ss), mn
 
 
-def tensor_square_doc(alg):
-    """V (x) V as a representation document, e and f by the coproduct the
-    intertwining suite uses: a module W != V, as a --rep file gives it."""
-    v = build_vector_rep(alg)
-    cop = {label: _coproduct(v, label) for label in alg.root_labels()}
-    return Representation(
-        alg,
-        "vector^2",
-        kron_gradings(v.gradings, v.gradings),
-        tuple(x + y for x in v.weights for y in v.weights),
-        {label: c["e"] for label, c in cop.items()},
-        {label: c["f"] for label, c in cop.items()},
-    ).to_json()
-
-
 @pytest.mark.parametrize("mn", [(3, 0), (3, 2), (4, 2)])
 def test_sigma_hat_is_homogeneous_and_r_weightless_on_a_file_module(mn):
     alg = build_algebra(*mn)
-    rep = load_representation(json.loads(json.dumps(tensor_square_doc(alg))), alg)
+    v = build_vector_rep(alg)
+    rep = load_representation(json.loads(json.dumps(tensor_product(v, v).to_json())), alg)
     ss = extend_sigma(init_simple_sigma(rep))
     assert off_weight(ss) is None
     assert not weight_breaking_entries(assemble_R(ss), ss)

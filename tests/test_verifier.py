@@ -10,15 +10,14 @@ from laxforge.qring import LaurentPoly, q_power
 from laxforge.superroot import bilinear, build_algebra
 from laxforge.gradedmat import (
     GradedMatrix,
-    Representation,
     build_vector_rep,
     embed_triple,
     kron_blocks,
-    kron_gradings,
     load_representation,
     pack,
     pack_stats,
     packing_bits,
+    tensor_product,
     trivial_rep,
 )
 from laxforge.laxengine import (
@@ -40,7 +39,6 @@ from laxforge.verifier import (
     check_qcom,
     check_qserre,
     check_ybe,
-    _coproduct,
     delta_lhs,
 )
 
@@ -79,6 +77,15 @@ def mutate_sigma(ss, pair=None):
                 sigma[p] = GradedMatrix(sigma[p].gradings, patched)
                 return SigmaSet(rep=ss.rep, sigma=sigma, provenance=dict(ss.provenance))
     raise AssertionError("no mutable entry found")
+
+
+def negate_first_entry(ss, pair):
+    """ss with the first entry of sigma of `pair` negated."""
+    entries = dict(ss.sigma[pair].entries)
+    key = min(entries)
+    entries[key] = -entries[key]
+    flipped = GradedMatrix(ss.sigma[pair].gradings, entries)
+    return SigmaSet(ss.rep, {**ss.sigma, pair: flipped}, dict(ss.provenance))
 
 
 # -- positive checks ---------------------------------------------------------
@@ -266,25 +273,11 @@ def test_intertwine_bits_cover_every_relation(monkeypatch, mn):
     spy_on_pack(monkeypatch, calls)
     assert check_intertwining(r, rep).status == "pass"
     (bits,) = {b for _, b, _ in calls}
+    assert calls[0][0] is r.matrix
     sr = pack_stats(r.matrix)
-    for label in rep.algebra.root_labels():
-        for dx in _coproduct(rep, label).values():
-            sx = pack_stats(dx)
-            assert bits >= packing_bits([sr, sx], [sx, sr])
-
-
-def tensor_square(rep):
-    """V (x) V as a module: gradings and weights of the pairs, and e, f by
-    the coproduct the intertwining suite uses."""
-    cop = {label: _coproduct(rep, label) for label in rep.algebra.root_labels()}
-    return Representation(
-        rep.algebra,
-        "vector^2",
-        kron_gradings(rep.gradings, rep.gradings),
-        tuple(x + y for x in rep.weights for y in rep.weights),
-        {label: c["e"] for label, c in cop.items()},
-        {label: c["f"] for label, c in cop.items()},
-    )
+    for dx, _, _ in calls[1:]:  # each Delta(x), in relation order
+        sx = pack_stats(dx)
+        assert bits >= packing_bits([sr, sx], [sx, sr])
 
 
 @pytest.mark.parametrize("mn", [(3, 0), (3, 2), (4, 2), (5, 2)])
@@ -292,7 +285,7 @@ def test_lax_operator_on_v_tensor_v_is_the_delta_lhs(mn):
     # sigma-hat induced on V (x) V gives (id (x) Delta) R: the displayed
     # coproduct, which the delta suite only takes as given
     rep, ss = build(*mn)
-    on_vv = extend_sigma(init_simple_sigma(tensor_square(rep)))
+    on_vv = extend_sigma(init_simple_sigma(tensor_product(rep, rep)))
     assert assemble_R(on_vv).matrix == delta_lhs(ss.algebra.gradings, ss.blocks)
 
 
@@ -305,7 +298,7 @@ def test_delta_passes_a_rescaled_sigma_that_v_tensor_v_rejects():
     bad = SigmaSet(rep, {**ss.sigma, pair: ss.sigma[pair].shifted(2, -1)}, ss.provenance)
     assert check_delta_property(bad, assemble_R(bad)).status == "pass"
     assert check_ybe(assemble_R(bad)).status == "fail"
-    on_vv = extend_sigma(init_simple_sigma(tensor_square(rep)))
+    on_vv = extend_sigma(init_simple_sigma(tensor_product(rep, rep)))
     assert assemble_R(on_vv).matrix != delta_lhs(bad.algebra.gradings, bad.blocks)
 
 
@@ -314,7 +307,8 @@ def test_each_ad_step_is_the_conjugation_by_q_h(monkeypatch, mn):
     # _ad takes q^h X q^-h as X shifted by the weights it is handed; the
     # conjugation by D = q^h written out catches a step handed a wrong one
     alg = build_algebra(*mn)
-    rep = load_representation(tensor_square(build_vector_rep(alg)).to_json(), alg)
+    v = build_vector_rep(alg)
+    rep = load_representation(tensor_product(v, v).to_json(), alg)
     steps, ad = [], verifier._ad
 
     def spy(op, x):
@@ -504,17 +498,35 @@ def test_a_new_sigma_set_forms_its_own_steps():
         assert check_path_independence(bad).status == "fail"
 
 
+def sigma_on_v_tensor_v(m, n):
+    """sigma-hat on V (x) V, and the same with the first entry of sigma of
+    the s pair negated."""
+    alg = build_algebra(m, n)
+    v = build_vector_rep(alg)
+    ss = extend_sigma(init_simple_sigma(tensor_product(v, v)))
+    return ss, negate_first_entry(ss, alg.simple_pair("s"))
+
+
+def test_qcom_and_appendix_fail_on_a_negated_entry_of_v_tensor_v():
+    # on V and the trivial module every q-commutation relation is 0 = 0; on
+    # V (x) V they are not, so the sign (-1)^(([a]+[b])([x]+[y])) matters
+    good, bad = sigma_on_v_tensor_v(3, 2)
+    assert check_qcom(good).to_text() == "qcom: pass (9 relations)"
+    assert check_appendix(good).to_text() == "appendix: pass (20 relations)"
+    assert check_qcom(bad).to_text() == (
+        "qcom: fail (9 relations)\n"
+        "  witness: qcom[s; mu1,i1] at (1,7): lhs = 2*s^-5, rhs = 0"
+    )
+    assert check_appendix(bad).to_text() == (
+        "appendix: fail (20 relations)\n"
+        "  witness: common: sigma(mu1,i2) via i1 at (1,3): lhs = -1*s^-2, rhs = 1*s^-2"
+    )
+
+
 def test_extra_serre_fails_on_a_negated_entry_of_v_tensor_v():
     # no single-entry corruption of a simple sigma on V is known to break
     # extra-Serre; on V (x) V one negated entry of sigma of the s pair does
-    alg = build_algebra(5, 4)
-    ss = extend_sigma(init_simple_sigma(tensor_square(build_vector_rep(alg))))
-    pair = alg.simple_pair("s")
-    entries = dict(ss.sigma[pair].entries)
-    key = min(entries)
-    entries[key] = -entries[key]
-    flipped = GradedMatrix(ss.sigma[pair].gradings, entries)
-    bad = SigmaSet(ss.rep, {**ss.sigma, pair: flipped}, ss.provenance)
+    _, bad = sigma_on_v_tensor_v(5, 4)
     assert check_extra_serre(bad).to_text() == (
         "extra_serre: fail (2 relations)\n"
         "  witness: [A, [B, [A, C]_q]_q] = 0 (A isotropic) at (2,22): "
@@ -672,13 +684,7 @@ def anchor_pair(alg, kind):
 ])
 def test_appendix_witness_of_a_flipped_anchor_is_pinned(mn, kind, want):
     _, ss = build(*mn)
-    pair = anchor_pair(ss.algebra, kind)
-    sigma = dict(ss.sigma)
-    entries = dict(sigma[pair].entries)
-    key = min(entries)
-    entries[key] = -entries[key]
-    sigma[pair] = GradedMatrix(sigma[pair].gradings, entries)
-    report = check_appendix(SigmaSet(ss.rep, sigma, dict(ss.provenance)))
+    report = check_appendix(negate_first_entry(ss, anchor_pair(ss.algebra, kind)))
     assert report.status == "fail"
     assert report.relations_checked == RELATION_IDS[mn]["appendix"][0]
     assert report.witness == want
