@@ -10,16 +10,16 @@ slot 23 uses, and graded_dagger the conjugation sign, which tensor_dagger
 re-signs.  graded_kron, graded_permutation and spectral.build_E_tensor
 write the sign out for speed, each pinned by test_*_is_kron_blocks;
 embed_triple's slots 12 and 13 and flip_conjugate (P m P) re-index with
-signs of their own.  Ordinary matrix composition is ungraded.
+signs of their own.  Ordinary matrix composition is ungraded: `@` is
+`times` on the right factor's `row_index`.
 
 On Laurent entries, a q-power is an exponent shift: `shifted` multiplies
 by sign s^k, and `commutator` forms s^k1 xy - sign s^k2 yx, the graded
 bracket, the induction step and the q-Serre ad step, in one pass with no
-product matrices.  A Representation
-pairs its weights with a weight through the coordinate columns of
-superroot.form_columns, keeps q^(h_eps_a) for every index a of V
-(`qh_eps`) and their exponent table (`pair2`), and writes each diagonal
-with the shared monomials of qring.monomial.
+product matrices.  A Representation pairs its weights with a weight
+through the coordinate columns of superroot.form_columns, keeps q^(h_eps_a)
+for every index a of V (`qh_eps`) and their exponent table (`pair2`), and
+writes each diagonal with the shared monomials of qring.monomial.
 
 `pack` turns a matrix over Z[s, s^-1] into a matrix of ints by Kronecker
 substitution, s = 2^B; `packing_bits` picks a B for which two packed
@@ -102,11 +102,6 @@ class GradedMatrix:
         return cls(gradings, {(i, i): ONE for i in range(len(gradings))})
 
     @classmethod
-    def elementary(cls, a: int, b: int, gradings: tuple[int, ...]) -> "GradedMatrix":
-        """E^a_b: entry (a, b) equal to 1."""
-        return cls(gradings, {(a, b): ONE})
-
-    @classmethod
     def diagonal(cls, gradings: tuple[int, ...], diag) -> "GradedMatrix":
         return cls(gradings, {(i, i): v for i, v in enumerate(diag)})
 
@@ -145,20 +140,7 @@ class GradedMatrix:
 
     def __matmul__(self, other: "GradedMatrix") -> "GradedMatrix":
         self._same_space(other)
-        by_row: dict[int, list[tuple[int, LaurentPoly]]] = {}
-        for (r, c), v in other.entries.items():
-            by_row.setdefault(r, []).append((c, v))
-        out: dict[tuple[int, int], LaurentPoly] = {}
-        for (r, c), v in self.entries.items():
-            for c2, w in by_row.get(c, ()):
-                key = (r, c2)
-                acc = out.get(key)
-                val = v * w if acc is None else acc + v * w
-                if val:
-                    out[key] = val
-                elif acc is not None:
-                    del out[key]
-        return self._of(self.gradings, out)
+        return self._of(self.gradings, times(self.entries.items(), row_index(other)))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, GradedMatrix):
@@ -173,15 +155,6 @@ class GradedMatrix:
         return f"GradedMatrix(dim={self.dim}, {{{ent}}})"
 
     # -- graded structure --------------------------------------------------
-
-    def homogeneous_parity(self) -> int | None:
-        """Common parity [r]+[c] of all entries, or None if mixed/empty."""
-        parities = {
-            (self.gradings[r] + self.gradings[c]) % 2 for (r, c) in self.entries
-        }
-        if len(parities) == 1:
-            return parities.pop()
-        return None
 
     def bracket(self, other: "GradedMatrix", parity_self: int, parity_other: int
                 ) -> "GradedMatrix":
@@ -208,9 +181,7 @@ class GradedMatrix:
         self._same_space(other)
         pairs: dict[tuple[int, int], list] = {}
         for x, y, k, sx in ((self, other, k1, 1), (other, self, k2, -sign)):
-            by_row: dict[int, list] = {}
-            for (r, c), v in y.entries.items():
-                by_row.setdefault(r, []).append((c, v))
+            by_row = row_index(y)
             for (r, c), v in x.entries.items():
                 right = by_row.get(c)
                 if right is None:
@@ -227,6 +198,30 @@ class GradedMatrix:
             if p:
                 entries[key] = p
         return self._of(self.gradings, entries)
+
+
+def row_index(m: GradedMatrix) -> dict[int, list]:
+    """m's nonzeros by row, r -> [(c, m[r, c]), ...]: a right factor of `times`."""
+    by_row: dict[int, list] = {}
+    for (r, c), v in m.entries.items():
+        by_row.setdefault(r, []).append((c, v))
+    return by_row
+
+
+def times(left, by_row: dict[int, list]) -> dict:
+    """The nonzero entries of L M from L's nonzeros ((r, c), v) and M by row
+    (row_index): the one sparse product loop, of `@` and of row blocks."""
+    out: dict[tuple[int, int], LaurentPoly] = {}
+    for (r, c), v in left:
+        for c2, w in by_row.get(c, ()):
+            key = (r, c2)
+            acc = out.get(key)
+            val = v * w if acc is None else acc + v * w
+            if val:
+                out[key] = val
+            elif acc is not None:
+                del out[key]
+    return out
 
 
 # kron_gradings' memo: immutable tuples, one per pair of factor gradings a

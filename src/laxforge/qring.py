@@ -77,10 +77,6 @@ class LaurentPoly:
     def const(cls, c: Scalar) -> "LaurentPoly":
         return cls({0: c})
 
-    @classmethod
-    def s_power(cls, k: int, coeff: Scalar = 1) -> "LaurentPoly":
-        return cls({k: coeff})
-
     # -- ring structure ------------------------------------------------
 
     def __bool__(self) -> bool:
@@ -344,8 +340,8 @@ def _zstr(a: ZPoly) -> str:
 
 class RatFunc:
     """A fraction of polynomials in z with LaurentPoly coefficients, as
-    read from an entry of a spectral R-matrix's JSON: it compares, negates,
-    gives its z-degrees and evaluates exactly, and has no field arithmetic.
+    read from an entry of a spectral R-matrix's JSON: it compares, negates
+    and evaluates exactly, and has no field arithmetic.
 
     Normalization is best effort (common z-power and monomial content are
     cancelled); equality never relies on canonical form and is decided by
@@ -402,11 +398,7 @@ class RatFunc:
             raise PoleError(_zstr(self.den))
         return horner([c.evaluate(s0) for c in self.num], z0) / dval
 
-    # -- degrees / display --------------------------------------------------
-
-    def degrees(self) -> tuple[int, int]:
-        """(numerator z-degree, denominator z-degree); zero numerator gives -1."""
-        return len(self.num) - 1, len(self.den) - 1
+    # -- display ------------------------------------------------------------
 
     def __str__(self) -> str:
         return f"({_zstr(self.num)}) / ({_zstr(self.den)})"

@@ -6,25 +6,28 @@ fails, with its matrix position and both entry values, as the witness; the
 report's status follows from the witness, and it renders itself as JSON or
 as the lines of `verify --format text`.
 
-ybe, lax_ybe, intertwining and delta_property compare their products
-through one function, _product_diffs.  It packs each input matrix once,
-s = 2^B substituted (gradedmat.pack), so that each Laurent entry becomes one
-Python int, all at one shift lo, the lowest exponent over the inputs.  B is
-the largest that any of the relations needs by a bound on the coefficients
-of its two sides (gradedmat.packing_bits), so packed sides are equal
-exactly when the Laurent-polynomial sides are.  pack is a ring map, so a
-side built from packed inputs is the packed side: Delta^T(x) is the flip of
-the packed Delta(x), and the delta suite's left side (id (x) Delta) R is
-built by delta_lhs from R's packed blocks (SigmaSet.blocks), as the matrix
-coproduct Delta(B_ab) = sum_c B_cb (x) B_ac.  No float, sample or tolerance
-is involved.  When a coefficient is not an int, or when the packed sides
-differ, the relation is built again on the Laurent inputs, so a witness
-always shows Laurent polynomials.
+ybe, lax_ybe, intertwining and delta_property compare their products through
+one function, _product_diffs.  It packs each input matrix once, s = 2^B
+substituted (gradedmat.pack), at one shift lo, the lowest exponent over the
+inputs, with B the largest any relation needs by a bound on the coefficients
+of its sides (gradedmat.packing_bits).  pack is a ring map, so a side built
+from packed inputs is the packed side: Delta^T(x) is the flip of the packed
+Delta(x), and delta_lhs builds (id (x) Delta) R from R's packed blocks
+(SigmaSet.blocks) as the matrix coproduct Delta(B_ab) = sum_c B_cb (x) B_ac.
+The sides are compared one row block at a time, in row order; for ybe,
+lax_ybe and delta_property block a is the rows of first V slot a, so no
+product holds more than one block of V (x) V (x) W.  A block's coefficients
+are bounded by the whole side's, so packed blocks agree exactly when the
+Laurent blocks do: no float, sample or tolerance is involved.  Only the
+first block whose sides differ is built again on the Laurent inputs (every
+block is, when a coefficient is not an int); blocks are row ranges in order,
+so it holds the first position where the whole sides differ, and a witness
+shows Laurent polynomials.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import eq
+from operator import ne
 
 from .qring import ZERO, s_exponent
 from .superroot import bilinear
@@ -41,8 +44,10 @@ from .gradedmat import (
     pack,
     pack_stats,
     packing_bits,
+    row_index,
     tensor_dagger,
     tensor_product,
+    times,
 )
 from .laxengine import RTensor, SigmaSet, admissible_intermediates
 
@@ -111,11 +116,8 @@ class CheckReport:
 def _first_diff(lhs: GradedMatrix, rhs: GradedMatrix):
     """Where two matrices first differ, (key, lhs entry, rhs entry), or
     None when they are equal."""
-    if lhs == rhs:
-        return None
     for key in sorted(set(lhs.entries) | set(rhs.entries)):
-        a = lhs.entries.get(key, ZERO)
-        b = rhs.entries.get(key, ZERO)
+        a, b = lhs.entries.get(key, ZERO), rhs.entries.get(key, ZERO)
         if a != b:
             return key, a, b
     return None
@@ -124,23 +126,34 @@ def _first_diff(lhs: GradedMatrix, rhs: GradedMatrix):
 def _product_diffs(inputs: list[GradedMatrix], relations) -> list:
     """_first_diff of the two sides of each relation, in order.
 
-    A relation is (build, sides): build(mats) gives its two sides from
-    matrices in the places of `inputs`, and sides(stats) the PackStats of
-    each side's factors, from those of `inputs`, for packing_bits.  Each
-    input is packed once, at the lowest exponent over all inputs and with
-    the largest B any relation needs, and every relation is built on the
-    packed inputs.  A relation whose packed sides differ, or every relation
-    when some coefficient is not an int, is built again on `inputs`."""
+    A relation is (build, sides): build(mats) gives, from matrices in the
+    places of `inputs`, its number n of row blocks and block(a), the two
+    sides' rows in block a < n; sides(stats) gives the PackStats of each
+    side's factors, from those of `inputs`, for packing_bits.  Each input is
+    packed once, with the largest B any relation needs; the first block
+    whose packed sides differ is built again on `inputs`."""
     stats = [pack_stats(m) for m in inputs]
     packed = None
     if None not in stats:
         bits = max(packing_bits(*sides(stats)) for _, sides in relations)
         lo = min(x.lo for x in stats)
         packed = [pack(m, bits, lo) for m in inputs]
-    return [
-        None if packed is not None and eq(*build(packed)) else _first_diff(*build(inputs))
-        for build, _ in relations
-    ]
+    diffs = []
+    for build, _ in relations:
+        n, block = build(packed or inputs)
+        a = next((a for a in range(n) if ne(*block(a))), None)
+        diffs.append(None if a is None else _first_diff(*build(inputs)[1](a)))
+    return diffs
+
+
+def _row_block(g: tuple[int, ...], a: int, n: int, first: dict, *rest: dict) -> GradedMatrix:
+    """Block a of n (equal row ranges, in row order) of the product, on the
+    space graded by g, of two or more matrices given by row (row_index)."""
+    rows = range(a * len(g) // n, (a + 1) * len(g) // n)
+    out = times((((r, c), v) for r in rows for c, v in first.get(r, ())), rest[0])
+    for by_row in rest[1:]:
+        out = times(out.items(), by_row)
+    return GradedMatrix._of(g, out)
 
 
 # ---------------------------------------------------------------------------
@@ -170,12 +183,13 @@ def _ybe_suite(name: str, rel_id: str, rv: RTensor, rw: RTensor) -> CheckReport:
 def _ybe_diff(rv: RTensor, rw: RTensor):
     """_first_diff of the two sides of _ybe_suite's identity."""
     gv, gw = rv.gradings_v, rw.gradings_w
+    g, n = kron_gradings(kron_gradings(gv, gv), gw), len(gv)
 
     def build(m: list[GradedMatrix]):  # m[-1] is rw's matrix, or rv's when rw is rv
-        r12 = embed_triple(m[0], "12", gv, gv, gw)
-        r13 = embed_triple(m[-1], "13", gv, gv, gw)
-        r23 = embed_triple(m[-1], "23", gv, gv, gw)
-        return r12 @ r13 @ r23, r23 @ r13 @ r12
+        r12, r13, r23 = (row_index(embed_triple(x, at, gv, gv, gw))
+                         for x, at in ((m[0], "12"), (m[-1], "13"), (m[-1], "23")))
+        return n, lambda a: (_row_block(g, a, n, r12, r13, r23),
+                             _row_block(g, a, n, r23, r13, r12))
 
     def sides(s: list[PackStats]):
         return [s[0], s[-1], s[-1]], [s[-1], s[-1], s[0]]
@@ -211,8 +225,7 @@ def check_intertwining(r: RTensor, rep: Representation) -> CheckReport:
     Delta(e_a) and Delta(f_a) are the generators of tensor_product(rep,
     rep), and Delta(q^(+-h_a/2)) is that module's qh_diag(alpha_a, +-1/2).
     Delta^T(x) is P Delta(x) P for the graded permutation P, formed as a
-    re-indexing (flip_conjugate) of Delta(x), packed or not.  R and every
-    Delta(x) are packed once, with the largest B over the relations.
+    re-indexing (flip_conjugate) of Delta(x), packed or not.
     """
     report = CheckReport("intertwining")
     g, vv = rep.gradings, tensor_product(rep, rep)
@@ -224,23 +237,21 @@ def check_intertwining(r: RTensor, rep: Representation) -> CheckReport:
             rel_ids.append(f"R Delta({kind}_{label}) = Delta^T({kind}_{label}) R")
             inputs.append(dx)
     # P Delta(x) P has the entries, norms and row counts of Delta(x)
-    relations = [
-        (
-            lambda m, i=i: (m[0] @ m[i], flip_conjugate(m[i], g, g) @ m[0]),
-            lambda s, i=i: ([s[0], s[i]], [s[i], s[0]]),
-        )
-        for i in range(1, len(inputs))
-    ]
+    relations = [(
+        lambda m, i=i: (1, lambda _: (m[0] @ m[i], flip_conjugate(m[i], g, g) @ m[0])),
+        lambda s, i=i: ([s[0], s[i]], [s[i], s[0]]),
+    ) for i in range(1, len(inputs))]
     for rel_id, diff in zip(rel_ids, _product_diffs(inputs, relations)):
         report.record(rel_id, diff)
     return report
 
 
 def delta_lhs(
-    g: tuple[int, ...], blocks: dict[tuple[int, int], GradedMatrix]
+    g: tuple[int, ...], blocks: dict[tuple[int, int], GradedMatrix], first=None
 ) -> GradedMatrix:
     """(id (x) Delta) R on V (x) V (x) V for R = sum E^a_b (x) B_ab, g the
-    gradings of V and `blocks` R's nonzero blocks (SigmaSet.blocks).  In
+    gradings of V and `blocks` R's nonzero blocks (SigmaSet.blocks), or its
+    rows whose first slot a is in `first` (all when None).  In
     these blocks the displayed coproduct of sigma_ba is the matrix
     coproduct of an L-operator (Faddeev-Reshetikhin-Takhtajan),
 
@@ -252,7 +263,7 @@ def delta_lhs(
     at 2 lo."""
     gw = blocks[(0, 0)].gradings
     out = {}
-    for a in range(len(g)):
+    for a in range(len(g)) if first is None else first:
         for b in range(a + 1):
             terms = [
                 graded_kron(blocks[(c, b)], blocks[(a, c)])
@@ -279,10 +290,12 @@ def check_delta_property(sigma: SigmaSet, r: RTensor) -> CheckReport:
     """
     report = CheckReport("delta_property")
     g, gv, blocks = sigma.algebra.gradings, sigma.rep.gradings, sigma.blocks
+    g3, n = kron_gradings(r.matrix.gradings, gv), len(g)
 
     def build(m: list[GradedMatrix]):  # the blocks in their order, then R
-        rhs = embed_triple(m[-1], "13", gv, gv, gv) @ embed_triple(m[-1], "12", gv, gv, gv)
-        return delta_lhs(g, dict(zip(blocks, m))), rhs
+        by_slot = dict(zip(blocks, m))
+        r13, r12 = (row_index(embed_triple(m[-1], at, gv, gv, gv)) for at in ("13", "12"))
+        return n, lambda a: (delta_lhs(g, by_slot, (a,)), _row_block(g3, a, n, r13, r12))
 
     def sides(s: list[PackStats]):  # packing_bits reads norm and row only
         lhs = PackStats(lo=0, norm=max(x.norm for x in s[:-1]), row=len(g))

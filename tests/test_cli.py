@@ -854,6 +854,28 @@ def _matmul_dims(monkeypatch):
     return dims
 
 
+def _block_products(monkeypatch):
+    """Every row-block product that ybe, lax-ybe and delta form, in call
+    order, as (dimension of the space, its range of rows, whether its
+    factors are Laurent polynomials rather than packed ints)."""
+    from laxforge import verifier
+
+    calls = []
+    product = verifier._row_block
+
+    def spy(g, a, n, *factors):
+        out = product(g, a, n, *factors)
+        size = len(g) // n
+        rows = range(a * size, a * size + size)
+        assert all(r in rows for r, _ in out.entries)
+        first_row = next(iter(factors[0].values()))
+        calls.append((len(g), rows, type(first_row[0][1]) is not int))
+        return out
+
+    monkeypatch.setattr(verifier, "_row_block", spy)
+    return calls
+
+
 CONSTANT_SUITES = ["ybe", "lax-ybe", "intertwine", "delta", "qcom", "serre",
                    "extra-serre", "appendix", "opposite", "path-independence"]
 
@@ -862,32 +884,63 @@ CONSTANT_SUITES = ["ybe", "lax-ybe", "intertwine", "delta", "qcom", "serre",
 def test_lax_ybe_on_v_reuses_the_ybe_products(monkeypatch, capsys, suites):
     # W = V: ybe and lax-ybe assert one identity, so adding lax-ybe to a
     # job adds no V (x) V (x) V product; each suite still reports its own
-    dims = _matmul_dims(monkeypatch)
+    blocks = _block_products(monkeypatch)
 
     def products(names):
-        dims.clear()
+        blocks.clear()
         assert run(["verify", "--m", "3", "--n", "2",
                     *(a for s in names for a in ("--suite", s))]) == 0
         reports = json.loads(capsys.readouterr().out)["reports"]
-        return dims.count(125), {r["check"]: r for r in reports}
+        return sum(dim == 125 for dim, _, _ in blocks), {r["check"]: r for r in reports}
 
     without, _ = products([s for s in suites if s != "lax-ybe"])
     count, reports = products(suites)
-    assert count == without and count >= 4
+    # at least the five row blocks of the YBE, each side once
+    assert count == without and count >= 10
     assert reports["ybe"]["status"] == reports["lax_ybe"]["status"] == "pass"
     assert reports["ybe"]["relations_checked"] == reports["lax_ybe"]["relations_checked"] == 1
 
 
 def test_each_job_multiplies_its_own_ybe_products(monkeypatch, capsys):
     # the kept comparison lives on one job's R: a second job, in the same
-    # process, multiplies again, and so does lax-ybe on W = trivial
-    dims = _matmul_dims(monkeypatch)
+    # process, multiplies again, and so does lax-ybe on W = trivial, on the
+    # five 5-row blocks of V (x) V (x) W, dim 25
+    blocks = _block_products(monkeypatch)
+    sides = ("lhs", "rhs")
+    one_comparison = [(125, range(25 * a, 25 * a + 25), False) for a in range(5) for _ in sides]
     for _ in range(2):
         assert run(["verify", "--m", "3", "--n", "2", "--suite", "ybe", "--suite", "lax-ybe"]) == 0
-    assert dims.count(125) == 8
-    dims.clear()
+    assert blocks == 2 * one_comparison
+    blocks.clear()
     assert run(["verify", "--m", "3", "--n", "2", "--rep", "trivial", "--suite", "lax-ybe"]) == 0
-    assert dims.count(25) == 4 and 125 not in dims
+    assert blocks == [(25, range(5 * a, 5 * a + 5), False) for a in range(5) for _ in sides]
+    capsys.readouterr()
+
+
+def test_no_product_spans_more_than_one_row_block(monkeypatch, capsys):
+    # ybe, lax-ybe and delta hold one block of V (x) V (x) W at a time: its
+    # rows with one first V slot, dim / dim V of them
+    from laxforge.gradedmat import GradedMatrix
+
+    blocks = _block_products(monkeypatch)
+    products = []
+    matmul = GradedMatrix.__matmul__
+
+    def spy(self, other):
+        products.append((self.dim, len({r for r, _ in self.entries})))
+        return matmul(self, other)
+
+    monkeypatch.setattr(GradedMatrix, "__matmul__", spy)
+    for args, dim_v in ((["--m", "5", "--n", "4", "--suite", "ybe", "--suite", "lax-ybe",
+                          "--suite", "delta"], 9),
+                        (["--m", "3", "--n", "2", "--rep", "trivial", "--suite", "lax-ybe"], 5)):
+        blocks.clear()
+        products.clear()
+        assert run(["verify", *args]) == 0
+        dim = blocks[0][0]
+        assert all(len(rows) == dim // dim_v for _, rows, _ in blocks)
+        assert all(rows <= dim // dim_v for _, rows in products)
+        assert len(blocks) >= 2 * dim_v
     capsys.readouterr()
 
 
@@ -912,25 +965,64 @@ def _flip_assembled_r(monkeypatch):
 
 def test_a_flipped_r_fails_ybe_and_lax_ybe_in_one_job(monkeypatch, capsys):
     _flip_assembled_r(monkeypatch)
-    dims = _matmul_dims(monkeypatch)
+    blocks = _block_products(monkeypatch)
 
     def witnesses(*suites):
-        dims.clear()
+        blocks.clear()
         assert run(["verify", "--m", "3", "--n", "2",
                     *(a for s in suites for a in ("--suite", s))]) == 1
         reports = json.loads(capsys.readouterr().out)["reports"]
         assert all(r["status"] == "fail" and r["relations_checked"] == 1 for r in reports)
-        return {r["check"]: r["witness"] for r in reports}, dims.count(125)
+        return {r["check"]: r["witness"] for r in reports}, list(blocks)
 
     found, both = witnesses("ybe", "lax-ybe")
     ybe, lax = found["ybe"], found["lax_ybe"]
-    # the job of both suites multiplies as often as ybe alone: the four
-    # packed products and the four Laurent ones of the witness
-    assert witnesses("ybe") == ({"ybe": ybe}, both) and both == 8
+    # the job of both suites multiplies as often as ybe alone: both sides
+    # of the packed blocks up to the first that differs (the witness's
+    # row 26 is in the second), and of that block's Laurent rebuild
+    first, second = range(0, 25), range(25, 50)
+    assert witnesses("ybe") == ({"ybe": ybe}, both)
+    assert both == [(125, rows, laurent) for rows, laurent in
+                    ((first, False), (first, False), (second, False), (second, False),
+                     (second, True), (second, True))]
     assert witnesses("lax-ybe")[0] == {"lax_ybe": lax}
     assert ybe["relation"] == "R12 R13 R23 = R23 R13 R12"
     assert lax["relation"] == "r12 R13 R23 = R23 R13 r12"
     assert {**ybe, "relation": None} == {**lax, "relation": None}
+
+
+@pytest.mark.parametrize("suite, relation, lhs, rhs", [
+    ("ybe", "R12 R13 R23 = R23 R13 R12", "1*s^-6 + -3*s^-2 + 2*s^2", "-1*s^-6 + 1*s^-2"),
+    ("lax-ybe", "r12 R13 R23 = R23 R13 r12", "1*s^-6 + -3*s^-2 + 2*s^2", "-1*s^-6 + 1*s^-2"),
+    ("delta", "(id (x) Delta) R = R13 R12", "1*s^-4 + -1", "-1*s^-4 + 1"),
+])
+def test_a_failing_product_relation_rebuilds_one_block(monkeypatch, capsys, suite,
+                                                       relation, lhs, rhs):
+    # osp(5|4), blocks of 81 rows: the first differing position, row 82,
+    # lies in the second block, and only that block is built again on the
+    # Laurent entries; the witnesses are those of the whole products
+    from laxforge import verifier
+
+    _flip_assembled_r(monkeypatch)
+    blocks = _block_products(monkeypatch)
+    lhs_rows = []
+    delta_lhs = verifier.delta_lhs
+
+    def spy(g, by_slot, first=None):
+        lhs_rows.append((first, type(by_slot[(0, 0)].entries[(0, 0)]) is not int))
+        return delta_lhs(g, by_slot, first)
+
+    monkeypatch.setattr(verifier, "delta_lhs", spy)
+    assert run(["verify", "--m", "5", "--n", "4", "--suite", suite]) == 1
+    (report,) = json.loads(capsys.readouterr().out)["reports"]
+    assert report["relations_checked"] == 1
+    assert report["witness"] == {"relation": relation, "row": 82, "col": 2,
+                                 "lhs": lhs, "rhs": rhs}
+    second = range(81, 162)
+    sides = 1 if suite == "delta" else 2
+    assert [(rows, laurent) for _, rows, laurent in blocks] == (
+        [(range(0, 81), False)] * sides + [(second, False)] * sides + [(second, True)] * sides)
+    assert lhs_rows == ([((0,), False), ((1,), False), ((1,), True)] if suite == "delta" else [])
 
 
 def test_failing_text_report_is_pinned(monkeypatch, capsys):

@@ -39,11 +39,13 @@ from laxforge.gradedmat import (
     weight_lanes,
 )
 
+from helpers import elementary, homogeneous_parity, s_power
+
 G2 = (0, 1)  # one even, one odd position
 
 
 def E(a, b, g=G2):
-    return GradedMatrix.elementary(a, b, g)
+    return elementary(a, b, g)
 
 
 def test_kron_koszul_mixed_product_law():
@@ -89,7 +91,7 @@ def test_dagger_is_an_antihomomorphism():
     mats = [E(0, 1), E(1, 0), E(0, 0) + E(1, 1).scale(3)]
     for x in mats:
         for y in mats:
-            px, py = x.homogeneous_parity(), y.homogeneous_parity()
+            px, py = homogeneous_parity(x), homogeneous_parity(y)
             if px is None or py is None:
                 continue
             sign = -1 if px * py else 1
@@ -283,7 +285,7 @@ TYPED_ENTRIES = {
     int: {(0, 1): 3, (2, 1): -2, (3, 3): 5, (1, 2): 1},
     Fraction: {(0, 1): Fraction(3, 2), (2, 1): Fraction(-2, 5), (3, 3): Fraction(5, 7)},
     LaurentPoly: {(0, 1): LaurentPoly({-1: 2, 3: -1}), (2, 1): LaurentPoly.const(4),
-                  (3, 3): LaurentPoly.s_power(2, -3)},
+                  (3, 3): s_power(2, -3)},
 }
 
 
@@ -309,7 +311,7 @@ def test_kron_blocks_keeps_the_entry_type(kind):
     assert all(type(v) is kind for v in out.entries.values())
     reference = GradedMatrix.zeros(out.gradings)
     for (a, b), block in blocks.items():
-        reference = reference + graded_kron(GradedMatrix.elementary(a, b, gv), block)
+        reference = reference + graded_kron(elementary(a, b, gv), block)
     assert out == reference
     # the odd first-slot columns 0 and 2 flip the odd entries of their block
     assert out.entries[(1 * 4 + 0, 0 * 4 + 1)] == -m.entries[(0, 1)]
@@ -388,10 +390,10 @@ def test_packed_products_agree_with_laurent_products(lhs, other, how, k, c):
     if how == "independent":
         rhs = other
     elif how == "regrouped":
-        rhs = [m.scale(LaurentPoly.s_power(k)) for m in lhs[:1]] + lhs[1:]
-        rhs[-1] = rhs[-1].scale(LaurentPoly.s_power(-k))
+        rhs = [m.scale(s_power(k)) for m in lhs[:1]] + lhs[1:]
+        rhs[-1] = rhs[-1].scale(s_power(-k))
     else:
-        rhs = [lhs[0] + GradedMatrix(G3, {(1, 2): LaurentPoly.s_power(k, c)}), *lhs[1:]]
+        rhs = [lhs[0] + GradedMatrix(G3, {(1, 2): s_power(k, c)}), *lhs[1:]]
     symbolic = reduce(matmul, lhs) == reduce(matmul, rhs)
     assert packed_products_equal(lhs, rhs) == symbolic
 
@@ -403,7 +405,7 @@ def test_packing_bits_separate_a_collision_one_bit_lower():
     g = (0, 0)
     a = GradedMatrix(g, {(0, 0): LaurentPoly.one(), (0, 1): LaurentPoly.one()})
     b = GradedMatrix(g, {(0, 0): LaurentPoly.const(4), (1, 0): LaurentPoly.const(4)})
-    y = GradedMatrix(g, {(0, 0): LaurentPoly.s_power(1)})
+    y = GradedMatrix(g, {(0, 0): s_power(1)})
     bits = packing_bits([pack_stats(a), pack_stats(b)], [pack_stats(y)])
 
     def sides(n):
@@ -572,14 +574,14 @@ def test_commutator_and_shifted_equal_their_products(seed):
     rng = random.Random(seed)
     x, y = random_laurent_matrix(rng), random_laurent_matrix(rng)
     sign, k1, k2 = rng.choice((1, -1)), rng.randint(-3, 3), rng.randint(-3, 3)
-    expected = (x @ y).scale(LaurentPoly.s_power(k1)) - (y @ x).scale(
-        LaurentPoly.s_power(k2, sign)
+    expected = (x @ y).scale(s_power(k1)) - (y @ x).scale(
+        s_power(k2, sign)
     )
     got = x.commutator(y, sign, k1, k2)
     assert got == expected
     for v in got.entries.values():
         assert v and all(type(c) is int or c.denominator != 1 for c in v.terms.values())
-    assert x.shifted(k1, sign) == x.scale(LaurentPoly.s_power(k1, sign))
+    assert x.shifted(k1, sign) == x.scale(s_power(k1, sign))
 
 
 def test_pack_stats_reads_every_entry_of_a_laurent_matrix():

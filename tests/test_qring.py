@@ -15,6 +15,8 @@ from laxforge.qring import (
     q_power,
 )
 
+from helpers import s_power
+
 
 # the fractions in [-20, 20] with denominator at most 8, built from two
 # integers: quicker to draw than st.fractions with bounds
@@ -79,7 +81,7 @@ def test_q_power_and_q_int():
 
 
 def test_monomial_inverse():
-    m = LaurentPoly.s_power(3, Fraction(2, 5))
+    m = s_power(3, Fraction(2, 5))
     assert m.inverse() * m == LaurentPoly.one()
     with pytest.raises(ValueError):
         (LaurentPoly.one() + m).inverse()
@@ -199,7 +201,7 @@ def test_floats_are_refused():
 
 
 def test_evaluate_negative_power_is_exact():
-    value = LaurentPoly.s_power(-3).evaluate(2)
+    value = s_power(-3).evaluate(2)
     assert value == Fraction(1, 8) and type(value) is Fraction
 
 
@@ -213,7 +215,7 @@ def test_inverse_of_integer_monomial_is_exact():
 
 def test_ratfunc_evaluate_at_int_point_is_exact():
     a = _rf([0, 1], [1, 0, 1])  # z / (1 + z^2)
-    value = RatFunc((LaurentPoly.s_power(-2),), (LaurentPoly.one(),)).evaluate(2, 3)
+    value = RatFunc((s_power(-2),), (LaurentPoly.one(),)).evaluate(2, 3)
     assert value == Fraction(1, 4) and type(value) is Fraction
     assert a.evaluate(1, 2) == Fraction(2, 5)
 
