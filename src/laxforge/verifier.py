@@ -247,12 +247,11 @@ def check_intertwining(r: RTensor, rep: Representation) -> CheckReport:
 
 
 def delta_lhs(
-    g: tuple[int, ...], blocks: dict[tuple[int, int], GradedMatrix], first=None
+    g: tuple[int, ...], blocks: dict[tuple[int, int], GradedMatrix], first: range
 ) -> GradedMatrix:
-    """(id (x) Delta) R on V (x) V (x) V for R = sum E^a_b (x) B_ab, g the
-    gradings of V and `blocks` R's nonzero blocks (SigmaSet.blocks), or its
-    rows whose first slot a is in `first` (all when None).  In
-    these blocks the displayed coproduct of sigma_ba is the matrix
+    """The rows of (id (x) Delta) R on V (x) V (x) V whose first slot a is in
+    `first`, for R = sum E^a_b (x) B_ab, g the gradings of V and `blocks`
+    R's nonzero blocks (SigmaSet.blocks).  In these blocks the displayed coproduct of sigma_ba is the matrix
     coproduct of an L-operator (Faddeev-Reshetikhin-Takhtajan),
 
         Delta(B_ab) = sum_{b <= c <= a} B_cb (x) B_ac,
@@ -263,7 +262,7 @@ def delta_lhs(
     at 2 lo."""
     gw = blocks[(0, 0)].gradings
     out = {}
-    for a in range(len(g)) if first is None else first:
+    for a in first:
         for b in range(a + 1):
             terms = [
                 graded_kron(blocks[(c, b)], blocks[(a, c)])
@@ -295,7 +294,7 @@ def check_delta_property(sigma: SigmaSet, r: RTensor) -> CheckReport:
     def build(m: list[GradedMatrix]):  # the blocks in their order, then R
         by_slot = dict(zip(blocks, m))
         r13, r12 = (row_index(embed_triple(m[-1], at, gv, gv, gv)) for at in ("13", "12"))
-        return n, lambda a: (delta_lhs(g, by_slot, (a,)), _row_block(g3, a, n, r13, r12))
+        return n, lambda a: (delta_lhs(g, by_slot, range(a, a + 1)), _row_block(g3, a, n, r13, r12))
 
     def sides(s: list[PackStats]):  # packing_bits reads norm and row only
         lhs = PackStats(lo=0, norm=max(x.norm for x in s[:-1]), row=len(g))

@@ -172,11 +172,13 @@ def test_delta_property_multiplies_packed_ints(monkeypatch):
 def test_packed_delta_lhs_is_the_packed_symbolic_lhs(mn):
     _, ss = build(*mn)
     g, blocks = ss.algebra.gradings, ss.blocks
-    lhs = delta_lhs(g, blocks)
+    lhs = delta_lhs(g, blocks, range(len(g)))
     lo = min(pack_stats(m).lo for m in blocks.values())
     # pack is a ring map for any B, so the packed build is exactly pack(lhs)
     for bits in (3, 12):
-        packed = delta_lhs(g, {key: pack(m, bits, lo) for key, m in blocks.items()})
+        packed = delta_lhs(
+            g, {key: pack(m, bits, lo) for key, m in blocks.items()}, range(len(g))
+        )
         assert packed == pack(lhs, bits, 2 * lo)
 
 
@@ -230,7 +232,7 @@ def test_delta_bound_counts_every_product_of_a_left_entry(monkeypatch):
     def largest(m):
         return max(max(map(abs, v.terms.values())) for v in m.entries.values())
 
-    lhs = delta_lhs(g, blocks)
+    lhs = delta_lhs(g, blocks, range(len(g)))
     rhs = embed_triple(r, "13", g, g, g) @ embed_triple(r, "12", g, g, g)
     assert largest(lhs) == largest(rhs) == d * norm**2
     assert calls and all(1 << bits > 2 * d * norm**2 for _, bits, _ in calls)
@@ -286,7 +288,8 @@ def test_lax_operator_on_v_tensor_v_is_the_delta_lhs(mn):
     # coproduct, which the delta suite only takes as given
     rep, ss = build(*mn)
     on_vv = extend_sigma(init_simple_sigma(tensor_product(rep, rep)))
-    assert assemble_R(on_vv).matrix == delta_lhs(ss.algebra.gradings, ss.blocks)
+    g = ss.algebra.gradings
+    assert assemble_R(on_vv).matrix == delta_lhs(g, ss.blocks, range(len(g)))
 
 
 def test_delta_passes_a_rescaled_sigma_that_v_tensor_v_rejects():
@@ -299,7 +302,8 @@ def test_delta_passes_a_rescaled_sigma_that_v_tensor_v_rejects():
     assert check_delta_property(bad, assemble_R(bad)).status == "pass"
     assert check_ybe(assemble_R(bad)).status == "fail"
     on_vv = extend_sigma(init_simple_sigma(tensor_product(rep, rep)))
-    assert assemble_R(on_vv).matrix != delta_lhs(bad.algebra.gradings, bad.blocks)
+    g = bad.algebra.gradings
+    assert assemble_R(on_vv).matrix != delta_lhs(g, bad.blocks, range(len(g)))
 
 
 @pytest.mark.parametrize("mn", [(4, 2), (4, 4), (5, 4)])
